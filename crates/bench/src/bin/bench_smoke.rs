@@ -1,5 +1,6 @@
-//! Bench-regression smoke gate for the batched routing path (DESIGN.md
-//! §10, EXPERIMENTS.md §bench-smoke).
+//! Smoke measurement of the batched routing path (DESIGN.md §10,
+//! EXPERIMENTS.md §bench-smoke). Prints and writes its rows; it gates
+//! nothing — the performance gate is the `benchmark/` crate.
 //!
 //! Measures every engine on one fixed small workload at `batch_size = 1`
 //! (the pass-through oracle) and `batch_size = 64`, three trials each,
@@ -10,24 +11,18 @@
 //! default rows:
 //!
 //! ```text
-//! cargo run --release -p oij-bench --bin bench_smoke              # write BENCH_pr9.json
-//! cargo run --release -p oij-bench --bin bench_smoke -- --check BENCH_pr9.json
+//! cargo run --release -p oij-bench --bin bench_smoke [out.json]
 //! ```
 //!
-//! Without arguments the measurement is written to `BENCH_pr9.json` (or
-//! the path given as the sole positional argument) — the committed
-//! baseline. With `--check <path>` the workload is re-measured and the
-//! process exits nonzero if any engine/backend/batch configuration lost
-//! more than [`REGRESSION_TOLERANCE`] of its baseline median throughput
-//! — the CI job `bench-smoke` runs exactly this. Pre-PR9 baselines
-//! (rows without a `backend` field) parse as skip-list rows.
+//! The measurement is written to `target/bench_smoke.json` (or the path
+//! given as the sole positional argument).
 //!
 //! Env knobs: `OIJ_BENCH_TUPLES` (default 120 000) and
 //! `OIJ_BENCH_TRIALS` (default 3; the median wants an odd count).
 
 use std::process::ExitCode;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use oij_bench::run_engine_cfg;
 use oij_core::config::{EngineConfig, IndexBackend, Instrumentation};
@@ -35,11 +30,6 @@ use oij_core::engine::EngineKind;
 use oij_workload::{KeyDist, SyntheticConfig};
 
 use oij_common::{Duration, OijQuery};
-
-/// Median throughput may drop by at most this fraction before the check
-/// fails. Loose enough for shared-runner noise, tight enough to catch a
-/// real hot-path regression.
-const REGRESSION_TOLERANCE: f64 = 0.15;
 
 /// The batch sizes measured: the pass-through oracle and the default
 /// coalescing depth.
@@ -65,15 +55,11 @@ fn bench_matrix() -> Vec<(EngineKind, IndexBackend)> {
 }
 
 /// One engine × backend × batch-size measurement (medians over trials).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Measurement {
     /// Engine label (paper legend name).
     engine: String,
-    /// Index backend label. `default` (not `default = "fn"`: the
-    /// vendored derive only supports the bare form) keeps pre-PR9
-    /// baselines parseable; the loader maps the resulting empty string
-    /// to the skip-list reference.
-    #[serde(default)]
+    /// Index backend label.
     backend: String,
     /// Coalescing depth this row was measured at.
     batch_size: usize,
@@ -85,10 +71,10 @@ struct Measurement {
     p99_ms: f64,
 }
 
-/// The committed baseline file format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The output file format.
+#[derive(Debug, Clone, Serialize)]
 struct Report {
-    /// Workload identity, so a baseline is never compared across shapes.
+    /// Workload identity.
     workload: String,
     /// Events per trial.
     tuples: usize,
@@ -203,77 +189,10 @@ fn main() -> ExitCode {
     let trials = env_usize("OIJ_BENCH_TRIALS", 3).max(1);
     let joiners = 4;
 
-    if args.first().map(String::as_str) == Some("--check") {
-        let path = args.get(1).map(String::as_str).unwrap_or("BENCH_pr9.json");
-        let mut baseline: Report = match std::fs::read_to_string(path) {
-            Ok(s) => match serde_json::from_str(&s) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: cannot parse baseline {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("error: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Rows from a pre-backend-axis baseline measured the default
-        // (skip-list) backend.
-        for m in &mut baseline.measurements {
-            if m.backend.is_empty() {
-                m.backend = IndexBackend::SkipList.label().to_string();
-            }
-        }
-        // Re-measure at the baseline's own sizing so medians compare
-        // like-for-like regardless of the caller's env.
-        let current = measure(baseline.tuples, baseline.trials, baseline.joiners);
-        if current.workload != baseline.workload {
-            eprintln!(
-                "error: workload mismatch ({} vs {}); refresh the baseline",
-                current.workload, baseline.workload
-            );
-            return ExitCode::FAILURE;
-        }
-        let mut failed = false;
-        for b in &baseline.measurements {
-            let Some(c) = current.measurements.iter().find(|m| {
-                m.engine == b.engine && m.backend == b.backend && m.batch_size == b.batch_size
-            }) else {
-                eprintln!(
-                    "error: {} on {} batch={} missing from rerun",
-                    b.engine, b.backend, b.batch_size
-                );
-                failed = true;
-                continue;
-            };
-            let floor = b.throughput * (1.0 - REGRESSION_TOLERANCE);
-            if c.throughput < floor {
-                eprintln!(
-                    "REGRESSION: {} on {} batch={} {:.0} tuples/s < {:.0} \
-                     (baseline {:.0} − {:.0}% tolerance)",
-                    b.engine,
-                    b.backend,
-                    b.batch_size,
-                    c.throughput,
-                    floor,
-                    b.throughput,
-                    REGRESSION_TOLERANCE * 100.0
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "bench-smoke: OK — every configuration within {:.0}% of the baseline",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let out = args.first().map(String::as_str).unwrap_or("BENCH_pr9.json");
+    let out = args
+        .first()
+        .map(String::as_str)
+        .unwrap_or("target/bench_smoke.json");
     let report = measure(tuples, trials, joiners);
     let json = serde_json::to_string_pretty(&report).expect("serialisable report");
     if let Err(e) = std::fs::write(out, json) {

@@ -59,7 +59,10 @@ mod imp {
             .append(true)
             .open(path)
         {
-            let _ = writeln!(f, "{line}");
+            // One `write` per record: with O_APPEND that keeps records
+            // from concurrent threads (and test binaries) whole, which
+            // `writeln!`'s separate newline write does not.
+            let _ = f.write_all(format!("{line}\n").as_bytes());
         }
     }
 

@@ -22,7 +22,7 @@ use std::cell::UnsafeCell;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use crate::message::{BatchMsg, DataMsg, Msg};
+use crate::message::{BatchMsg, Msg, Payload};
 use crate::sync::atomic::{AtomicUsize, Ordering};
 
 /// Slot states of the [`SlotPool`] protocol. A slot cycles
@@ -135,32 +135,32 @@ impl<T> SlotPool<T> {
     }
 }
 
-/// Per-destination coalescing buffers on the driver thread (one engine
-/// owns one; not shared across threads — only the pooled buffers travel).
+/// Per-destination coalescing buffers on the driver thread (one worker
+/// pool owns one; not shared across threads — only the buffers travel).
 ///
-/// All flush triggers live here so the four engines share one set of
-/// semantics; see the module docs for the trigger list.
-pub(crate) struct Batcher {
+/// All flush triggers live here so the four engines and the serving tier
+/// share one set of semantics; see the module docs for the trigger list.
+pub(crate) struct Batcher<T> {
     batch_size: usize,
     deadline: StdDuration,
     /// One pending buffer per destination, oldest message first.
-    bufs: Vec<Vec<DataMsg>>,
+    bufs: Vec<Vec<T>>,
     /// Arrival instant of each buffer's oldest message (`None` = empty).
     first_at: Vec<Option<Instant>>,
     /// Non-empty buffer count, so the per-push deadline sweep is a single
     /// branch while everything is flushed.
     armed: usize,
-    pool: Arc<SlotPool<Vec<DataMsg>>>,
+    pool: Arc<SlotPool<Vec<T>>>,
 }
 
-impl Batcher {
+impl<T: Payload> Batcher<T> {
     /// A batcher for `destinations` workers. `batch_size == 1` constructs
     /// a pass-through (no buffers are ever armed).
     pub(crate) fn new(
         destinations: usize,
         batch_size: usize,
         deadline: StdDuration,
-        pool: Arc<SlotPool<Vec<DataMsg>>>,
+        pool: Arc<SlotPool<Vec<T>>>,
     ) -> Self {
         Batcher {
             batch_size,
@@ -182,14 +182,14 @@ impl Batcher {
     /// route to `dest` now — immediately in pass-through mode, or the
     /// filled batch once the buffer reaches `batch_size`.
     #[inline]
-    pub(crate) fn push(&mut self, dest: usize, msg: DataMsg) -> Option<Msg> {
+    pub(crate) fn push(&mut self, dest: usize, msg: T) -> Option<Msg<T>> {
         if self.passthrough() {
             // PROTO: driver-joiner.stream
             return Some(Msg::Data(Box::new(msg)));
         }
         let buf = &mut self.bufs[dest];
         if buf.is_empty() {
-            self.first_at[dest] = Some(msg.arrival);
+            self.first_at[dest] = Some(msg.arrival());
             self.armed += 1;
             if buf.capacity() == 0 {
                 // First use (or the pool handed back nothing at the last
@@ -217,7 +217,7 @@ impl Batcher {
     /// arrival stamp of the current push — the driver thread never reads
     /// the clock twice per tuple.
     #[inline]
-    pub(crate) fn pop_expired(&mut self, now: Instant) -> Option<(usize, Msg)> {
+    pub(crate) fn pop_expired(&mut self, now: Instant) -> Option<(usize, Msg<T>)> {
         if self.armed == 0 {
             return None;
         }
@@ -235,7 +235,7 @@ impl Batcher {
     /// flush-everything path used before heartbeat broadcasts and at end
     /// of input.
     #[inline]
-    pub(crate) fn pop_any(&mut self) -> Option<(usize, Msg)> {
+    pub(crate) fn pop_any(&mut self) -> Option<(usize, Msg<T>)> {
         if self.armed == 0 {
             return None;
         }
@@ -243,7 +243,7 @@ impl Batcher {
         Some((dest, self.detach(dest)))
     }
 
-    fn detach(&mut self, dest: usize) -> Msg {
+    fn detach(&mut self, dest: usize) -> Msg<T> {
         self.armed -= 1;
         self.first_at[dest] = None;
         let msgs = std::mem::take(&mut self.bufs[dest]);
@@ -255,6 +255,7 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::DataMsg;
     use oij_common::{Side, Timestamp, Tuple};
 
     fn msg(seq: u64, arrival: Instant) -> DataMsg {

@@ -49,14 +49,6 @@ pub(crate) struct Driver {
     finished: bool,
 }
 
-/// What `Driver::prepare` tells the engine to do with an event.
-pub(crate) enum Prepared {
-    /// Route this data message.
-    Data(DataMsg),
-    /// The event was an input flush marker; stop accepting input.
-    Flush,
-}
-
 impl Driver {
     /// A driver with optional durability. On recovery the watermark
     /// tracker is re-seeded with the maximum event time restored from
@@ -85,8 +77,9 @@ impl Driver {
     /// **pre-observation** watermark (see [`DataMsg::watermark`]). With
     /// durability enabled the event is appended to the WAL *before* it
     /// is returned for dispatch: once the caller sees `Ok`, the tuple
-    /// survives a crash.
-    pub(crate) fn prepare(&mut self, event: Event) -> Result<Prepared> {
+    /// survives a crash. `None`: the event was an input flush marker —
+    /// nothing to route.
+    pub(crate) fn prepare(&mut self, event: Event) -> Result<Option<DataMsg>> {
         if self.finished {
             return Err(Error::InvalidState("push after finish".into()));
         }
@@ -95,7 +88,7 @@ impl Driver {
             self.started = Some(now);
         }
         match event.kind {
-            EventKind::Flush => Ok(Prepared::Flush),
+            EventKind::Flush => Ok(None),
             EventKind::Data { side, tuple } => {
                 // The stamp must be read BEFORE the tracker observes the
                 // tuple (the "pre-observation watermark" contract) and the
@@ -117,7 +110,7 @@ impl Driver {
                 self.tracker.observe(tuple.ts);
                 self.pushed += 1;
                 // STAMP: wal-dispatch.post
-                Ok(Prepared::Data(DataMsg {
+                Ok(Some(DataMsg {
                     side,
                     tuple,
                     seq: event.seq,
@@ -132,7 +125,11 @@ impl Driver {
     /// pre-observation watermark `stamp` instead of a freshly computed
     /// one (identical late classification), nothing is appended to the
     /// WAL (the event is already in it), and the replay counter ticks.
-    pub(crate) fn prepare_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<Prepared> {
+    pub(crate) fn prepare_stamped(
+        &mut self,
+        event: Event,
+        stamp: Timestamp,
+    ) -> Result<Option<DataMsg>> {
         if self.finished {
             return Err(Error::InvalidState("push after finish".into()));
         }
@@ -141,14 +138,14 @@ impl Driver {
             self.started = Some(now);
         }
         match event.kind {
-            EventKind::Flush => Ok(Prepared::Flush),
+            EventKind::Flush => Ok(None),
             EventKind::Data { side, tuple } => {
                 self.tracker.observe(tuple.ts);
                 self.pushed += 1;
                 if let Some(rt) = &self.durable {
                     rt.note_replayed();
                 }
-                Ok(Prepared::Data(DataMsg {
+                Ok(Some(DataMsg {
                     side,
                     tuple,
                     seq: event.seq,
@@ -218,13 +215,9 @@ mod tests {
     #[test]
     fn watermark_is_pre_observation() {
         let mut d = Driver::with_durability(Duration::from_micros(10), None);
-        let Prepared::Data(m1) = d.prepare(ev(0, 100)).unwrap() else {
-            panic!()
-        };
+        let m1 = d.prepare(ev(0, 100)).unwrap().expect("data");
         assert_eq!(m1.watermark, Timestamp::MIN); // nothing observed before
-        let Prepared::Data(m2) = d.prepare(ev(1, 200)).unwrap() else {
-            panic!()
-        };
+        let m2 = d.prepare(ev(1, 200)).unwrap().expect("data");
         assert_eq!(m2.watermark, Timestamp::from_micros(90)); // 100 - 10
     }
 
@@ -243,12 +236,10 @@ mod tests {
         let mut d = Driver::with_durability(Duration::from_micros(10), None);
         // A replayed event carries its original stamp even though the
         // tracker would compute something else.
-        let Prepared::Data(m) = d
+        let m = d
             .prepare_stamped(ev(0, 100), Timestamp::from_micros(42))
             .unwrap()
-        else {
-            panic!()
-        };
+            .expect("data");
         assert_eq!(m.watermark, Timestamp::from_micros(42));
         // The tracker still observed the event time.
         assert_eq!(d.watermark(), Timestamp::from_micros(90));

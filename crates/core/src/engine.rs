@@ -167,9 +167,8 @@ impl RunStats {
         let mut late_side_outputs = 0;
         let mut batch_occupancy = BatchOccupancy::new();
 
-        for report in reports {
-            results += report.results;
-            let inst = report.instruments;
+        for inst in reports {
+            results += inst.results;
             joiner_loads.push(inst.processed);
             evicted += inst.evicted;
             late_violations += inst.late_violations;
@@ -266,10 +265,8 @@ mod tests {
             inst.processed = processed;
             inst.record_effectiveness(1, 2);
             inst.record_latency(origin);
-            JoinerReport {
-                instruments: inst,
-                results,
-            }
+            inst.results = results;
+            inst
         };
         let stats = RunStats::from_reports(
             100,

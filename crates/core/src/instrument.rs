@@ -134,11 +134,14 @@ pub struct JoinerInstruments {
     pub late_side_outputs: u64,
     /// Tuples evicted by expiration.
     pub evicted: u64,
+    /// Feature rows this joiner emitted.
+    pub results: u64,
     /// Fill levels of the `Msg::Batch`es this joiner received (always on:
     /// two adds per *batch*, nothing per tuple; empty when unbatched).
     pub batch_occupancy: BatchOccupancy,
     /// Receive-side protocol shadow of the driver→joiner edge (always
-    /// on; every joiner, in every engine, receives on that edge).
+    /// on; every joiner, in every engine and every served plan, receives
+    /// on that edge).
     pub proto: ProtoProbe,
 }
 
@@ -146,13 +149,6 @@ impl JoinerInstruments {
     /// Builds the bundle for one joiner. `origin` anchors the busy timeline
     /// (pass the same instant to all joiners).
     pub fn new(spec: &Instrumentation, origin: Instant) -> Self {
-        Self::with_edge(spec, origin, "driver-joiner")
-    }
-
-    /// [`new`](Self::new) with an explicit protocol edge for the receive
-    /// probe — the serving runtime's workers sit on `ingest-query`, not
-    /// the engines' `driver-joiner`.
-    pub fn with_edge(spec: &Instrumentation, origin: Instant, edge: &'static str) -> Self {
         JoinerInstruments {
             latency: spec.latency.then(LatencyHistogram::new),
             breakdown: spec.breakdown.then(TimeBreakdown::new),
@@ -165,8 +161,9 @@ impl JoinerInstruments {
             late_violations: 0,
             late_side_outputs: 0,
             evicted: 0,
+            results: 0,
             batch_occupancy: BatchOccupancy::new(),
-            proto: ProtoProbe::new(edge),
+            proto: ProtoProbe::new("driver-joiner"),
         }
     }
 
@@ -226,14 +223,9 @@ impl JoinerInstruments {
     }
 }
 
-/// What a joiner thread reports after flush; merged by the engine into
-/// [`crate::engine::RunStats`].
-pub struct JoinerReport {
-    /// The instruments, final.
-    pub instruments: JoinerInstruments,
-    /// Feature rows this joiner emitted.
-    pub results: u64,
-}
+/// What a joiner thread reports after flush — its final instruments;
+/// merged by the engine into [`crate::engine::RunStats`].
+pub type JoinerReport = JoinerInstruments;
 
 #[cfg(test)]
 mod tests {

@@ -16,281 +16,44 @@
 //! 2. a small key count starves most joiners (Figure 8a),
 //! 3. overlapping windows are recomputed from scratch (Figure 9).
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{bounded, Receiver, Sender};
-
 use oij_agg::FullWindowAgg;
-use oij_common::{EmitMode, Error, Event, FeatureRow, Key, Result, Side, Timestamp};
+use oij_common::{EmitMode, FeatureRow, Key, Result, Side, Timestamp, Window};
 use oij_index::{BackendReader, BackendWriter, OijIndexReader, OijIndexWriter};
 
-use crate::batch::{Batcher, SlotPool};
 use crate::config::EngineConfig;
-use crate::driver::{open_durability, Driver, Prepared};
-use crate::engine::{OijEngine, RunStats};
-use crate::faults::{
-    join_within, run_supervised, send_guarded, FailureCell, FaultAction, WorkerFaults,
-};
-use crate::hash_key;
+use crate::driver::open_durability;
 use crate::instrument::{JoinerInstruments, JoinerReport};
-use crate::message::{DataMsg, Msg};
+use crate::message::DataMsg;
+use crate::shell::{forward_engine, EngineShell, HashRoute, Joiner, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
 
-const ENGINE: &str = "key-oij";
-
 /// The Key-OIJ engine. See the [module docs](self).
-pub struct KeyOij {
-    cfg: EngineConfig,
-    driver: Driver,
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<Option<JoinerReport>>>,
-    /// Reports salvaged from workers joined so far (kept across a failed
-    /// `finish` so `abort` can account partial output).
-    reports: Vec<JoinerReport>,
-    failures: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    /// First observed failure: once set, `push`/`finish` fail fast with it.
-    poison: Option<Error>,
-    since_heartbeat: usize,
-    done: bool,
-    /// Per-joiner coalescing buffers (pass-through when `batch_size == 1`).
-    batcher: Batcher,
-    /// Sink emissions re-attempted under the retry policy.
-    retries: Arc<AtomicU64>,
-}
+pub struct KeyOij(EngineShell<HashRoute>);
 
 impl KeyOij {
     /// Spawns the joiner threads and returns the ready engine.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         cfg.validate()?;
         let origin = Instant::now();
-        let failures = Arc::new(FailureCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        // Sized so every destination can have a buffer in flight plus a
-        // few spares; overflow just means one fresh allocation per batch.
-        let pool = Arc::new(SlotPool::new(cfg.joiners * 8 + 16));
+        let sup = Supervision::default();
         // Key-OIJ never emits side-output markers (SideOutput degrades to
         // Drop here), so late tuples join best-effort and must be retained.
         let durable = open_durability(&cfg, false)?;
-        let retries = Arc::new(AtomicU64::new(0));
-        let mut senders = Vec::with_capacity(cfg.joiners);
-        let mut handles = Vec::with_capacity(cfg.joiners);
-        for id in 0..cfg.joiners {
-            // CHANNEL: driver -> joiner (one queue per key-partitioned worker)
-            let (tx, rx) = bounded::<Msg>(cfg.channel_capacity);
-            let worker_sink =
-                worker_sink_stack(&cfg, id, sink.clone(), &durable, &failures, &retries, &kill);
-            let worker = KeyJoiner::new(&cfg, worker_sink, origin, Arc::clone(&pool));
-            let faults = cfg.faults.for_worker(id, ENGINE, id, &failures);
-            let cell = Arc::clone(&failures);
-            let wkill = Arc::clone(&kill);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("key-oij-joiner-{id}"))
-                    .spawn(move || {
-                        run_supervised(ENGINE, id, &cell, move || worker.run(rx, faults, wkill))
-                    })
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            );
-            senders.push(tx);
-        }
-        let lateness = cfg.query.window.lateness;
-        let batcher = Batcher::new(cfg.joiners, cfg.batch_size, cfg.flush_deadline, pool);
-        Ok(KeyOij {
-            cfg,
-            driver: Driver::with_durability(lateness, durable),
-            senders,
-            handles,
-            reports: Vec::new(),
-            failures,
-            kill,
-            poison: None,
-            since_heartbeat: 0,
-            done: false,
-            batcher,
-            retries,
-        })
-    }
-
-    /// Routed send with the configured deadline; a failure poisons the
-    /// engine.
-    #[inline]
-    fn route(&mut self, worker: usize, msg: Msg) -> Result<()> {
-        match send_guarded(
-            &self.senders[worker],
-            msg,
-            self.cfg.send_timeout,
-            ENGINE,
-            worker,
-            &self.failures,
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Routes one prepared data message: hash-partitioned destination,
-    /// coalescing, deadline flushes and periodic heartbeats. Shared by
-    /// the live (`push`) and replay (`push_stamped`) ingest paths.
-    fn dispatch(&mut self, msg: DataMsg) -> Result<()> {
-        // Static binding: the key's hash picks the joiner, forever.
-        let joiner = (hash_key(msg.tuple.key) % self.cfg.joiners as u64) as usize;
-        let watermark = msg.watermark;
-        // The arrival stamp doubles as "now" for the flush
-        // deadline, so batching adds no clock reads per tuple.
-        let now = msg.arrival;
-        if let Some(out) = self.batcher.push(joiner, msg) {
-            self.route(joiner, out)?;
-        }
-        while let Some((dest, out)) = self.batcher.pop_expired(now) {
-            self.route(dest, out)?;
-        }
-        self.since_heartbeat += 1;
-        if self.since_heartbeat >= self.cfg.heartbeat_every {
-            self.since_heartbeat = 0;
-            // Flush-before-heartbeat: a heartbeat must never
-            // advance a joiner's watermark past tuples still
-            // parked in a coalescing buffer (DESIGN.md §10).
-            // STAMP: flush-heartbeat.pre
-            while let Some((dest, out)) = self.batcher.pop_any() {
-                self.route(dest, out)?;
-            }
-            for j in 0..self.senders.len() {
-                // STAMP: flush-heartbeat.post
-                // PROTO: driver-joiner.stream
-                self.route(j, Msg::Heartbeat(watermark))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Joins every worker with a bounded deadline, salvaging reports into
-    /// `self.reports`; returns (and records) the first failure.
-    fn join_workers(&mut self) -> Result<()> {
-        let mut first_err: Option<Error> = None;
-        while !self.handles.is_empty() {
-            let worker = self.cfg.joiners - self.handles.len();
-            let handle = self.handles.remove(0);
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                worker,
-                &self.failures,
-                &self.kill,
-            );
-            if let Some(r) = report {
-                self.reports.push(r);
-            }
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
+        let joiners = (0..cfg.joiners)
+            .map(|id| {
+                let sink = worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup);
+                KeyJoiner::new(&cfg, sink, origin)
+            })
+            .collect();
+        let routing = HashRoute(cfg.joiners as u64);
+        EngineShell::assemble("key-oij", &cfg, durable, sup, routing, joiners, None).map(KeyOij)
     }
 }
 
-impl OijEngine for KeyOij {
-    fn push(&mut self, event: Event) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare(event)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn push_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare_stamped(event, stamp)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("finish called twice".into()));
-        }
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        // End of input: hand over any partially filled batches first.
-        while let Some((dest, out)) = self.batcher.pop_any() {
-            self.route(dest, out)?;
-        }
-        for j in 0..self.senders.len() {
-            // PROTO: driver-joiner.closed
-            self.route(j, Msg::Flush)?;
-        }
-        self.senders.clear();
-        self.join_workers()?;
-        self.done = true;
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, 0);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-
-    fn abort(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("abort after a completed finish".into()));
-        }
-        self.done = true;
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        let _ = self.join_workers(); // failure already recorded; salvage
-        let lost = self.cfg.joiners - self.reports.len();
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, 0).mark_aborted(lost);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-}
-
-impl Drop for KeyOij {
-    fn drop(&mut self) {
-        // Unblock workers if the engine is dropped without finish(): raise
-        // the kill flag FIRST (releases wedged/stalled workers), then
-        // disconnect the channels, then join with a bounded deadline.
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        while let Some(handle) = self.handles.pop() {
-            let _ = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                self.handles.len(),
-                &self.failures,
-                &self.kill,
-            );
-        }
-    }
-}
+forward_engine!(KeyOij);
 
 /// One Key-OIJ worker thread's state.
 struct KeyJoiner {
@@ -305,11 +68,6 @@ struct KeyJoiner {
     node_bytes: usize,
     /// Watermark mode: pending base tuples keyed by (emit_ts, seq).
     pending: BTreeMap<(i64, u64), PendingBase>,
-    /// Scratch for the breakdown-instrumented two-phase scan.
-    scratch: Vec<f64>,
-    /// Returns drained batch buffers to the driver (DESIGN.md §10).
-    pool: Arc<SlotPool<Vec<DataMsg>>>,
-    results: u64,
     since_expire: usize,
     last_wm: Timestamp,
 }
@@ -320,120 +78,21 @@ struct PendingBase {
     arrival: Instant,
 }
 
-impl KeyJoiner {
-    fn new(
-        cfg: &EngineConfig,
-        sink: Sink,
-        origin: Instant,
-        pool: Arc<SlotPool<Vec<DataMsg>>>,
-    ) -> Self {
-        let (writer, reader) = cfg.index_backend.build();
-        let node_bytes = writer.node_footprint();
-        KeyJoiner {
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            sink,
-            writer,
-            reader,
-            node_bytes,
-            pending: BTreeMap::new(),
-            scratch: Vec::new(),
-            pool,
-            results: 0,
-            since_expire: 0,
-            last_wm: Timestamp::MIN,
+impl Joiner<DataMsg> for KeyJoiner {
+    fn instruments(&mut self) -> &mut JoinerInstruments {
+        &mut self.inst
+    }
+
+    fn on_heartbeat(&mut self, wm: Timestamp) {
+        // Key-OIJ is single-owner per key: a heartbeat only refreshes the
+        // expiration watermark.
+        self.last_wm = self.last_wm.max(wm);
+        if self.cfg.query.emit == EmitMode::Watermark {
+            self.drain_pending(self.last_wm);
         }
     }
 
-    fn run(
-        mut self,
-        rx: Receiver<Msg>,
-        faults: Option<WorkerFaults>,
-        kill: Arc<AtomicBool>,
-    ) -> JoinerReport {
-        let timeline_on = self.inst.timeline.is_some();
-        let mut ordinal = 0u64;
-        for msg in rx {
-            match msg {
-                Msg::Flush => {
-                    self.inst.proto.finish();
-                    break;
-                }
-                Msg::Heartbeat(wm) => {
-                    self.inst.proto.heartbeat(wm);
-                    // Key-OIJ is single-owner per key: a heartbeat only
-                    // refreshes the expiration watermark.
-                    self.last_wm = self.last_wm.max(wm);
-                    if self.cfg.query.emit == EmitMode::Watermark {
-                        self.drain_pending(self.last_wm);
-                    }
-                }
-                Msg::Data(data) => {
-                    self.inst.proto.data(data.watermark);
-                    // The one never-taken branch per message the empty
-                    // fault plan costs.
-                    if let Some(f) = &faults {
-                        let action = f.before_message(ordinal, &kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return JoinerReport {
-                                instruments: self.inst,
-                                results: self.results,
-                            };
-                        }
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    self.handle(*data);
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-                Msg::Batch(mut batch) => {
-                    self.inst.record_batch(batch.msgs.len());
-                    self.inst.proto.batch(batch.msgs.len());
-                    for m in &batch.msgs {
-                        self.inst.proto.data(m.watermark);
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    if let Some(f) = &faults {
-                        // Fault ordinals address individual data messages
-                        // inside the batch, so an injection point that is
-                        // not on a batch boundary still fires exactly
-                        // there, mid-batch.
-                        for msg in batch.msgs.drain(..) {
-                            let action = f.before_message(ordinal, &kill);
-                            ordinal += 1;
-                            if action == FaultAction::Exit {
-                                return JoinerReport {
-                                    instruments: self.inst,
-                                    results: self.results,
-                                };
-                            }
-                            self.handle(msg);
-                        }
-                    } else {
-                        self.handle_batch(&batch.msgs);
-                    }
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                    // Recycle the (emptied) buffer; a full pool just
-                    // drops it.
-                    batch.msgs.clear();
-                    let _ = self.pool.put(batch.msgs);
-                }
-            }
-        }
-        // End of input: everything is buffered, so all pending bases are
-        // complete — drain them at an infinite watermark.
-        self.drain_pending(Timestamp::MAX);
-        JoinerReport {
-            instruments: self.inst,
-            results: self.results,
-        }
-    }
-
-    fn handle(&mut self, msg: DataMsg) {
+    fn on_data(&mut self, msg: DataMsg) {
         self.inst.processed += 1;
         self.last_wm = msg.watermark;
         if msg.tuple.ts < msg.watermark {
@@ -476,22 +135,23 @@ impl KeyJoiner {
     }
 
     /// Processes one coalesced batch. Semantically identical to calling
-    /// [`handle`](Self::handle) once per message — the only shortcut is
+    /// [`on_data`](Joiner::on_data) once per message — the only shortcut is
     /// handing a run of consecutive same-key probes in eager mode to the
     /// backend as one [`insert_batch`](OijIndexWriter::insert_batch) call
     /// (inserts have no emission side effects, and nothing reads the index
     /// mid-run, so deferred publication is safe). The run is capped at the
     /// remaining expiration budget so the periodic sweep still fires after
     /// exactly the same message as on the unbatched path.
-    fn handle_batch(&mut self, msgs: &[DataMsg]) {
+    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
         let eager = self.cfg.query.emit == EmitMode::Eager;
         let mut i = 0;
         while i < msgs.len() {
-            if !(eager && msgs[i].side == Side::Probe) {
+            if !(eager && msgs[i].side == Side::Probe) || self.inst.cache.is_some() {
                 // Base tuples and watermark mode keep the scalar path:
                 // both can emit, which couples every message to the ones
-                // before it.
-                self.handle(msgs[i].clone());
+                // before it. So does the cache model, which needs a node
+                // address per insert.
+                self.on_data(msgs[i].clone());
                 i += 1;
                 continue;
             }
@@ -505,36 +165,50 @@ impl KeyJoiner {
             {
                 end += 1;
             }
-            if self.inst.cache.is_some() {
-                // The cache model needs a node address per insert, so the
-                // traced scalar path stays in charge here.
-                for m in &msgs[i..end] {
-                    self.inst.processed += 1;
-                    self.last_wm = m.watermark;
-                    if m.tuple.ts < m.watermark {
-                        self.inst.late_violations += 1;
-                    }
-                    let addr = self.writer.insert_hinted_traced(m.tuple.clone(), false);
-                    self.inst.record_access(addr, self.node_bytes);
+            let mut run = Vec::with_capacity(end - i);
+            for m in &msgs[i..end] {
+                self.inst.processed += 1;
+                self.last_wm = m.watermark;
+                if m.tuple.ts < m.watermark {
+                    self.inst.late_violations += 1;
                 }
-            } else {
-                let mut run = Vec::with_capacity(end - i);
-                for m in &msgs[i..end] {
-                    self.inst.processed += 1;
-                    self.last_wm = m.watermark;
-                    if m.tuple.ts < m.watermark {
-                        self.inst.late_violations += 1;
-                    }
-                    run.push((m.tuple.clone(), false));
-                }
-                self.writer.insert_batch(run);
+                run.push((m.tuple.clone(), false));
             }
+            self.writer.insert_batch(run);
             self.since_expire += end - i;
             if self.since_expire >= self.cfg.expire_every {
                 self.since_expire = 0;
                 self.expire();
             }
             i = end;
+        }
+    }
+
+    fn on_end(&mut self) {
+        // End of input: everything is buffered, so all pending bases are
+        // complete — drain them at an infinite watermark.
+        self.drain_pending(Timestamp::MAX);
+    }
+
+    fn into_report(self) -> JoinerReport {
+        self.inst
+    }
+}
+
+impl KeyJoiner {
+    fn new(cfg: &EngineConfig, sink: Sink, origin: Instant) -> Self {
+        let (writer, reader) = cfg.index_backend.build();
+        let node_bytes = writer.node_footprint();
+        KeyJoiner {
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+            cfg: cfg.clone(),
+            sink,
+            writer,
+            reader,
+            node_bytes,
+            pending: BTreeMap::new(),
+            since_expire: 0,
+            last_wm: Timestamp::MIN,
         }
     }
 
@@ -549,65 +223,20 @@ impl KeyJoiner {
         }
     }
 
-    /// The Key-OIJ join: full scan of the key's whole retained buffer (the
-    /// backend's timestamp order is deliberately *not* used to prune — the
-    /// window predicate filters engine-side, so lateness still inflates
-    /// every scan, Figure 7 style).
+    /// The Key-OIJ join: a [`scan_unpruned`] of the key's whole retained
+    /// buffer, so lateness still inflates every scan, Figure 7 style.
     fn join_and_emit(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
         let window = self.cfg.query.window.window_of(ts);
-        let (lo, hi) = (window.start.as_micros(), window.end.as_micros());
-        let spec = self.cfg.query.agg;
-        let mut agg = FullWindowAgg::new(spec);
-        let visited;
-
-        let reader = &self.reader;
-        let node_bytes = self.node_bytes;
-        if let Some(cache) = self.inst.cache.as_mut() {
-            // Instrumented scan: feed every node touch into the LLC
-            // model, then aggregate as usual.
-            visited = reader.scan_ts_range_addr(key, Timestamp::MIN, Timestamp::MAX, |t, addr| {
-                cache.access(addr, node_bytes);
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    agg.add(t.value);
-                }
-            }) as u64;
-        } else if self.inst.wants_breakdown() {
-            // Two-phase scan so lookup and match are timed separately,
-            // mirroring the paper's Figure 6 categories.
-            let t0 = Instant::now();
-            let scratch = &mut self.scratch;
-            scratch.clear();
-            visited = reader.scan_ts_range(key, Timestamp::MIN, Timestamp::MAX, |t| {
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    scratch.push(t.value);
-                }
-            }) as u64;
-            let t1 = Instant::now();
-            for &v in &self.scratch {
-                agg.add(v);
-            }
-            let t2 = Instant::now();
-            self.inst.add_breakdown(
-                t1.duration_since(t0).as_nanos() as u64,
-                t2.duration_since(t1).as_nanos() as u64,
-                0,
-            );
-        } else {
-            visited = reader.scan_ts_range(key, Timestamp::MIN, Timestamp::MAX, |t| {
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    agg.add(t.value);
-                }
-            }) as u64;
-        }
-
+        let mut agg = FullWindowAgg::new(self.cfg.query.agg);
+        let (reader, node_bytes) = (&self.reader, self.node_bytes);
+        let visited = scan_unpruned(reader, &mut self.inst, node_bytes, key, window, |v| {
+            agg.add(v)
+        });
         let matched = agg.count();
         self.inst.record_effectiveness(matched, visited);
         self.sink
             .emit(FeatureRow::new(ts, key, seq, agg.finish(), matched));
-        self.results += 1;
+        self.inst.results += 1;
         self.inst.record_latency(arrival);
     }
 
@@ -631,10 +260,57 @@ impl KeyJoiner {
     }
 }
 
+/// The full-scan baselines' lookup (Key-OIJ, and SplitJoin per slice):
+/// visits `key`'s **whole** retained range — the backend's timestamp order
+/// is deliberately *not* used to prune — filters by `window` engine-side,
+/// feeds every in-window value to `add` and returns the tuples visited.
+pub(crate) fn scan_unpruned(
+    reader: &BackendReader,
+    inst: &mut JoinerInstruments,
+    node_bytes: usize,
+    key: Key,
+    window: Window,
+    mut add: impl FnMut(f64),
+) -> u64 {
+    let (min, max) = (Timestamp::MIN, Timestamp::MAX);
+    if let Some(cache) = inst.cache.as_mut() {
+        // Instrumented scan: feed every node touch into the LLC model,
+        // then aggregate as usual.
+        reader.scan_ts_range_addr(key, min, max, |t, addr| {
+            cache.access(addr, node_bytes);
+            if window.contains(t.ts) {
+                add(t.value);
+            }
+        }) as u64
+    } else if inst.wants_breakdown() {
+        // Two-phase scan so lookup and match are timed separately,
+        // mirroring the paper's Figure 6 categories.
+        let t0 = Instant::now();
+        let mut hits: Vec<f64> = Vec::with_capacity(16);
+        let visited = reader.scan_ts_range(key, min, max, |t| {
+            if window.contains(t.ts) {
+                hits.push(t.value);
+            }
+        }) as u64;
+        let t1 = Instant::now();
+        hits.into_iter().for_each(add);
+        let matched_ns = t1.elapsed().as_nanos() as u64;
+        inst.add_breakdown(t1.duration_since(t0).as_nanos() as u64, matched_ns, 0);
+        visited
+    } else {
+        reader.scan_ts_range(key, min, max, |t| {
+            if window.contains(t.ts) {
+                add(t.value);
+            }
+        }) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oij_common::{AggSpec, Duration, OijQuery, Tuple};
+    use crate::engine::OijEngine;
+    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
 
     fn query(pre: i64, lateness: i64, emit: EmitMode) -> OijQuery {
         OijQuery::builder()
@@ -864,16 +540,5 @@ mod tests {
         assert!(stats.cache_accesses > 0);
         assert!(stats.cache_misses > 0);
         assert!(stats.cache_miss_ratio() > 0.0 && stats.cache_miss_ratio() <= 1.0);
-    }
-
-    #[test]
-    fn push_after_finish_errors() {
-        let q = query(10, 0, EmitMode::Eager);
-        let (sink, _) = Sink::collect();
-        let mut engine = KeyOij::spawn(EngineConfig::new(q, 1).unwrap(), sink).unwrap();
-        engine.push(ev(0, Side::Probe, 1, 1, 1.0)).unwrap();
-        engine.finish().unwrap();
-        assert!(engine.push(ev(1, Side::Probe, 2, 1, 1.0)).is_err());
-        assert!(engine.finish().is_err());
     }
 }

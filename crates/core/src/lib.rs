@@ -11,6 +11,10 @@
 //! | **SplitJoin-OIJ** | SplitJoin (USENIX ATC'16) adapted to OIJ semantics: broadcast distribution, sliced storage, partial-aggregate collection | [`splitjoin`] |
 //! | **OpenMLDB baseline** | the unmodified feature-store path: one shared ordered store behind a writer-exclusive lock, no disorder handling | [`openmldb`] |
 //!
+//! Each engine module holds only its joiner (the join algorithm) and a
+//! `spawn`; the driver→joiner edge around it — batching, guarded sends,
+//! heartbeats, supervision, teardown, the receive loop and the one real
+//! [`engine::OijEngine`] implementation — is the shared [`shell`].
 //! A single-threaded brute-force [`oracle`] provides ground truth for the
 //! test suite.
 //!
@@ -43,11 +47,12 @@ pub mod engine;
 pub mod faults;
 pub mod instrument;
 pub mod keyoij;
-pub(crate) mod message;
+pub mod message;
 pub mod openmldb;
 pub mod oracle;
 pub mod recovery;
 pub mod scaleoij;
+pub mod shell;
 pub mod sink;
 pub mod splitjoin;
 pub(crate) mod sync;

@@ -1,17 +1,29 @@
-//! Internal driver → joiner channel messages.
+//! Driver → joiner channel messages, generic over the payload: the four
+//! engines carry [`DataMsg`], the serving runtime its own base-tuple
+//! message (DESIGN.md "Engine shell").
 
 use std::time::Instant;
 
 use oij_common::{Side, Timestamp, Tuple};
 
+/// What the shared shell needs to know about a data payload: the two
+/// stamps the driver already took, so coalescing and protocol shadowing
+/// add no clock read and no field per tuple.
+pub trait Payload: Send + 'static {
+    /// Instant the driver accepted the tuple (flush-deadline anchor).
+    fn arrival(&self) -> Instant;
+    /// The driver's pre-observation watermark stamp for the tuple.
+    fn watermark(&self) -> Timestamp;
+}
+
 /// One unit of work handed to a joiner.
 #[derive(Debug, Clone)]
-pub(crate) enum Msg {
+pub enum Msg<T> {
     /// A data tuple.
-    Data(Box<DataMsg>),
+    Data(Box<T>),
     /// A coalesced run of data tuples for this destination (see
     /// [`BatchMsg`]). Only produced when `EngineConfig::batch_size > 1`.
-    Batch(Box<BatchMsg>),
+    Batch(Box<BatchMsg<T>>),
     /// Periodic watermark broadcast so that joiners receiving little or no
     /// data still advance their published progress (enabling expiration
     /// and watermark-mode emission on their teammates).
@@ -26,8 +38,20 @@ pub(crate) enum Msg {
     Flush,
 }
 
+impl<T> Msg<T> {
+    /// Data tuples this message carries (0 for control traffic) — what a
+    /// lossy sender counts when it sheds the message.
+    pub fn tuples(&self) -> usize {
+        match self {
+            Msg::Data(_) => 1,
+            Msg::Batch(b) => b.msgs.len(),
+            Msg::Heartbeat(_) | Msg::Flush => 0,
+        }
+    }
+}
+
 /// Up to `EngineConfig::batch_size` data messages for one destination, in
-/// arrival order. Semantically equivalent to sending each [`DataMsg`]
+/// arrival order. Semantically equivalent to sending each payload
 /// individually: joiners process the run element by element (late
 /// accounting, watermark bookkeeping and expiration cadence are applied
 /// per tuple), and fault ordinals keep addressing individual data
@@ -35,15 +59,15 @@ pub(crate) enum Msg {
 /// synchronization and lets joiners pin a key/index lookup across a
 /// same-key run.
 #[derive(Debug, Clone)]
-pub(crate) struct BatchMsg {
+pub struct BatchMsg<T> {
     /// The coalesced messages, oldest first. The backing `Vec` is drawn
-    /// from (and returned to) the engine's [`SlotPool`]
+    /// from (and returned to) the pool's [`SlotPool`]
     /// (crate::batch::SlotPool) so steady state allocates nothing per
     /// tuple on the routing path.
-    pub msgs: Vec<DataMsg>,
+    pub msgs: Vec<T>,
 }
 
-/// The payload of a data message. Boxed to keep the channel slot small.
+/// The engines' data payload. Boxed to keep the channel slot small.
 #[derive(Debug, Clone)]
 pub(crate) struct DataMsg {
     /// Which stream the tuple belongs to.
@@ -60,4 +84,15 @@ pub(crate) struct DataMsg {
     /// `tuple.ts > watermark + lateness` the exact "this tuple advances the
     /// maximum" test (see Scale-OIJ's late-insert hint).
     pub watermark: Timestamp,
+}
+
+impl Payload for DataMsg {
+    #[inline]
+    fn arrival(&self) -> Instant {
+        self.arrival
+    }
+    #[inline]
+    fn watermark(&self) -> Timestamp {
+        self.watermark
+    }
 }

@@ -20,30 +20,21 @@
 //! the baseline holds up at low arrival rates (Workload D) and collapses
 //! at high ones.
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicI64, Ordering};
 use crate::sync::RwLock;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{bounded, Receiver, Sender};
-
 use oij_agg::FullWindowAgg;
-use oij_common::{EmitMode, Error, Event, FeatureRow, Key, Result, Side, Timestamp};
+use oij_common::{EmitMode, Error, FeatureRow, Key, Result, Side, Timestamp};
 use oij_index::{BackendReader, BackendWriter, Exclusive, OijIndexReader, OijIndexWriter};
 
-use crate::batch::{Batcher, SlotPool};
 use crate::config::EngineConfig;
-use crate::driver::{open_durability, Driver, Prepared};
-use crate::engine::{OijEngine, RunStats};
-use crate::faults::{
-    join_within, run_supervised, send_guarded, FailureCell, FaultAction, WorkerFaults,
-};
+use crate::driver::open_durability;
 use crate::instrument::{JoinerInstruments, JoinerReport};
-use crate::message::{DataMsg, Msg};
+use crate::message::DataMsg;
+use crate::shell::{forward_engine, EngineShell, Joiner, RoundRobin, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
-
-const ENGINE: &str = "openmldb";
 
 /// The shared store: one backend index writer behind a writer-exclusive
 /// lock (the insertion bottleneck the paper measures), plus its snapshot
@@ -61,22 +52,7 @@ struct Store {
 ///
 /// Only `EmitMode::Eager` is supported — the store has no watermark
 /// machinery, which is precisely the paper's point.
-pub struct OpenMldbBaseline {
-    cfg: EngineConfig,
-    driver: Driver,
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<Option<JoinerReport>>>,
-    reports: Vec<JoinerReport>,
-    failures: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    poison: Option<Error>,
-    rr: usize,
-    done: bool,
-    /// Per-worker coalescing buffers (pass-through when `batch_size == 1`).
-    batcher: Batcher,
-    /// Sink-retry count across all workers (folded into `RunStats`).
-    retries: Arc<AtomicU64>,
-}
+pub struct OpenMldbBaseline(EngineShell<RoundRobin>);
 
 impl OpenMldbBaseline {
     /// Spawns the worker threads over one shared store.
@@ -97,218 +73,30 @@ impl OpenMldbBaseline {
         });
         // Deduplicates concurrent expiration sweeps.
         let expired_to = Arc::new(AtomicI64::new(i64::MIN));
-        let failures = Arc::new(FailureCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(SlotPool::new(cfg.joiners * 8 + 16));
+        let sup = Supervision::default();
         // The baseline never emits side-output markers.
         let durable = open_durability(&cfg, false)?;
-        let retries = Arc::new(AtomicU64::new(0));
-
-        let mut senders = Vec::with_capacity(cfg.joiners);
-        let mut handles = Vec::with_capacity(cfg.joiners);
-        for id in 0..cfg.joiners {
-            // CHANNEL: driver -> joiner (round-robin over the shared store)
-            let (tx, rx) = bounded::<Msg>(cfg.channel_capacity);
-            let worker = MldbWorker {
+        let workers = (0..cfg.joiners)
+            .map(|id| MldbWorker {
                 inst: JoinerInstruments::new(&cfg.instrument, origin),
                 cfg: cfg.clone(),
-                sink: worker_sink_stack(
-                    &cfg,
-                    id,
-                    sink.clone(),
-                    &durable,
-                    &failures,
-                    &retries,
-                    &kill,
-                ),
+                sink: worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup),
                 store: Arc::clone(&store),
                 expired_to: Arc::clone(&expired_to),
-                pool: Arc::clone(&pool),
-                results: 0,
                 since_expire: 0,
                 last_wm: Timestamp::MIN,
-            };
-            let faults = cfg.faults.for_worker(id, ENGINE, id, &failures);
-            let cell = Arc::clone(&failures);
-            let wkill = Arc::clone(&kill);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("openmldb-worker-{id}"))
-                    .spawn(move || {
-                        run_supervised(ENGINE, id, &cell, move || worker.run(rx, faults, wkill))
-                    })
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            );
-            senders.push(tx);
-        }
-        let lateness = cfg.query.window.lateness;
-        let batcher = Batcher::new(cfg.joiners, cfg.batch_size, cfg.flush_deadline, pool);
-        Ok(OpenMldbBaseline {
-            cfg,
-            driver: Driver::with_durability(lateness, durable),
-            senders,
-            handles,
-            reports: Vec::new(),
-            failures,
-            kill,
-            poison: None,
-            rr: 0,
-            done: false,
-            batcher,
-            retries,
-        })
-    }
-
-    /// Routes one prepared data message: round-robin over the shared
-    /// store, through the coalescing batcher.
-    fn dispatch(&mut self, msg: DataMsg) -> Result<()> {
-        // No key affinity — any thread can serve any request
-        // against the shared store (round-robin dispatch).
-        self.rr = (self.rr + 1) % self.senders.len();
-        let worker = self.rr;
-        let now = msg.arrival;
-        if let Some(out) = self.batcher.push(worker, msg) {
-            self.route(worker, out)?;
-        }
-        while let Some((dest, out)) = self.batcher.pop_expired(now) {
-            self.route(dest, out)?;
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn route(&mut self, worker: usize, msg: Msg) -> Result<()> {
-        match send_guarded(
-            &self.senders[worker],
-            msg,
-            self.cfg.send_timeout,
-            ENGINE,
-            worker,
-            &self.failures,
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    fn join_workers(&mut self) -> Result<()> {
-        let mut first_err: Option<Error> = None;
-        while !self.handles.is_empty() {
-            let worker = self.cfg.joiners - self.handles.len();
-            let handle = self.handles.remove(0);
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                worker,
-                &self.failures,
-                &self.kill,
-            );
-            if let Some(r) = report {
-                self.reports.push(r);
-            }
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
+            })
+            .collect();
+        let routing = RoundRobin {
+            joiners: cfg.joiners,
+            last: 0,
+        };
+        EngineShell::assemble("openmldb", &cfg, durable, sup, routing, workers, None)
+            .map(OpenMldbBaseline)
     }
 }
 
-impl OijEngine for OpenMldbBaseline {
-    fn push(&mut self, event: Event) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare(event)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn push_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare_stamped(event, stamp)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("finish called twice".into()));
-        }
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        // End of input: hand over any partially filled batches first.
-        while let Some((dest, out)) = self.batcher.pop_any() {
-            self.route(dest, out)?;
-        }
-        for j in 0..self.senders.len() {
-            // PROTO: driver-joiner.closed
-            self.route(j, Msg::Flush)?;
-        }
-        self.senders.clear();
-        self.join_workers()?;
-        self.done = true;
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, 0);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-
-    fn abort(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("abort after a completed finish".into()));
-        }
-        self.done = true;
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        let _ = self.join_workers();
-        let lost = self.cfg.joiners - self.reports.len();
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, 0).mark_aborted(lost);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-}
-
-impl Drop for OpenMldbBaseline {
-    fn drop(&mut self) {
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        while let Some(handle) = self.handles.pop() {
-            let _ = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                self.handles.len(),
-                &self.failures,
-                &self.kill,
-            );
-        }
-    }
-}
+forward_engine!(OpenMldbBaseline);
 
 struct MldbWorker {
     cfg: EngineConfig,
@@ -316,90 +104,16 @@ struct MldbWorker {
     inst: JoinerInstruments,
     store: Arc<Store>,
     expired_to: Arc<AtomicI64>,
-    /// Returns drained batch buffers to the driver (DESIGN.md §10).
-    pool: Arc<SlotPool<Vec<DataMsg>>>,
-    results: u64,
     since_expire: usize,
     last_wm: Timestamp,
 }
 
-impl MldbWorker {
-    fn run(
-        mut self,
-        rx: Receiver<Msg>,
-        faults: Option<WorkerFaults>,
-        kill: Arc<AtomicBool>,
-    ) -> JoinerReport {
-        let timeline_on = self.inst.timeline.is_some();
-        let mut ordinal = 0u64;
-        for msg in rx {
-            match msg {
-                Msg::Flush => {
-                    self.inst.proto.finish();
-                    break;
-                }
-                Msg::Heartbeat(wm) => {
-                    self.inst.proto.heartbeat(wm);
-                    self.last_wm = self.last_wm.max(wm);
-                }
-                Msg::Data(data) => {
-                    self.inst.proto.data(data.watermark);
-                    if let Some(f) = &faults {
-                        let action = f.before_message(ordinal, &kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return JoinerReport {
-                                instruments: self.inst,
-                                results: self.results,
-                            };
-                        }
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    self.handle(*data);
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-                Msg::Batch(mut batch) => {
-                    self.inst.record_batch(batch.msgs.len());
-                    self.inst.proto.batch(batch.msgs.len());
-                    for m in &batch.msgs {
-                        self.inst.proto.data(m.watermark);
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    if let Some(f) = &faults {
-                        // Fault ordinals address individual data messages
-                        // inside the batch (mid-batch injection points
-                        // fire exactly where they would unbatched).
-                        for msg in batch.msgs.drain(..) {
-                            let action = f.before_message(ordinal, &kill);
-                            ordinal += 1;
-                            if action == FaultAction::Exit {
-                                return JoinerReport {
-                                    instruments: self.inst,
-                                    results: self.results,
-                                };
-                            }
-                            self.handle(msg);
-                        }
-                    } else {
-                        self.handle_batch(&batch.msgs);
-                    }
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                    batch.msgs.clear();
-                    let _ = self.pool.put(batch.msgs);
-                }
-            }
-        }
-        JoinerReport {
-            instruments: self.inst,
-            results: self.results,
-        }
+impl Joiner<DataMsg> for MldbWorker {
+    fn instruments(&mut self) -> &mut JoinerInstruments {
+        &mut self.inst
     }
 
-    fn handle(&mut self, msg: DataMsg) {
+    fn on_data(&mut self, msg: DataMsg) {
         self.inst.processed += 1;
         self.last_wm = msg.watermark;
         if msg.tuple.ts < msg.watermark {
@@ -425,7 +139,7 @@ impl MldbWorker {
     }
 
     /// Processes one coalesced batch; semantically identical to calling
-    /// [`handle`](Self::handle) once per message. The pinned resource here
+    /// [`on_data`](Joiner::on_data) once per message. The pinned resource here
     /// is the store's writer lock: one acquisition covers a whole run of
     /// consecutive probes, handed to the backend as one
     /// [`insert_batch`](OijIndexWriter::insert_batch) call — deferred
@@ -433,11 +147,11 @@ impl MldbWorker {
     /// reader can overlap the run. Runs are capped at the remaining
     /// expiration budget so the sweep cadence matches the unbatched path
     /// exactly.
-    fn handle_batch(&mut self, msgs: &[DataMsg]) {
+    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
         let mut i = 0;
         while i < msgs.len() {
             if msgs[i].side != Side::Probe {
-                self.handle(msgs[i].clone());
+                self.on_data(msgs[i].clone());
                 i += 1;
                 continue;
             }
@@ -470,6 +184,12 @@ impl MldbWorker {
         }
     }
 
+    fn into_report(self) -> JoinerReport {
+        self.inst
+    }
+}
+
+impl MldbWorker {
     fn join_and_emit(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
         let window = self.cfg.query.window.window_of(ts);
         let (lo, hi) = (window.start.as_micros(), window.end.as_micros());
@@ -498,7 +218,7 @@ impl MldbWorker {
         self.inst.record_effectiveness(matched, matched);
         self.sink
             .emit(FeatureRow::new(ts, key, seq, agg.finish(), matched));
-        self.results += 1;
+        self.inst.results += 1;
         self.inst.record_latency(arrival);
     }
 
@@ -527,8 +247,9 @@ impl MldbWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OijEngine;
     use crate::oracle::Oracle;
-    use oij_common::{AggSpec, Duration, OijQuery, Tuple};
+    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
 
     fn query(pre: i64) -> OijQuery {
         OijQuery::builder()

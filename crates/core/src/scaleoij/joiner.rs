@@ -20,24 +20,22 @@
 //! counted (`late_violations`) and excluded from the incremental
 //! guarantee, exactly like every other engine treats them best-effort.
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::atomic::{AtomicI64, Ordering};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-
-use crossbeam_channel::Receiver;
 
 use oij_agg::{FullWindowAgg, PartialAgg, RunningAgg, TwoStackAgg};
 use oij_common::{AggSpec, EmitMode, FeatureRow, Key, Side, Timestamp};
 use oij_index::{BackendReader, BackendWriter, OijIndexReader, OijIndexWriter};
 use oij_skiplist::RcuCell;
 
-use crate::batch::SlotPool;
 use crate::config::{EngineConfig, LatePolicy};
-use crate::faults::{DrainBarrier, FailureCell, FaultAction, WorkerFaults};
+use crate::faults::DrainBarrier;
 use crate::hash_key;
 use crate::instrument::{JoinerInstruments, JoinerReport};
-use crate::message::{DataMsg, Msg};
+use crate::message::DataMsg;
+use crate::shell::{Joiner, Supervision};
 use crate::sink::Sink;
 
 use super::schedule::Schedule;
@@ -149,215 +147,32 @@ pub(crate) struct ScaleJoiner {
     barrier: Arc<DrainBarrier>,
     /// Shared failure report + engine kill flag: the end-of-input barrier
     /// falls through on either (degraded drain instead of deadlock).
-    cell: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    faults: Option<WorkerFaults>,
-    /// Returns drained batch buffers to the driver (DESIGN.md §10).
-    pool: Arc<SlotPool<Vec<DataMsg>>>,
+    sup: Supervision,
     scratch: Vec<f64>,
     scratch_pairs: Vec<(i64, f64)>,
-    results: u64,
     since_expire: usize,
     node_bytes: usize,
 }
 
-impl ScaleJoiner {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        id: usize,
-        cfg: &EngineConfig,
-        sink: Sink,
-        origin: Instant,
-        writer: BackendWriter,
-        readers: Vec<BackendReader>,
-        schedule: Arc<RcuCell<Schedule>>,
-        progress: Arc<Vec<AtomicI64>>,
-        hold: Arc<Vec<AtomicI64>>,
-        inc_floor: Arc<Vec<AtomicI64>>,
-        barrier: Arc<DrainBarrier>,
-        cell: Arc<FailureCell>,
-        kill: Arc<AtomicBool>,
-        faults: Option<WorkerFaults>,
-        pool: Arc<SlotPool<Vec<DataMsg>>>,
-    ) -> Self {
-        let node_bytes = writer.node_footprint();
-        ScaleJoiner {
-            id,
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            sink,
-            writer,
-            readers,
-            schedule,
-            part_mask: (cfg.partitions - 1) as u64,
-            inc: HashMap::new(),
-            pending: BTreeMap::new(),
-            progress,
-            hold,
-            inc_floor,
-            barrier,
-            cell,
-            kill,
-            faults,
-            pool,
-            scratch: Vec::new(),
-            scratch_pairs: Vec::new(),
-            results: 0,
-            since_expire: 0,
-            node_bytes,
+/// Scale-OIJ keeps the default per-message `on_batch`: per-tuple progress
+/// publication and pending drains are load-bearing for the cross-joiner
+/// frontiers, and the SWMR writer already amortizes same-key inserts
+/// through its internal position hint. Batching still amortizes the
+/// channel synchronization and per-message allocation.
+impl Joiner<DataMsg> for ScaleJoiner {
+    fn instruments(&mut self) -> &mut JoinerInstruments {
+        &mut self.inst
+    }
+
+    fn on_heartbeat(&mut self, wm: Timestamp) {
+        self.store_progress(wm);
+        if self.cfg.query.emit == EmitMode::Watermark {
+            self.drain_pending(self.safe_frontier());
         }
+        self.maybe_expire();
     }
 
-    pub(crate) fn run(mut self, rx: Receiver<Msg>) -> JoinerReport {
-        let timeline_on = self.inst.timeline.is_some();
-        let mut ordinal: u64 = 0;
-        for msg in rx {
-            match msg {
-                Msg::Flush => {
-                    self.inst.proto.finish();
-                    break;
-                }
-                Msg::Heartbeat(wm) => {
-                    self.inst.proto.heartbeat(wm);
-                    self.store_progress(wm);
-                    if self.cfg.query.emit == EmitMode::Watermark {
-                        self.drain_pending(self.safe_frontier());
-                    }
-                    self.maybe_expire();
-                }
-                Msg::Data(data) => {
-                    self.inst.proto.data(data.watermark);
-                    if let Some(f) = &self.faults {
-                        let action = f.before_message(ordinal, &self.kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return self.report();
-                        }
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    self.handle(*data);
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-                Msg::Batch(mut batch) => {
-                    self.inst.record_batch(batch.msgs.len());
-                    self.inst.proto.batch(batch.msgs.len());
-                    for m in &batch.msgs {
-                        self.inst.proto.data(m.watermark);
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    // Scale-OIJ deliberately processes batches message by
-                    // message: per-tuple progress publication and pending
-                    // drains are load-bearing for the cross-joiner
-                    // frontiers, and the SWMR writer already amortizes
-                    // same-key inserts through its internal position
-                    // hint. Batching still amortizes the channel
-                    // synchronization and per-message allocation. Fault
-                    // ordinals address individual data messages, so
-                    // mid-batch injection points fire exactly where they
-                    // would on the unbatched path.
-                    for msg in batch.msgs.drain(..) {
-                        if let Some(f) = &self.faults {
-                            let action = f.before_message(ordinal, &self.kill);
-                            ordinal += 1;
-                            if action == FaultAction::Exit {
-                                return self.report();
-                            }
-                        }
-                        self.handle(msg);
-                    }
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                    batch.msgs.clear();
-                    let _ = self.pool.put(batch.msgs);
-                }
-            }
-        }
-        // End of input: publish infinite progress (but NOT an infinite
-        // hold — pending bases still guard their windows) and wait for the
-        // whole team so every index is complete before the final drain.
-        // ORDERING: Release — publishes this joiner's completed index before the infinite progress mark; pairs with teammates' Acquire loads in `safe_frontier`.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.progress[self.id].store(i64::MAX, Ordering::Release);
-        self.publish_hold();
-        // BLOCKING-OK: end-of-input rendezvous — the streaming hot loop is over, and the barrier is kill/poison-aware so fault supervision can release it.
-        if !self.barrier.wait(&self.cell, &self.kill) {
-            // A teammate died or the engine is tearing down: skip the final
-            // drain (its indexes are incomplete anyway) and surface what we
-            // have as a degraded partial report.
-            return self.report();
-        }
-        self.drain_pending(Timestamp::MAX);
-        self.report()
-    }
-
-    fn report(self) -> JoinerReport {
-        JoinerReport {
-            instruments: self.inst,
-            results: self.results,
-        }
-    }
-
-    #[inline]
-    fn store_progress(&self, wm: Timestamp) {
-        // Monotone max: heartbeats and data interleave in send order, so a
-        // plain store would already be monotone, but fetch_max is cheap and
-        // robust.
-        // ORDERING: Release — publishes every index write up to `wm` before the frontier advances; pairs with the Acquire loads in `safe_frontier`.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.progress[self.id].fetch_max(wm.as_micros(), Ordering::Release);
-        self.publish_hold();
-    }
-
-    /// Re-publishes this joiner's hold frontier. Monotone: the watermark
-    /// only grows, draining only raises the oldest pending emit-ts, and a
-    /// newly pended base has `emit_ts ≥ wm ≥` the previous hold.
-    #[inline]
-    fn publish_hold(&self) {
-        // ORDERING: Relaxed — this joiner is the only writer of its own progress slot; remote slots are read with Acquire in the frontier scans.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        let wm = self.progress[self.id].load(Ordering::Relaxed);
-        let oldest_pending = self
-            .pending
-            .first_key_value()
-            .map(|(k, _)| k.0)
-            .unwrap_or(i64::MAX);
-        // ORDERING: Release — pairs with the Acquire loads in `hold_frontier`, so a raised hold implies the pending set that justified it is visible.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.hold[self.id].store(wm.min(oldest_pending), Ordering::Release);
-    }
-
-    /// `min_j hold_j`: nothing at or above this event time may be needed by
-    /// an un-emitted base tuple anywhere in the team.
-    fn hold_frontier(&self) -> Timestamp {
-        // ORDERING: Acquire — pairs with each joiner's Release store in `publish_hold`.
-        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-        let min = self
-            .hold
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-            .expect("≥1 joiner");
-        Timestamp::from_micros(min)
-    }
-
-    /// `min_j progress_j`: every joiner has fully processed all input up to
-    /// this event time (see module docs of [`super`]).
-    fn safe_frontier(&self) -> Timestamp {
-        // ORDERING: Acquire — pairs with each joiner's Release store in `store_progress`: a frontier at `t` implies every index covers `t`.
-        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-        let min = self
-            .progress
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-            .expect("≥1 joiner");
-        Timestamp::from_micros(min)
-    }
-
-    fn handle(&mut self, msg: DataMsg) {
+    fn on_data(&mut self, msg: DataMsg) {
         self.inst.processed += 1;
         if msg.tuple.ts < msg.watermark {
             self.inst.late_violations += 1;
@@ -417,6 +232,125 @@ impl ScaleJoiner {
             self.drain_pending(self.safe_frontier());
         }
         self.maybe_expire();
+    }
+
+    fn on_end(&mut self) {
+        // End of input: publish infinite progress (but NOT an infinite
+        // hold — pending bases still guard their windows) and wait for the
+        // whole team so every index is complete before the final drain.
+        // ORDERING: Release — publishes this joiner's completed index before the infinite progress mark; pairs with teammates' Acquire loads in `safe_frontier`.
+        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        self.progress[self.id].store(i64::MAX, Ordering::Release);
+        self.publish_hold();
+        // A teammate died or the engine is tearing down when the wait
+        // falls through: skip the final drain (its indexes are incomplete
+        // anyway) and surface what we have as a degraded partial report.
+        // BLOCKING-OK: end-of-input rendezvous — the streaming hot loop is over, and the barrier is kill/poison-aware so fault supervision can release it.
+        if self.barrier.wait(&self.sup.failures, &self.sup.kill) {
+            self.drain_pending(Timestamp::MAX);
+        }
+    }
+
+    fn into_report(self) -> JoinerReport {
+        self.inst
+    }
+}
+
+impl ScaleJoiner {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        id: usize,
+        cfg: &EngineConfig,
+        sink: Sink,
+        origin: Instant,
+        writer: BackendWriter,
+        readers: Vec<BackendReader>,
+        schedule: Arc<RcuCell<Schedule>>,
+        progress: Arc<Vec<AtomicI64>>,
+        hold: Arc<Vec<AtomicI64>>,
+        inc_floor: Arc<Vec<AtomicI64>>,
+        barrier: Arc<DrainBarrier>,
+        sup: &Supervision,
+    ) -> Self {
+        let node_bytes = writer.node_footprint();
+        ScaleJoiner {
+            id,
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+            cfg: cfg.clone(),
+            sink,
+            writer,
+            readers,
+            schedule,
+            part_mask: (cfg.partitions - 1) as u64,
+            inc: HashMap::new(),
+            pending: BTreeMap::new(),
+            progress,
+            hold,
+            inc_floor,
+            barrier,
+            sup: sup.clone(),
+            scratch: Vec::new(),
+            scratch_pairs: Vec::new(),
+            since_expire: 0,
+            node_bytes,
+        }
+    }
+
+    #[inline]
+    fn store_progress(&self, wm: Timestamp) {
+        // Monotone max: heartbeats and data interleave in send order, so a
+        // plain store would already be monotone, but fetch_max is cheap and
+        // robust.
+        // ORDERING: Release — publishes every index write up to `wm` before the frontier advances; pairs with the Acquire loads in `safe_frontier`.
+        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        self.progress[self.id].fetch_max(wm.as_micros(), Ordering::Release);
+        self.publish_hold();
+    }
+
+    /// Re-publishes this joiner's hold frontier. Monotone: the watermark
+    /// only grows, draining only raises the oldest pending emit-ts, and a
+    /// newly pended base has `emit_ts ≥ wm ≥` the previous hold.
+    #[inline]
+    fn publish_hold(&self) {
+        // ORDERING: Relaxed — this joiner is the only writer of its own progress slot; remote slots are read with Acquire in the frontier scans.
+        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        let wm = self.progress[self.id].load(Ordering::Relaxed);
+        let oldest_pending = self
+            .pending
+            .first_key_value()
+            .map(|(k, _)| k.0)
+            .unwrap_or(i64::MAX);
+        // ORDERING: Release — pairs with the Acquire loads in `hold_frontier`, so a raised hold implies the pending set that justified it is visible.
+        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        self.hold[self.id].store(wm.min(oldest_pending), Ordering::Release);
+    }
+
+    /// `min_j hold_j`: nothing at or above this event time may be needed by
+    /// an un-emitted base tuple anywhere in the team.
+    fn hold_frontier(&self) -> Timestamp {
+        // ORDERING: Acquire — pairs with each joiner's Release store in `publish_hold`.
+        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
+        let min = self
+            .hold
+            .iter()
+            .map(|p| p.load(Ordering::Acquire))
+            .min()
+            .expect("≥1 joiner");
+        Timestamp::from_micros(min)
+    }
+
+    /// `min_j progress_j`: every joiner has fully processed all input up to
+    /// this event time (see module docs of [`super`]).
+    fn safe_frontier(&self) -> Timestamp {
+        // ORDERING: Acquire — pairs with each joiner's Release store in `store_progress`: a frontier at `t` implies every index covers `t`.
+        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
+        let min = self
+            .progress
+            .iter()
+            .map(|p| p.load(Ordering::Acquire))
+            .min()
+            .expect("≥1 joiner");
+        Timestamp::from_micros(min)
     }
 
     fn maybe_expire(&mut self) {
@@ -861,7 +795,7 @@ impl ScaleJoiner {
         matched: u64,
     ) {
         self.sink.emit(FeatureRow::new(ts, key, seq, agg, matched));
-        self.results += 1;
+        self.inst.results += 1;
         self.inst.record_latency(arrival);
     }
 }

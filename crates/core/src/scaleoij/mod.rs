@@ -29,50 +29,34 @@ pub mod schedule;
 
 mod joiner;
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{bounded, Sender};
-
-use oij_common::{Error, Event, Result, Timestamp};
+use oij_common::Result;
 use oij_skiplist::RcuCell;
 
-use crate::batch::{Batcher, SlotPool};
 use crate::config::{EngineConfig, LatePolicy};
-use crate::driver::{open_durability, Driver, Prepared};
-use crate::engine::{OijEngine, RunStats};
-use crate::faults::{
-    interruptible_sleep, join_within, run_supervised, send_guarded, DrainBarrier, FailureCell,
-    FaultAction, SCHEDULER,
-};
+use crate::driver::open_durability;
+use crate::engine::RunStats;
+use crate::faults::{interruptible_sleep, DrainBarrier, FaultAction, SCHEDULER};
 use crate::hash_key;
-use crate::instrument::JoinerReport;
-use crate::message::{DataMsg, Msg};
+use crate::message::DataMsg;
+use crate::shell::{forward_engine, AuxRole, AuxThread, EngineShell, Routing, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
 
 use schedule::{rebalance, PartitionStats, Schedule};
-
-const ENGINE: &str = "scale-oij";
-const SCHED: &str = "scale-oij-scheduler";
 
 /// The Scale-OIJ engine. See the [module docs](self).
 ///
 /// In a [`FaultPlan`](crate::faults::FaultPlan) the scheduler thread is
 /// addressed as [`SCHEDULER`]; its fault ordinal counts scheduler ticks
 /// rather than messages.
-pub struct ScaleOij {
-    cfg: EngineConfig,
-    driver: Driver,
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<Option<JoinerReport>>>,
-    scheduler: Option<JoinHandle<Option<u64>>>,
-    reports: Vec<JoinerReport>,
-    failures: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    poison: Option<Error>,
-    stop: Arc<AtomicBool>,
+pub struct ScaleOij(EngineShell<TeamRoute, Scheduler>);
+
+/// Algorithm 3's routing: keys hash into fixed partitions, and the tuples
+/// of a partition are spread round-robin over its virtual team.
+struct TeamRoute {
     schedule: Arc<RcuCell<Schedule>>,
     stats: Arc<PartitionStats>,
     /// Driver-cached schedule snapshot (refreshed periodically; stale
@@ -82,12 +66,47 @@ pub struct ScaleOij {
     /// Per-partition round-robin cursors for team-member selection.
     rr: Vec<u32>,
     part_mask: u64,
-    since_heartbeat: usize,
-    done: bool,
-    /// Per-joiner coalescing buffers (pass-through when `batch_size == 1`).
-    batcher: Batcher,
-    /// Sink-retry count across all joiners (folded into `RunStats`).
-    retries: Arc<AtomicU64>,
+}
+
+impl Routing for TeamRoute {
+    const HEARTBEATS: bool = true;
+
+    /// A schedule change while a lane is parked is benign: the buffer
+    /// still drains to the member chosen at coalescing time, which stays a
+    /// valid team member (teams only grow).
+    #[inline]
+    fn lane(&mut self, msg: &DataMsg) -> usize {
+        let p = (hash_key(msg.tuple.key) & self.part_mask) as usize;
+        self.stats.bump(p);
+        // Refresh the cached schedule every 128 pushes; a stale
+        // snapshot routes to a subset of the current team, which is
+        // still a valid member (replication-only growth).
+        self.sched_refresh = self.sched_refresh.wrapping_add(1);
+        if self.sched_refresh.is_multiple_of(128) {
+            self.sched_cache = self.schedule.load();
+        }
+        let team = &self.sched_cache.teams[p];
+        let member = team[(self.rr[p] as usize) % team.len()];
+        self.rr[p] = self.rr[p].wrapping_add(1);
+        member
+    }
+}
+
+/// The scheduler's auxiliary-thread role: stopped and joined before the
+/// drain so the schedule is stable while joiners drain. Supervised like
+/// any joiner, attributed as worker 0 of its own label; its report is the
+/// number of schedules it published.
+struct Scheduler;
+
+impl AuxRole for Scheduler {
+    type Report = u64;
+    const LABEL: &'static str = "scale-oij-scheduler";
+    const BEFORE_DRAIN: bool = true;
+
+    fn fold(changes: Option<u64>, stats: &mut RunStats) -> usize {
+        stats.schedule_changes = changes.unwrap_or(0);
+        0
+    }
 }
 
 impl ScaleOij {
@@ -114,374 +133,120 @@ impl ScaleOij {
 
         let schedule = Arc::new(RcuCell::new(Schedule::initial(cfg.partitions, joiners)));
         let stats = Arc::new(PartitionStats::new(cfg.partitions));
-        let progress: Arc<Vec<AtomicI64>> =
-            Arc::new((0..joiners).map(|_| AtomicI64::new(i64::MIN)).collect());
-        let hold: Arc<Vec<AtomicI64>> =
-            Arc::new((0..joiners).map(|_| AtomicI64::new(i64::MIN)).collect());
-        let inc_floor: Arc<Vec<AtomicI64>> =
-            Arc::new((0..joiners).map(|_| AtomicI64::new(i64::MAX)).collect());
+        let frontier = |init: i64| -> Arc<Vec<AtomicI64>> {
+            Arc::new((0..joiners).map(|_| AtomicI64::new(init)).collect())
+        };
+        let (progress, hold, inc_floor) =
+            (frontier(i64::MIN), frontier(i64::MIN), frontier(i64::MAX));
         let barrier = Arc::new(DrainBarrier::new(joiners));
-        let stop = Arc::new(AtomicBool::new(false));
-        let failures = Arc::new(FailureCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(SlotPool::new(joiners * 8 + 16));
+        let sup = Supervision::default();
         // Late tuples become side-output markers only under that policy;
         // otherwise they are processed best-effort like everywhere else.
         let durable = open_durability(&cfg, cfg.late_policy == LatePolicy::SideOutput)?;
-        let retries = Arc::new(AtomicU64::new(0));
 
-        let mut senders = Vec::with_capacity(joiners);
-        let mut handles = Vec::with_capacity(joiners);
-        for (id, writer) in writers.into_iter().enumerate() {
-            // CHANNEL: driver -> joiner (one queue per partition writer)
-            let (tx, rx) = bounded::<Msg>(cfg.channel_capacity);
-            let jsink =
-                worker_sink_stack(&cfg, id, sink.clone(), &durable, &failures, &retries, &kill);
-            let faults = cfg.faults.for_worker(id, ENGINE, id, &failures);
-            let worker = joiner::ScaleJoiner::new(
-                id,
-                &cfg,
-                jsink,
-                origin,
-                writer,
-                readers.clone(),
-                Arc::clone(&schedule),
-                Arc::clone(&progress),
-                Arc::clone(&hold),
-                Arc::clone(&inc_floor),
-                Arc::clone(&barrier),
-                Arc::clone(&failures),
-                Arc::clone(&kill),
-                faults,
-                Arc::clone(&pool),
-            );
-            let cell = Arc::clone(&failures);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("scale-oij-joiner-{id}"))
-                    .spawn(move || run_supervised(ENGINE, id, &cell, move || worker.run(rx)))
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            );
-            senders.push(tx);
-        }
+        let workers = writers
+            .into_iter()
+            .enumerate()
+            .map(|(id, writer)| {
+                joiner::ScaleJoiner::new(
+                    id,
+                    &cfg,
+                    worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup),
+                    origin,
+                    writer,
+                    readers.clone(),
+                    Arc::clone(&schedule),
+                    Arc::clone(&progress),
+                    Arc::clone(&hold),
+                    Arc::clone(&inc_floor),
+                    Arc::clone(&barrier),
+                    &sup,
+                )
+            })
+            .collect();
 
         let scheduler = if cfg.dynamic_schedule && joiners > 1 {
-            let schedule = Arc::clone(&schedule);
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let interval = cfg.schedule_interval;
-            let delta = cfg.schedule_delta;
-            let floor = cfg.schedule_floor;
-            let decay = cfg.schedule_decay;
-            // The scheduler is supervised like any joiner; its fault
-            // ordinal is the tick counter. Attributed as worker 0 of the
-            // "scale-oij-scheduler" engine label.
-            let faults = cfg.faults.for_worker(SCHEDULER, SCHED, 0, &failures);
-            let cell = Arc::clone(&failures);
-            let skill = Arc::clone(&kill);
-            Some(
-                std::thread::Builder::new()
-                    .name("scale-oij-scheduler".into())
-                    .spawn(move || {
-                        run_supervised(SCHED, 0, &cell, move || {
-                            let mut changes = 0u64;
-                            let mut tick = 0u64;
-                            // ORDERING: Relaxed `stop` — standalone latch, no data published through it; Acquire `kill` pairs with the supervisor's Release store in the deadline path.
-                            while !stop.load(Ordering::Relaxed) && !skill.load(Ordering::Acquire) {
-                                interruptible_sleep(interval, &skill);
-                                if let Some(f) = &faults {
-                                    let action = f.before_message(tick, &skill);
-                                    tick += 1;
-                                    if action == FaultAction::Exit {
-                                        break;
-                                    }
-                                }
-                                let counts = stats.snapshot();
-                                let current = schedule.load();
-                                // Only intervene above the floor: replication is
-                                // monotone, so acting on noise ratchets fan-out.
-                                if current.unbalancedness(&counts, joiners) > floor {
-                                    if let Some(next) = rebalance(&current, &counts, joiners, delta)
-                                    {
-                                        schedule.replace(next);
-                                        changes += 1;
-                                    }
-                                }
-                                stats.decay(decay);
-                            }
-                            changes
-                        })
-                    })
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            )
+            Some(Self::spawn_scheduler(&cfg, &sup, &schedule, &stats)?)
         } else {
             None
         };
 
-        let lateness = cfg.query.window.lateness;
-        let sched_cache = schedule.load();
-        let partitions = cfg.partitions;
-        let batcher = Batcher::new(joiners, cfg.batch_size, cfg.flush_deadline, pool);
-        Ok(ScaleOij {
-            cfg,
-            driver: Driver::with_durability(lateness, durable),
-            senders,
-            handles,
-            scheduler,
-            reports: Vec::new(),
-            failures,
-            kill,
-            poison: None,
-            stop,
+        let routing = TeamRoute {
+            sched_cache: schedule.load(),
             schedule,
             stats,
-            sched_cache,
             sched_refresh: 0,
-            rr: vec![0; partitions],
-            part_mask: (partitions - 1) as u64,
-            since_heartbeat: 0,
-            done: false,
-            batcher,
-            retries,
-        })
+            rr: vec![0; cfg.partitions],
+            part_mask: (cfg.partitions - 1) as u64,
+        };
+        EngineShell::assemble("scale-oij", &cfg, durable, sup, routing, workers, scheduler)
+            .map(ScaleOij)
     }
 
-    /// Routes one prepared data message: partition hash, team member
-    /// round-robin, coalescing batcher, periodic heartbeats.
-    fn dispatch(&mut self, msg: DataMsg) -> Result<()> {
-        let p = (hash_key(msg.tuple.key) & self.part_mask) as usize;
-        self.stats.bump(p);
-        // Refresh the cached schedule every 128 pushes; a stale
-        // snapshot routes to a subset of the current team, which is
-        // still a valid member (replication-only growth).
-        self.sched_refresh = self.sched_refresh.wrapping_add(1);
-        if self.sched_refresh.is_multiple_of(128) {
-            self.sched_cache = self.schedule.load();
-        }
-        let team = &self.sched_cache.teams[p];
-        let member = team[(self.rr[p] as usize) % team.len()];
-        self.rr[p] = self.rr[p].wrapping_add(1);
-        let watermark = msg.watermark;
-        // The arrival stamp doubles as "now" for the flush
-        // deadline (no extra clock reads per tuple). A schedule
-        // change while a buffer is parked is benign: the buffer
-        // still drains to the member chosen at coalescing time,
-        // which stays a valid team member (teams only grow).
-        let now = msg.arrival;
-        if let Some(out) = self.batcher.push(member, msg) {
-            self.route(member, out)?;
-        }
-        while let Some((dest, out)) = self.batcher.pop_expired(now) {
-            self.route(dest, out)?;
-        }
-        self.since_heartbeat += 1;
-        if self.since_heartbeat >= self.cfg.heartbeat_every {
-            self.since_heartbeat = 0;
-            // Flush-before-heartbeat: a heartbeat must never
-            // advance a joiner's published progress past tuples
-            // still parked in a coalescing buffer (DESIGN.md §10).
-            // STAMP: flush-heartbeat.pre
-            while let Some((dest, out)) = self.batcher.pop_any() {
-                self.route(dest, out)?;
+    /// Starts the Algorithm 3 scheduler thread. Its fault ordinal is the
+    /// tick counter.
+    fn spawn_scheduler(
+        cfg: &EngineConfig,
+        sup: &Supervision,
+        schedule: &Arc<RcuCell<Schedule>>,
+        stats: &Arc<PartitionStats>,
+    ) -> Result<AuxThread<Scheduler>> {
+        let (schedule, stats) = (Arc::clone(schedule), Arc::clone(stats));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (joiners, interval) = (cfg.joiners, cfg.schedule_interval);
+        let (delta, floor, decay) = (cfg.schedule_delta, cfg.schedule_floor, cfg.schedule_decay);
+        let faults = cfg
+            .faults
+            .for_worker(SCHEDULER, Scheduler::LABEL, 0, &sup.failures);
+        let (stopped, kill) = (Arc::clone(&stop), Arc::clone(&sup.kill));
+        let deadline = cfg.send_timeout + interval;
+        AuxThread::spawn(0, deadline, Some(stop), sup, move || {
+            let mut changes = 0u64;
+            let mut tick = 0u64;
+            // ORDERING: Relaxed `stop` — standalone latch, no data published through it; Acquire `kill` pairs with the supervisor's Release store in the deadline path.
+            while !stopped.load(Ordering::Relaxed) && !kill.load(Ordering::Acquire) {
+                interruptible_sleep(interval, &kill);
+                if let Some(f) = &faults {
+                    let action = f.before_message(tick, &kill);
+                    tick += 1;
+                    if action == FaultAction::Exit {
+                        break;
+                    }
+                }
+                let counts = stats.snapshot();
+                let current = schedule.load();
+                // Only intervene above the floor: replication is
+                // monotone, so acting on noise ratchets fan-out.
+                if current.unbalancedness(&counts, joiners) > floor {
+                    if let Some(next) = rebalance(&current, &counts, joiners, delta) {
+                        schedule.replace(next);
+                        changes += 1;
+                    }
+                }
+                stats.decay(decay);
             }
-            for j in 0..self.senders.len() {
-                // STAMP: flush-heartbeat.post
-                // PROTO: driver-joiner.stream
-                self.route(j, Msg::Heartbeat(watermark))?;
-            }
-        }
-        Ok(())
+            changes
+        })
     }
 
     /// The current published schedule (diagnostics / tests).
     pub fn current_schedule(&self) -> Arc<Schedule> {
-        self.schedule.load()
-    }
-
-    #[inline]
-    fn route(&mut self, worker: usize, msg: Msg) -> Result<()> {
-        match send_guarded(
-            &self.senders[worker],
-            msg,
-            self.cfg.send_timeout,
-            ENGINE,
-            worker,
-            &self.failures,
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Stops and joins the scheduler thread (bounded), returning its
-    /// schedule-change count (0 when it was disabled or lost).
-    fn join_scheduler(&mut self) -> (u64, Option<Error>) {
-        // ORDERING: Relaxed — `stop` is a standalone latch polled in a loop; no data is published through it.
-        self.stop.store(true, Ordering::Relaxed);
-        match self.scheduler.take() {
-            None => (0, None),
-            Some(h) => {
-                let (changes, err) = join_within(
-                    h,
-                    self.cfg.send_timeout + self.cfg.schedule_interval,
-                    SCHED,
-                    0,
-                    &self.failures,
-                    &self.kill,
-                );
-                (changes.unwrap_or(0), err)
-            }
-        }
-    }
-
-    /// Joins every joiner bounded, salvaging reports; records and returns
-    /// the first failure.
-    fn join_workers(&mut self) -> Result<()> {
-        let mut first_err: Option<Error> = None;
-        while !self.handles.is_empty() {
-            let worker = self.cfg.joiners - self.handles.len();
-            let handle = self.handles.remove(0);
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                worker,
-                &self.failures,
-                &self.kill,
-            );
-            if let Some(r) = report {
-                self.reports.push(r);
-            }
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
+        self.0.routing.schedule.load()
     }
 }
 
-impl OijEngine for ScaleOij {
-    fn push(&mut self, event: Event) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare(event)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn push_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare_stamped(event, stamp)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("finish called twice".into()));
-        }
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        // Stop the scheduler first so the schedule is stable during drain.
-        let (schedule_changes, sched_err) = self.join_scheduler();
-        if let Some(e) = sched_err {
-            self.poison = Some(e.clone());
-            return Err(e);
-        }
-        // End of input: hand over any partially filled batches first.
-        while let Some((dest, out)) = self.batcher.pop_any() {
-            self.route(dest, out)?;
-        }
-        for j in 0..self.senders.len() {
-            // PROTO: driver-joiner.closed
-            self.route(j, Msg::Flush)?;
-        }
-        self.senders.clear();
-        self.join_workers()?;
-        self.done = true;
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, schedule_changes);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-
-    fn abort(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("abort after a completed finish".into()));
-        }
-        self.done = true;
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        let (schedule_changes, _) = self.join_scheduler();
-        self.senders.clear();
-        let _ = self.join_workers();
-        let lost = self.cfg.joiners - self.reports.len();
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats =
-            RunStats::from_reports(input, elapsed, reports, schedule_changes).mark_aborted(lost);
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
-    }
-}
-
-impl Drop for ScaleOij {
-    fn drop(&mut self) {
-        // ORDERING: Relaxed — `stop` is a standalone latch polled in a loop; no data is published through it.
-        self.stop.store(true, Ordering::Relaxed);
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        if let Some(h) = self.scheduler.take() {
-            let _ = join_within(
-                h,
-                self.cfg.send_timeout + self.cfg.schedule_interval,
-                SCHED,
-                0,
-                &self.failures,
-                &self.kill,
-            );
-        }
-        self.senders.clear();
-        while let Some(handle) = self.handles.pop() {
-            let _ = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                self.handles.len(),
-                &self.failures,
-                &self.kill,
-            );
-        }
-    }
-}
+forward_engine!(ScaleOij);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Instrumentation;
+    use crate::engine::OijEngine;
     use crate::keyoij::KeyOij;
     use crate::oracle::Oracle;
-    use oij_common::{AggSpec, Duration, EmitMode, FeatureRow, OijQuery, Side, Timestamp, Tuple};
+    use oij_common::{
+        AggSpec, Duration, EmitMode, Event, FeatureRow, OijQuery, Side, Timestamp, Tuple,
+    };
 
     fn query(pre: i64, lateness: i64, emit: EmitMode) -> OijQuery {
         OijQuery::builder()

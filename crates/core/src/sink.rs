@@ -11,6 +11,7 @@ use oij_durability::{frontier_key, DurabilityRuntime};
 
 use crate::config::SinkRetryPolicy;
 use crate::faults::{FailureCell, SinkFaults};
+use crate::shell::Supervision;
 
 /// Destination for emitted feature rows. Cloned into every joiner (or the
 /// collector, for SplitJoin).
@@ -186,17 +187,15 @@ pub fn worker_sink_stack(
     worker: usize,
     user: Sink,
     durable: &Option<Arc<DurabilityRuntime>>,
-    failures: &Arc<FailureCell>,
-    retries: &Arc<AtomicU64>,
-    kill: &Arc<AtomicBool>,
+    sup: &Supervision,
 ) -> Sink {
     let user = match durable {
-        Some(rt) => Sink::durable(Arc::clone(rt), Arc::clone(failures), user),
+        Some(rt) => Sink::durable(Arc::clone(rt), Arc::clone(&sup.failures), user),
         None => user,
     };
-    let faulted = cfg.faults.wrap_sink(worker, user, Arc::clone(kill));
+    let faulted = cfg.faults.wrap_sink(worker, user, Arc::clone(&sup.kill));
     match cfg.sink_retry {
-        Some(policy) => Sink::retrying(policy, Arc::clone(retries), faulted),
+        Some(policy) => Sink::retrying(policy, Arc::clone(&sup.retries), faulted),
         None => faulted,
     }
 }

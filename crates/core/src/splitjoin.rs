@@ -15,55 +15,35 @@
 //! broadcast traffic and full-scan lookups, so throughput trails Scale-OIJ
 //! and degrades with thread count when windows are small (Figure 21).
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::AtomicBool;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use oij_agg::PartialAgg;
-use oij_common::{EmitMode, Error, Event, FeatureRow, Key, Result, Side, Timestamp};
-use oij_index::{BackendReader, BackendWriter, OijIndexReader, OijIndexWriter};
+use oij_common::{EmitMode, FeatureRow, Key, Result, Side, Timestamp};
+use oij_index::{BackendReader, BackendWriter, OijIndexWriter};
 
-use crate::batch::{Batcher, SlotPool};
 use crate::config::EngineConfig;
-use crate::driver::{open_durability, Driver, Prepared};
-use crate::engine::{OijEngine, RunStats};
-use crate::faults::{
-    join_within, run_supervised, send_guarded, FailureCell, FaultAction, WorkerFaults,
-};
+use crate::driver::open_durability;
+use crate::engine::RunStats;
+use crate::faults::{FaultAction, WorkerFaults};
 use crate::instrument::{JoinerInstruments, JoinerReport};
-use crate::message::{DataMsg, Msg};
+use crate::keyoij::scan_unpruned;
+use crate::message::DataMsg;
+use crate::shell::{
+    forward_engine, AuxRole, AuxThread, Broadcast, EngineShell, Joiner, Supervision,
+};
 use crate::sink::{worker_sink_stack, Sink};
-
-const ENGINE: &str = "splitjoin";
-const COLLECTOR: &str = "splitjoin-collector";
 
 /// The SplitJoin-OIJ engine. See the [module docs](self).
 ///
 /// In a [`FaultPlan`](crate::faults::FaultPlan), the collector is
 /// addressed as worker `joiners` (one past the last joiner id) — its sink
 /// faults and message faults bind there.
-pub struct SplitJoin {
-    cfg: EngineConfig,
-    driver: Driver,
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<Option<JoinerReport>>>,
-    collector: Option<JoinHandle<Option<CollectorReport>>>,
-    reports: Vec<JoinerReport>,
-    col_report: Option<CollectorReport>,
-    failures: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    poison: Option<Error>,
-    done: bool,
-    /// One coalescing buffer for the whole broadcast group: every joiner
-    /// receives the same batch (pass-through when `batch_size == 1`).
-    batcher: Batcher,
-    /// Sink-retry count (the collector is the only emitter).
-    retries: Arc<AtomicU64>,
-}
+pub struct SplitJoin(EngineShell<Broadcast, Collector>);
 
 /// What one joiner tells the collector about one base tuple.
 struct Partial {
@@ -84,6 +64,32 @@ struct CollectorReport {
     latency: Option<oij_metrics::LatencyHistogram>,
 }
 
+/// The collector's auxiliary-thread role: joined after the joiners whose
+/// partials it merges.
+struct Collector;
+
+impl AuxRole for Collector {
+    type Report = CollectorReport;
+    const LABEL: &'static str = "splitjoin-collector";
+    const BEFORE_DRAIN: bool = false;
+
+    /// The collector is the only thread that emits to the sink, so without
+    /// its report no emitted-row count can be claimed.
+    fn fold(report: Option<CollectorReport>, stats: &mut RunStats) -> usize {
+        let Some(col) = report else {
+            stats.results = 0;
+            return 1;
+        };
+        stats.results = col.results;
+        match (&mut stats.latency, col.latency) {
+            (Some(acc), Some(h)) => acc.merge(&h),
+            (slot @ None, Some(h)) => *slot = Some(h),
+            _ => {}
+        }
+        0
+    }
+}
+
 impl SplitJoin {
     /// Spawns the joiners and the collector.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
@@ -92,34 +98,12 @@ impl SplitJoin {
         let joiners = cfg.joiners;
         // CHANNEL: joiner -> collector (partial results fan in)
         let (col_tx, col_rx) = bounded::<ToCollector>(cfg.channel_capacity);
-        let failures = Arc::new(FailureCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        // Every joiner returns its own clone of a broadcast batch, so size
-        // the pool generously; overflow is one dropped buffer, not an error.
-        let pool = Arc::new(SlotPool::new(joiners * 8 + 16));
+        let sup = Supervision::default();
         // SplitJoin never emits side-output markers.
         let durable = open_durability(&cfg, false)?;
-        let retries = Arc::new(AtomicU64::new(0));
-
-        let mut senders = Vec::with_capacity(joiners);
-        let mut handles = Vec::with_capacity(joiners);
-        for id in 0..joiners {
-            // CHANNEL: driver -> joiner (broadcast: every joiner sees every batch)
-            let (tx, rx) = bounded::<Msg>(cfg.channel_capacity);
-            let worker = SplitJoiner::new(id, &cfg, origin, col_tx.clone(), Arc::clone(&pool));
-            let faults = cfg.faults.for_worker(id, ENGINE, id, &failures);
-            let cell = Arc::clone(&failures);
-            let wkill = Arc::clone(&kill);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("splitjoin-joiner-{id}"))
-                    .spawn(move || {
-                        run_supervised(ENGINE, id, &cell, move || worker.run(rx, faults, wkill))
-                    })
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            );
-            senders.push(tx);
-        }
+        let workers = (0..joiners)
+            .map(|id| SplitJoiner::new(id, &cfg, origin, col_tx.clone()))
+            .collect();
         drop(col_tx);
 
         let latency_on = cfg.instrument.latency;
@@ -127,158 +111,30 @@ impl SplitJoin {
         // The sink lives on the collector; its faults (and any message
         // faults for the collector itself) are addressed as worker
         // `joiners` in the plan.
-        let col_sink = worker_sink_stack(&cfg, joiners, sink, &durable, &failures, &retries, &kill);
+        let col_sink = worker_sink_stack(&cfg, joiners, sink, &durable, &sup);
         let col_faults = cfg
             .faults
-            .for_worker(joiners, COLLECTOR, joiners, &failures);
-        let cell = Arc::clone(&failures);
-        let ckill = Arc::clone(&kill);
-        let collector = std::thread::Builder::new()
-            .name("splitjoin-collector".into())
-            .spawn(move || {
-                run_supervised(COLLECTOR, joiners, &cell, move || {
-                    collector_loop(
-                        col_rx, joiners, spec, col_sink, latency_on, col_faults, ckill,
-                    )
-                })
-            })
-            .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?;
-
-        let lateness = cfg.query.window.lateness;
-        let batcher = Batcher::new(1, cfg.batch_size, cfg.flush_deadline, pool);
-        Ok(SplitJoin {
-            cfg,
-            driver: Driver::with_durability(lateness, durable),
-            senders,
-            handles,
-            collector: Some(collector),
-            reports: Vec::new(),
-            col_report: None,
-            failures,
-            kill,
-            poison: None,
-            done: false,
-            batcher,
-            retries,
-        })
-    }
-
-    /// Routes one prepared data message: everyone receives every batch.
-    fn dispatch(&mut self, msg: DataMsg) -> Result<()> {
-        // The arrival stamp doubles as "now" for the flush
-        // deadline (no extra clock reads per tuple).
-        let now = msg.arrival;
-        if let Some(out) = self.batcher.push(0, msg) {
-            self.broadcast(out)?;
-        }
-        while let Some((_, out)) = self.batcher.pop_expired(now) {
-            self.broadcast(out)?;
-        }
-        Ok(())
-    }
-
-    /// The SplitJoin distribution tree: everyone gets the message (the
-    /// last sender receives the original, the rest clones).
-    fn broadcast(&mut self, msg: Msg) -> Result<()> {
-        let last = self.senders.len() - 1;
-        for j in 0..last {
-            self.route(j, msg.clone())?;
-        }
-        self.route(last, msg)
-    }
-
-    #[inline]
-    fn route(&mut self, worker: usize, msg: Msg) -> Result<()> {
-        match send_guarded(
-            &self.senders[worker],
-            msg,
-            self.cfg.send_timeout,
-            ENGINE,
-            worker,
-            &self.failures,
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Joins every joiner and then the collector, bounded, salvaging
-    /// whatever reports arrive; returns (and records) the first failure.
-    fn join_workers(&mut self) -> Result<()> {
-        let mut first_err: Option<Error> = None;
-        while !self.handles.is_empty() {
-            let worker = self.cfg.joiners - self.handles.len();
-            let handle = self.handles.remove(0);
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                worker,
-                &self.failures,
-                &self.kill,
-            );
-            if let Some(r) = report {
-                self.reports.push(r);
-            }
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(handle) = self.collector.take() {
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                COLLECTOR,
-                self.cfg.joiners,
-                &self.failures,
-                &self.kill,
-            );
-            self.col_report = report;
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Merges joiner reports + the collector report into run stats. The
-    /// collector is the only thread that emits to the sink, so without its
-    /// report no emitted-row count can be claimed.
-    fn build_stats(&mut self, aborted: bool) -> Result<RunStats> {
-        let expected = self.cfg.joiners + 1;
-        let salvaged = self.reports.len() + usize::from(self.col_report.is_some());
-        let reports = std::mem::take(&mut self.reports);
-        let (input, elapsed) = self.driver.finish()?;
-        let mut stats = RunStats::from_reports(input, elapsed, reports, 0);
-        match self.col_report.take() {
-            Some(col) => {
-                stats.results = col.results;
-                match (&mut stats.latency, col.latency) {
-                    (Some(acc), Some(h)) => acc.merge(&h),
-                    (slot @ None, Some(h)) => *slot = Some(h),
-                    _ => {}
-                }
-            }
-            None => stats.results = 0,
-        }
-        if aborted {
-            stats = stats.mark_aborted(expected - salvaged);
-        }
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
-        self.driver.finalize_stats(&mut stats);
-        Ok(stats)
+            .for_worker(joiners, Collector::LABEL, joiners, &sup.failures);
+        let kill = Arc::clone(&sup.kill);
+        let collector = AuxThread::spawn(joiners, cfg.send_timeout, None, &sup, move || {
+            collector_loop(
+                col_rx, joiners, spec, col_sink, latency_on, col_faults, kill,
+            )
+        })?;
+        EngineShell::assemble(
+            "splitjoin",
+            &cfg,
+            durable,
+            sup,
+            Broadcast,
+            workers,
+            Some(collector),
+        )
+        .map(SplitJoin)
     }
 }
+
+forward_engine!(SplitJoin);
 
 fn collector_loop(
     rx: Receiver<ToCollector>,
@@ -359,89 +215,6 @@ fn collector_loop(
     CollectorReport { results, latency }
 }
 
-impl OijEngine for SplitJoin {
-    fn push(&mut self, event: Event) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare(event)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn push_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<()> {
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        match self.driver.prepare_stamped(event, stamp)? {
-            Prepared::Flush => Ok(()),
-            Prepared::Data(msg) => self.dispatch(msg),
-        }
-    }
-
-    fn finish(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("finish called twice".into()));
-        }
-        if let Some(cause) = &self.poison {
-            return Err(cause.clone());
-        }
-        // End of input: hand over any partially filled batch first.
-        while let Some((_, out)) = self.batcher.pop_any() {
-            self.broadcast(out)?;
-        }
-        for j in 0..self.senders.len() {
-            // PROTO: driver-joiner.closed
-            self.route(j, Msg::Flush)?;
-        }
-        self.senders.clear();
-        self.join_workers()?;
-        self.done = true;
-        self.build_stats(false)
-    }
-
-    fn abort(&mut self) -> Result<RunStats> {
-        if self.done {
-            return Err(Error::InvalidState("abort after a completed finish".into()));
-        }
-        self.done = true;
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        let _ = self.join_workers();
-        self.build_stats(true)
-    }
-}
-
-impl Drop for SplitJoin {
-    fn drop(&mut self) {
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        while let Some(handle) = self.handles.pop() {
-            let _ = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                self.handles.len(),
-                &self.failures,
-                &self.kill,
-            );
-        }
-        if let Some(c) = self.collector.take() {
-            let _ = join_within(
-                c,
-                self.cfg.send_timeout,
-                COLLECTOR,
-                self.cfg.joiners,
-                &self.failures,
-                &self.kill,
-            );
-        }
-    }
-}
-
 struct SplitJoiner {
     id: usize,
     cfg: EngineConfig,
@@ -455,125 +228,16 @@ struct SplitJoiner {
     node_bytes: usize,
     /// Watermark mode: pending base tuples.
     pending: BTreeMap<(i64, u64), (Key, Timestamp, Instant)>,
-    /// Returns drained batch buffers to the driver (DESIGN.md §10).
-    pool: Arc<SlotPool<Vec<DataMsg>>>,
     since_expire: usize,
     last_wm: Timestamp,
-    results: u64,
 }
 
-impl SplitJoiner {
-    fn new(
-        id: usize,
-        cfg: &EngineConfig,
-        origin: Instant,
-        collector: Sender<ToCollector>,
-        pool: Arc<SlotPool<Vec<DataMsg>>>,
-    ) -> Self {
-        let (writer, reader) = cfg.index_backend.build();
-        let node_bytes = writer.node_footprint();
-        SplitJoiner {
-            id,
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            collector,
-            writer,
-            reader,
-            node_bytes,
-            pending: BTreeMap::new(),
-            pool,
-            since_expire: 0,
-            last_wm: Timestamp::MIN,
-            results: 0,
-        }
+impl Joiner<DataMsg> for SplitJoiner {
+    fn instruments(&mut self) -> &mut JoinerInstruments {
+        &mut self.inst
     }
 
-    fn run(
-        mut self,
-        rx: Receiver<Msg>,
-        faults: Option<WorkerFaults>,
-        kill: Arc<AtomicBool>,
-    ) -> JoinerReport {
-        let timeline_on = self.inst.timeline.is_some();
-        let mut ordinal: u64 = 0;
-        for msg in rx {
-            match msg {
-                Msg::Flush => {
-                    self.inst.proto.finish();
-                    break;
-                }
-                Msg::Heartbeat(wm) => {
-                    self.inst.proto.heartbeat(wm);
-                    self.last_wm = self.last_wm.max(wm);
-                    if self.cfg.query.emit == EmitMode::Watermark {
-                        self.drain_pending(self.last_wm);
-                    }
-                }
-                Msg::Data(data) => {
-                    self.inst.proto.data(data.watermark);
-                    if let Some(f) = &faults {
-                        let action = f.before_message(ordinal, &kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return JoinerReport {
-                                instruments: self.inst,
-                                results: self.results,
-                            };
-                        }
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    self.handle(*data);
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-                Msg::Batch(mut batch) => {
-                    self.inst.record_batch(batch.msgs.len());
-                    self.inst.proto.batch(batch.msgs.len());
-                    for m in &batch.msgs {
-                        self.inst.proto.data(m.watermark);
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    if let Some(f) = &faults {
-                        // Fault ordinals address individual data messages
-                        // inside the batch (mid-batch injection points
-                        // fire exactly where they would unbatched).
-                        for msg in batch.msgs.drain(..) {
-                            let action = f.before_message(ordinal, &kill);
-                            ordinal += 1;
-                            if action == FaultAction::Exit {
-                                return JoinerReport {
-                                    instruments: self.inst,
-                                    results: self.results,
-                                };
-                            }
-                            self.handle(msg);
-                        }
-                    } else {
-                        self.handle_batch(&batch.msgs);
-                    }
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                    batch.msgs.clear();
-                    let _ = self.pool.put(batch.msgs);
-                }
-            }
-        }
-        // Every broadcast message reached every joiner, so the local slice
-        // is complete: drain pending bases unconditionally.
-        self.drain_pending(Timestamp::MAX);
-        // SEND-OK: teardown marker; the collector drains until every joiner's
-        // Done arrives, so this send can only block while it is still reading.
-        // PROTO: joiner-collector.closed
-        let _ = self.collector.send(ToCollector::JoinerDone);
-        JoinerReport {
-            instruments: self.inst,
-            results: self.results,
-        }
-    }
-
-    fn handle(&mut self, msg: DataMsg) {
+    fn on_data(&mut self, msg: DataMsg) {
         self.inst.processed += 1;
         self.last_wm = msg.watermark;
         if msg.tuple.ts < msg.watermark {
@@ -616,20 +280,21 @@ impl SplitJoiner {
     }
 
     /// Processes one coalesced batch; semantically identical to calling
-    /// [`handle`](Self::handle) once per message. Runs of consecutive
+    /// [`on_data`](Joiner::on_data) once per message. Runs of consecutive
     /// same-key probes in eager mode hand their *owned* subset to the
     /// backend as one [`insert_batch`](OijIndexWriter::insert_batch) call
     /// (no read happens mid-run, so deferred publication is safe), and
     /// non-owned probes in the run only pay their bookkeeping. Runs are
     /// capped at the remaining expiration budget so the sweep cadence
     /// matches the unbatched path exactly.
-    fn handle_batch(&mut self, msgs: &[DataMsg]) {
+    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
         let eager = self.cfg.query.emit == EmitMode::Eager;
         let mut i = 0;
         while i < msgs.len() {
-            if !(eager && msgs[i].side == Side::Probe) {
-                // Bases and watermark mode can emit — keep the scalar path.
-                self.handle(msgs[i].clone());
+            if !(eager && msgs[i].side == Side::Probe) || self.inst.cache.is_some() {
+                // Bases and watermark mode can emit, and the cache model
+                // needs a node address per insert — keep the scalar path.
+                self.on_data(msgs[i].clone());
                 i += 1;
                 continue;
             }
@@ -643,38 +308,22 @@ impl SplitJoiner {
             {
                 end += 1;
             }
-            if self.inst.cache.is_some() {
-                // The cache model needs a node address per insert, so the
-                // traced scalar path stays in charge here.
-                for m in &msgs[i..end] {
-                    self.inst.processed += 1;
-                    self.last_wm = m.watermark;
-                    if m.tuple.ts < m.watermark {
-                        self.inst.late_violations += 1;
-                    }
-                    if m.seq as usize % self.cfg.joiners == self.id {
-                        let addr = self.writer.insert_hinted_traced(m.tuple.clone(), false);
-                        self.inst.record_access(addr, self.node_bytes);
-                    }
+            // Owned probes become one deferred-publication run; a run
+            // with no owned probe inserts nothing, so no key state is
+            // created (matching the scalar path).
+            let mut run = Vec::new();
+            for m in &msgs[i..end] {
+                self.inst.processed += 1;
+                self.last_wm = m.watermark;
+                if m.tuple.ts < m.watermark {
+                    self.inst.late_violations += 1;
                 }
-            } else {
-                // Owned probes become one deferred-publication run; a run
-                // with no owned probe inserts nothing, so no key state is
-                // created (matching the scalar path).
-                let mut run = Vec::new();
-                for m in &msgs[i..end] {
-                    self.inst.processed += 1;
-                    self.last_wm = m.watermark;
-                    if m.tuple.ts < m.watermark {
-                        self.inst.late_violations += 1;
-                    }
-                    if m.seq as usize % self.cfg.joiners == self.id {
-                        run.push((m.tuple.clone(), false));
-                    }
+                if m.seq as usize % self.cfg.joiners == self.id {
+                    run.push((m.tuple.clone(), false));
                 }
-                if !run.is_empty() {
-                    self.writer.insert_batch(run);
-                }
+            }
+            if !run.is_empty() {
+                self.writer.insert_batch(run);
             }
             self.since_expire += end - i;
             if self.since_expire >= self.cfg.expire_every {
@@ -682,6 +331,39 @@ impl SplitJoiner {
                 self.expire();
             }
             i = end;
+        }
+    }
+
+    fn on_end(&mut self) {
+        // Every broadcast message reached every joiner, so the local slice
+        // is complete: drain pending bases unconditionally.
+        self.drain_pending(Timestamp::MAX);
+        // SEND-OK: teardown marker; the collector drains until every joiner's
+        // Done arrives, so this send can only block while it is still reading.
+        // PROTO: joiner-collector.closed
+        let _ = self.collector.send(ToCollector::JoinerDone);
+    }
+
+    fn into_report(self) -> JoinerReport {
+        self.inst
+    }
+}
+
+impl SplitJoiner {
+    fn new(id: usize, cfg: &EngineConfig, origin: Instant, collector: Sender<ToCollector>) -> Self {
+        let (writer, reader) = cfg.index_backend.build();
+        let node_bytes = writer.node_footprint();
+        SplitJoiner {
+            id,
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+            cfg: cfg.clone(),
+            collector,
+            writer,
+            reader,
+            node_bytes,
+            pending: BTreeMap::new(),
+            since_expire: 0,
+            last_wm: Timestamp::MIN,
         }
     }
 
@@ -695,57 +377,22 @@ impl SplitJoiner {
         }
     }
 
-    /// Full scan of the local slice (the key's whole retained range, with
-    /// the relative-window predicate applied engine-side); ships the
-    /// partial aggregate to the collector.
+    /// Full [`scan_unpruned`] of the local slice (the key's whole retained
+    /// range, with the relative-window predicate applied engine-side);
+    /// ships the partial aggregate to the collector.
     fn partial_join(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
         let window = self.cfg.query.window.window_of(ts);
-        let (lo, hi) = (window.start.as_micros(), window.end.as_micros());
         let mut agg = PartialAgg::empty();
-        let visited;
-        let reader = &self.reader;
-        let node_bytes = self.node_bytes;
-        if let Some(cache) = self.inst.cache.as_mut() {
-            visited = reader.scan_ts_range_addr(key, Timestamp::MIN, Timestamp::MAX, |t, addr| {
-                cache.access(addr, node_bytes);
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    agg.add(t.value);
-                }
-            }) as u64;
-        } else if self.inst.wants_breakdown() {
-            let t0 = Instant::now();
-            let mut hits: Vec<f64> = Vec::with_capacity(16);
-            visited = reader.scan_ts_range(key, Timestamp::MIN, Timestamp::MAX, |t| {
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    hits.push(t.value);
-                }
-            }) as u64;
-            let t1 = Instant::now();
-            for v in hits {
-                agg.add(v);
-            }
-            let t2 = Instant::now();
-            self.inst.add_breakdown(
-                t1.duration_since(t0).as_nanos() as u64,
-                t2.duration_since(t1).as_nanos() as u64,
-                0,
-            );
-        } else {
-            visited = reader.scan_ts_range(key, Timestamp::MIN, Timestamp::MAX, |t| {
-                let s = t.ts.as_micros();
-                if s >= lo && s <= hi {
-                    agg.add(t.value);
-                }
-            }) as u64;
-        }
+        let (reader, node_bytes) = (&self.reader, self.node_bytes);
+        let visited = scan_unpruned(reader, &mut self.inst, node_bytes, key, window, |v| {
+            agg.add(v)
+        });
         self.inst.record_effectiveness(agg.count, visited);
-        self.results += 1; // partial results produced by this joiner
-                           // SEND-OK: the collector loops on recv until all JoinerDone markers
-                           // arrive and never sends back to joiners, so this edge cannot cycle;
-                           // a dead collector surfaces as a send error, not a wedge.
-                           // PROTO: joiner-collector.stream
+        self.inst.results += 1; // partial results produced by this joiner
+                                // SEND-OK: the collector loops on recv until all JoinerDone markers
+                                // arrive and never sends back to joiners, so this edge cannot cycle;
+                                // a dead collector surfaces as a send error, not a wedge.
+                                // PROTO: joiner-collector.stream
         let _ = self.collector.send(ToCollector::Partial(Box::new(Partial {
             seq,
             key,
@@ -767,8 +414,9 @@ impl SplitJoiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OijEngine;
     use crate::oracle::Oracle;
-    use oij_common::{AggSpec, Duration, OijQuery, Tuple};
+    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
 
     fn query(pre: i64, lateness: i64, emit: EmitMode) -> OijQuery {
         OijQuery::builder()

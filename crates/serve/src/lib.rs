@@ -22,14 +22,15 @@
 //!   (concurrent queries, total joiner threads, per-query channel
 //!   memory) and rejects with a reasoned [`Error::Admission`] instead of
 //!   degrading everyone.
-//! * **Backpressure and shedding.** Fan-out uses the engines' bounded
-//!   channels. In the default lossless mode a stalled query blocks
+//! * **Backpressure and shedding.** Every plan's fan-out is an engine
+//!   [`WorkerPool`] (bounded channels, shared batcher and flush
+//!   deadline, guarded sends). In the default lossless mode a stalled query blocks
 //!   ingest at most `send_timeout` before it alone is poisoned; with
 //!   [`ServeConfig::shed_when_full`] the runtime drops that query's base
 //!   messages instead, counting them in
 //!   [`RunStats::shed_events`](oij_core::RunStats::shed_events).
-//! * **Fault isolation.** Every query gets its own supervised workers,
-//!   failure cell, and kill flag. A panic, wedge, or slow sink in query
+//! * **Fault isolation.** Every query gets its own pool: supervised
+//!   workers, failure cell, and kill flag. A panic, wedge, or slow sink in query
 //!   A surfaces as A's [`Error::WorkerFailed`]; query B's output is
 //!   untouched.
 
@@ -40,23 +41,19 @@ mod worker;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
-
-use crossbeam_channel::{bounded, Sender, TrySendError};
 
 use oij_common::{
     EmitMode, Error, Event, EventKind, Result, Side, Timestamp, Tuple, WatermarkTracker,
 };
-use oij_core::faults::{join_within, run_supervised, send_guarded, FailureCell};
-use oij_core::instrument::JoinerReport;
+use oij_core::shell::{Supervision, WorkerPool};
 use oij_core::sink::worker_sink_stack;
 use oij_core::{hash_key, EngineConfig, RunStats, Sink};
 use oij_index::{BackendWriter, IndexBackend, OijIndexWriter};
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use crate::sync::Mutex;
-use crate::worker::{BaseMsg, Msg, QueryWorker};
+use crate::worker::{BaseMsg, QueryWorker};
 
 /// Worker-failure attribution label for this runtime.
 const ENGINE: &str = "serve";
@@ -221,25 +218,18 @@ struct Ledger {
     names: BTreeMap<String, u64>,
 }
 
-/// One registered query's runtime state on the ingest side.
+/// One registered query's runtime state on the ingest side: the ingest
+/// thread is the driver of the plan's own [`WorkerPool`].
 struct Query {
     name: Option<String>,
     cfg: EngineConfig,
     tracker: WatermarkTracker,
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<Option<JoinerReport>>>,
-    reports: Vec<JoinerReport>,
-    failures: Arc<FailureCell>,
-    kill: Arc<AtomicBool>,
-    retries: Arc<AtomicU64>,
+    /// The plan's workers behind the shared engine fabric. A failure
+    /// poisons this pool only: the query stops receiving, neighbours are
+    /// untouched.
+    pool: WorkerPool<BaseMsg>,
     /// Per-worker acknowledged watermarks feeding the central evictor.
     acks: Vec<Arc<AtomicI64>>,
-    /// First observed failure: the query stops receiving, neighbours
-    /// are untouched.
-    poison: Option<Error>,
-    /// Per-joiner coalescing buffers (`batch_size > 1`).
-    batches: Vec<Vec<BaseMsg>>,
-    since_heartbeat: usize,
     pushed: u64,
     shed: u64,
     /// Probe-side lateness violations (base-side ones are counted by
@@ -249,155 +239,28 @@ struct Query {
 }
 
 impl Query {
-    /// Routed send on the `ingest -> query` edge. Lossless mode blocks
-    /// up to `send_timeout` and poisons the query on failure; lossy
-    /// mode drops full-channel base traffic and counts the shed.
-    fn route(&mut self, j: usize, msg: Msg, lossy: bool) -> Result<()> {
-        if lossy {
-            match self.senders[j].try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(dropped)) => {
-                    self.shed += match dropped {
-                        Msg::Data(_) => 1,
-                        Msg::Batch(b) => b.len() as u64,
-                        // Control traffic is never shed; unreachable
-                        // because heartbeats/flushes route losslessly.
-                        Msg::Heartbeat(_) | Msg::Flush => 0,
-                    };
-                    return Ok(());
-                }
-                // A disconnect means the worker died: fall through to
-                // the guarded path, which waits briefly for the
-                // supervisor's attribution and reports the real cause.
-                Err(TrySendError::Disconnected(m)) => {
-                    return self.route_guarded(j, m);
-                }
-            }
-        }
-        self.route_guarded(j, msg)
-    }
-
-    fn route_guarded(&mut self, j: usize, msg: Msg) -> Result<()> {
-        match send_guarded(
-            &self.senders[j],
-            msg,
-            self.cfg.send_timeout,
-            ENGINE,
-            j,
-            &self.failures,
-        ) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poison = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Routes one base message, coalescing per destination when the
-    /// query asked for batching.
-    fn route_base(&mut self, msg: BaseMsg, lossy: bool) -> Result<()> {
-        let j = (hash_key(msg.tuple.key) % self.cfg.joiners as u64) as usize;
-        if self.cfg.batch_size > 1 {
-            self.batches[j].push(msg);
-            if self.batches[j].len() >= self.cfg.batch_size {
-                let out = std::mem::take(&mut self.batches[j]);
-                // PROTO: ingest-query.stream
-                return self.route(j, Msg::Batch(out), lossy);
-            }
-            Ok(())
-        } else {
-            // PROTO: ingest-query.stream
-            self.route(j, Msg::Data(Box::new(msg)), lossy)
-        }
-    }
-
-    /// Hands over every partially filled batch buffer.
-    fn flush_batches(&mut self, lossy: bool) -> Result<()> {
-        for j in 0..self.batches.len() {
-            if self.batches[j].is_empty() {
-                continue;
-            }
-            let out = std::mem::take(&mut self.batches[j]);
-            // PROTO: ingest-query.stream
-            self.route(j, Msg::Batch(out), lossy)?;
-        }
-        Ok(())
-    }
-
     /// Ends the query: flushes, joins every worker, and merges its
     /// reports — or returns the first failure (the poison, if already
     /// set). Workers are always joined, even on the failure path.
     fn shutdown(&mut self) -> Result<RunStats> {
-        if self.poison.is_none() {
-            // Terminal flush; failures here poison and fall through to
+        if self.pool.check().is_ok() {
+            // Terminal flush; a failure here poisons and falls through to
             // the joins below so no thread leaks.
-            let _ = self.flush_batches(false);
-            for j in 0..self.senders.len() {
-                if self.poison.is_some() {
-                    break;
-                }
-                // PROTO: ingest-query.closed
-                let _ = self.route(j, Msg::Flush, false);
-            }
+            let _ = self.pool.drain(WorkerPool::route);
         }
-        if self.poison.is_some() {
-            // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-            self.kill.store(true, Ordering::Release);
+        if self.pool.check().is_err() {
+            self.pool.supervision().raise_kill();
         }
-        self.senders.clear();
-        let mut first_err: Option<Error> = None;
-        for (j, handle) in self.handles.drain(..).enumerate() {
-            let (report, err) = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                j,
-                &self.failures,
-                &self.kill,
-            );
-            if let Some(r) = report {
-                self.reports.push(r);
-            }
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = self.poison.clone().or(first_err) {
-            self.poison = Some(e.clone());
-            return Err(e);
-        }
+        let _ = self.pool.join_workers(); // recorded as the poison unless one is set
+        self.pool.check()?;
         let elapsed = self
             .started
             .map(|s| s.elapsed())
             .unwrap_or_else(|| std::time::Duration::from_nanos(1));
-        let reports = std::mem::take(&mut self.reports);
-        let mut stats = RunStats::from_reports(self.pushed, elapsed, reports, 0);
+        let mut stats = self.pool.stats(self.pushed, elapsed);
         stats.late_violations += self.probe_late;
         stats.shed_events = self.shed;
-        // ORDERING: Relaxed — statistics counter; workers are already joined.
-        stats.sink_retries = self.retries.load(Ordering::Relaxed);
         Ok(stats)
-    }
-}
-
-impl Drop for Query {
-    fn drop(&mut self) {
-        // Dropped without shutdown (runtime dropped mid-serve): raise
-        // the kill flag first, disconnect, then join with a deadline.
-        // ORDERING: Release — pairs with the workers' Acquire `kill` loads (fault supervision paths), so teardown state precedes the flag.
-        self.kill.store(true, Ordering::Release);
-        self.senders.clear();
-        while let Some(handle) = self.handles.pop() {
-            let _ = join_within(
-                handle,
-                self.cfg.send_timeout,
-                ENGINE,
-                self.handles.len(),
-                &self.failures,
-                &self.kill,
-            );
-        }
     }
 }
 
@@ -580,56 +443,34 @@ impl ServeRuntime {
     ) -> Result<()> {
         // All queries scan the shared store; the runtime's backend wins.
         cfg.index_backend = self.cfg.index_backend;
-        let failures = Arc::new(FailureCell::new());
-        let kill = Arc::new(AtomicBool::new(false));
-        let retries = Arc::new(AtomicU64::new(0));
-        let mut senders = Vec::with_capacity(cfg.joiners);
-        let mut handles = Vec::with_capacity(cfg.joiners);
-        let mut acks = Vec::with_capacity(cfg.joiners);
-        for w in 0..cfg.joiners {
-            // CHANNEL: ingest -> query (one bounded queue per worker of one registered plan)
-            let (tx, rx) = bounded::<Msg>(cfg.channel_capacity);
-            let worker_sink =
-                worker_sink_stack(&cfg, w, sink.clone(), &None, &failures, &retries, &kill);
-            let ack = Arc::new(AtomicI64::new(i64::MIN));
-            let worker = QueryWorker::new(
-                &cfg,
-                worker_sink,
-                self.origin,
-                self.writer.reader(),
-                Arc::clone(&ack),
-            );
-            let faults = cfg.faults.for_worker(w, ENGINE, w, &failures);
-            let cell = Arc::clone(&failures);
-            let wkill = Arc::clone(&kill);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("oij-serve-q{id}-w{w}"))
-                    .spawn(move || {
-                        run_supervised(ENGINE, w, &cell, move || worker.run(rx, faults, wkill))
-                    })
-                    .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
-            );
-            senders.push(tx);
-            acks.push(ack);
-        }
-        let lateness = cfg.query.window.lateness;
-        let batches = (0..cfg.joiners).map(|_| Vec::new()).collect();
+        let sup = Supervision::default();
+        let acks: Vec<_> = (0..cfg.joiners)
+            .map(|_| Arc::new(AtomicI64::new(i64::MIN)))
+            .collect();
+        let workers = acks
+            .iter()
+            .enumerate()
+            .map(|(w, ack)| {
+                let sink = worker_sink_stack(&cfg, w, sink.clone(), &None, &sup);
+                QueryWorker::new(
+                    &cfg,
+                    sink,
+                    self.origin,
+                    self.writer.reader(),
+                    Arc::clone(ack),
+                )
+            })
+            .collect();
+        let prefix = format!("oij-serve-q{id}-w");
+        // Unicast lanes, heartbeats on: served plans route like Key-OIJ.
+        let pool = WorkerPool::spawn(ENGINE, &prefix, &cfg, cfg.joiners, true, sup, workers)?;
         self.queries.insert(
             id,
             Query {
                 name,
-                tracker: WatermarkTracker::new(lateness),
-                senders,
-                handles,
-                reports: Vec::new(),
-                failures,
-                kill,
-                retries,
+                tracker: WatermarkTracker::new(cfg.query.window.lateness),
+                pool,
                 acks,
-                poison: None,
-                batches,
-                since_heartbeat: 0,
                 pushed: 0,
                 shed: 0,
                 probe_late: 0,
@@ -691,7 +532,7 @@ impl ServeRuntime {
                 joiners: q.cfg.joiners,
                 pushed: q.pushed,
                 shed: q.shed,
-                failed: q.poison.is_some(),
+                failed: q.pool.check().is_err(),
             })
             .collect()
     }
@@ -751,7 +592,7 @@ impl ServeRuntime {
         let bound = self.probe_inserts;
         let lossy = self.cfg.shed_when_full;
         for q in self.queries.values_mut() {
-            if q.poison.is_some() {
+            if q.pool.check().is_err() {
                 continue;
             }
             if q.started.is_none() {
@@ -763,13 +604,32 @@ impl ServeRuntime {
             // STAMP: stamp-observe.post
             q.tracker.observe(tuple.ts);
             q.pushed += 1;
-            match side {
+            // Lossless mode is the pool's guarded send (blocks up to
+            // `send_timeout`, then poisons the query); lossy mode sheds
+            // what a full queue hands back. Control traffic never comes
+            // through here: the pool sends it losslessly itself.
+            let shed = &mut q.shed;
+            let deliver = |pool: &mut WorkerPool<BaseMsg>, j, out| {
+                if !lossy {
+                    return pool.route(j, out);
+                }
+                if let Some(dropped) = pool.try_route(j, out)? {
+                    *shed += dropped.tuples() as u64;
+                }
+                Ok(())
+            };
+            // Isolation: a failed route poisons q's pool only. Probes
+            // send nothing on this edge but still advance the plan's driver
+            // time: flush deadlines and heartbeats keep their cadence.
+            let _ = match side {
                 Side::Probe => {
                     if tuple.ts < watermark {
                         q.probe_late += 1;
                     }
+                    q.pool.tick(now, watermark, deliver)
                 }
                 Side::Base => {
+                    let j = (hash_key(tuple.key) % q.cfg.joiners as u64) as usize;
                     let msg = BaseMsg {
                         tuple: tuple.clone(),
                         seq,
@@ -777,28 +637,9 @@ impl ServeRuntime {
                         watermark,
                         bound,
                     };
-                    // Isolation: a failed route poisons q only.
-                    let _ = q.route_base(msg, lossy);
+                    q.pool.dispatch(j, msg, deliver)
                 }
-            }
-            q.since_heartbeat += 1;
-            if q.since_heartbeat >= q.cfg.heartbeat_every && q.poison.is_none() {
-                q.since_heartbeat = 0;
-                // Flush-before-heartbeat: a heartbeat must never pass
-                // tuples still parked in a coalescing buffer.
-                // STAMP: flush-heartbeat.pre
-                let flushed = q.flush_batches(lossy);
-                if flushed.is_ok() {
-                    for j in 0..q.senders.len() {
-                        // Control traffic always routes losslessly.
-                        // STAMP: flush-heartbeat.post
-                        // PROTO: ingest-query.stream
-                        if q.route(j, Msg::Heartbeat(watermark), false).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
+            };
         }
         self.since_expire += 1;
         if self.since_expire >= self.cfg.expire_every {
@@ -816,7 +657,7 @@ impl ServeRuntime {
     fn expire(&mut self) {
         let mut bound: Option<Timestamp> = None;
         for q in self.queries.values() {
-            if q.poison.is_some() {
+            if q.pool.check().is_err() {
                 // A poisoned query's workers may be gone and will never
                 // acknowledge again; its output is already void, so it
                 // no longer pins retention.

@@ -1,9 +1,10 @@
 //! One registered query's worker threads.
 //!
 //! A [`QueryWorker`] is the serving-runtime analogue of an engine joiner:
-//! it receives **base** tuples for its hash slice of the key space over a
-//! bounded `ingest -> query` channel and answers each one with a
-//! seq-bounded window scan of the *shared* probe index (DESIGN.md §13).
+//! it receives **base** tuples for its hash slice of the key space over
+//! the plan's own `driver -> joiner` worker pool (the ingest thread is
+//! every plan's driver) and answers each one with a seq-bounded window
+//! scan of the *shared* probe index (DESIGN.md §13).
 //! Probe tuples never travel through these channels — the ingest thread
 //! inserts each probe exactly once into the shared single-writer index,
 //! and every base message carries the writer's insert count at dispatch
@@ -15,17 +16,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam_channel::Receiver;
-
 use oij_agg::FullWindowAgg;
 use oij_common::{FeatureRow, Timestamp, Tuple};
 use oij_core::config::EngineConfig;
-use oij_core::faults::{FaultAction, WorkerFaults};
 use oij_core::instrument::{JoinerInstruments, JoinerReport};
+use oij_core::message::Payload;
+use oij_core::shell::Joiner;
 use oij_core::sink::Sink;
 use oij_index::{BackendReader, OijIndexReader};
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::atomic::{AtomicI64, Ordering};
 
 /// One base tuple dispatched to a query worker.
 ///
@@ -48,17 +48,15 @@ pub(crate) struct BaseMsg {
     pub bound: u64,
 }
 
-/// Messages on the `ingest -> query` edge (`lint.toml [protocol]`:
-/// `(data | batch | heartbeat)* finish`).
-pub(crate) enum Msg {
-    /// One base tuple.
-    Data(Box<BaseMsg>),
-    /// A coalesced run of base tuples (per-query `batch_size > 1`).
-    Batch(Vec<BaseMsg>),
-    /// Watermark heartbeat (keeps idle workers' acknowledgements moving).
-    Heartbeat(Timestamp),
-    /// Terminal: no more input for this query.
-    Flush,
+impl Payload for BaseMsg {
+    #[inline]
+    fn arrival(&self) -> Instant {
+        self.arrival
+    }
+    #[inline]
+    fn watermark(&self) -> Timestamp {
+        self.watermark
+    }
 }
 
 /// The state owned by one query worker thread.
@@ -73,113 +71,25 @@ pub(crate) struct QueryWorker {
     /// across all workers of all queries, minus the window extent, so a
     /// backlogged worker's pending scans keep their probes.
     ack: Arc<AtomicI64>,
-    results: u64,
 }
 
-impl QueryWorker {
-    pub(crate) fn new(
-        cfg: &EngineConfig,
-        sink: Sink,
-        origin: Instant,
-        reader: BackendReader,
-        ack: Arc<AtomicI64>,
-    ) -> Self {
-        QueryWorker {
-            inst: JoinerInstruments::with_edge(&cfg.instrument, origin, "ingest-query"),
-            cfg: cfg.clone(),
-            sink,
-            reader,
-            ack,
-            results: 0,
-        }
+/// Panics unwind into the pool's supervisor, which records them in the
+/// query's failure cell — one query's panic never reaches its neighbours.
+/// Heartbeats keep idle workers' acknowledgements moving.
+impl Joiner<BaseMsg> for QueryWorker {
+    fn instruments(&mut self) -> &mut JoinerInstruments {
+        &mut self.inst
     }
 
-    /// The worker loop: runs until the terminal `Flush` (or a fault-plan
-    /// exit), then reports. Panics unwind into the supervisor
-    /// (`run_supervised`), which records them in the query's failure
-    /// cell — one query's panic never reaches its neighbours.
-    pub(crate) fn run(
-        mut self,
-        rx: Receiver<Msg>,
-        faults: Option<WorkerFaults>,
-        kill: Arc<AtomicBool>,
-    ) -> JoinerReport {
-        let timeline_on = self.inst.timeline.is_some();
-        let mut ordinal = 0u64;
-        for msg in rx {
-            match msg {
-                Msg::Flush => {
-                    self.inst.proto.finish();
-                    break;
-                }
-                Msg::Heartbeat(wm) => {
-                    self.inst.proto.heartbeat(wm);
-                    self.acknowledge(wm);
-                }
-                Msg::Data(data) => {
-                    self.inst.proto.data(data.watermark);
-                    if let Some(f) = &faults {
-                        let action = f.before_message(ordinal, &kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return self.report();
-                        }
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    self.handle(*data);
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-                Msg::Batch(batch) => {
-                    self.inst.record_batch(batch.len());
-                    self.inst.proto.batch(batch.len());
-                    for m in &batch {
-                        self.inst.proto.data(m.watermark);
-                    }
-                    let busy_start = timeline_on.then(Instant::now);
-                    for m in batch {
-                        if let Some(f) = &faults {
-                            // Fault ordinals address individual base
-                            // messages, so injection points fire at the
-                            // same message on batched and unbatched runs.
-                            let action = f.before_message(ordinal, &kill);
-                            ordinal += 1;
-                            if action == FaultAction::Exit {
-                                return self.report();
-                            }
-                        }
-                        self.handle(m);
-                    }
-                    if let Some(s) = busy_start {
-                        self.inst.record_busy(s);
-                    }
-                }
-            }
-        }
-        self.report()
-    }
-
-    fn report(self) -> JoinerReport {
-        JoinerReport {
-            instruments: self.inst,
-            results: self.results,
-        }
-    }
-
-    /// Publishes watermark progress to the central evictor.
-    fn acknowledge(&self, wm: Timestamp) {
-        // ORDERING: Release — the evictor's Acquire load must see this
-        // worker's completed scans before trusting the acknowledgement;
-        // fetch_max keeps the counter monotone under reordered stamps.
-        self.ack.fetch_max(wm.as_micros(), Ordering::Release);
+    fn on_heartbeat(&mut self, wm: Timestamp) {
+        self.acknowledge(wm);
     }
 
     /// Answers one base tuple: a window scan of the shared index in
     /// `(ts, seq)` order, filtered to the probes visible at dispatch.
     /// The scan order and the `f64` accumulation order are therefore
     /// identical to a solo engine run's, bit for bit.
-    fn handle(&mut self, msg: BaseMsg) {
+    fn on_data(&mut self, msg: BaseMsg) {
         self.inst.processed += 1;
         if msg.tuple.ts < msg.watermark {
             self.inst.late_violations += 1;
@@ -201,8 +111,38 @@ impl QueryWorker {
             agg.finish(),
             matched,
         ));
-        self.results += 1;
+        self.inst.results += 1;
         self.inst.record_latency(msg.arrival);
         self.acknowledge(msg.watermark);
+    }
+
+    fn into_report(self) -> JoinerReport {
+        self.inst
+    }
+}
+
+impl QueryWorker {
+    pub(crate) fn new(
+        cfg: &EngineConfig,
+        sink: Sink,
+        origin: Instant,
+        reader: BackendReader,
+        ack: Arc<AtomicI64>,
+    ) -> Self {
+        QueryWorker {
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+            cfg: cfg.clone(),
+            sink,
+            reader,
+            ack,
+        }
+    }
+
+    /// Publishes watermark progress to the central evictor.
+    fn acknowledge(&self, wm: Timestamp) {
+        // ORDERING: Release — the evictor's Acquire load must see this
+        // worker's completed scans before trusting the acknowledgement;
+        // fetch_max keeps the counter monotone under reordered stamps.
+        self.ack.fetch_max(wm.as_micros(), Ordering::Release);
     }
 }

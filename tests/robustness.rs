@@ -1,5 +1,6 @@
 //! Robustness and lifecycle tests: aggressive expiration + scheduling
-//! churn under disorder, drop-without-finish, and misuse of the API.
+//! churn under disorder, the shared lifecycle contract (misuse, poison,
+//! drop-without-finish), and the fault matrix.
 
 use oij::engine::Oracle;
 use oij::prelude::*;
@@ -67,43 +68,6 @@ fn scale_oij_survives_aggressive_everything() {
         assert_eq!(g.matched, o.matched, "seq {}", g.seq);
         assert!(g.agg_approx_eq(o, 1e-9), "seq {}", g.seq);
     }
-}
-
-#[test]
-fn engines_drop_cleanly_without_finish() {
-    let query = OijQuery::builder()
-        .preceding(Duration::from_micros(100))
-        .build()
-        .unwrap();
-    let events = workload(2_000, 4, 0, 5);
-
-    // Each engine is dropped mid-stream; worker threads must not hang.
-    let cfg = EngineConfig::new(query.clone(), 3).unwrap();
-    {
-        let mut e = KeyOij::spawn(cfg.clone(), Sink::null()).unwrap();
-        for ev in &events[..500] {
-            e.push(ev.clone()).unwrap();
-        }
-    }
-    {
-        let mut e = ScaleOij::spawn(cfg.clone(), Sink::null()).unwrap();
-        for ev in &events[..500] {
-            e.push(ev.clone()).unwrap();
-        }
-    }
-    {
-        let mut e = SplitJoin::spawn(cfg.clone(), Sink::null()).unwrap();
-        for ev in &events[..500] {
-            e.push(ev.clone()).unwrap();
-        }
-    }
-    {
-        let mut e = OpenMldbBaseline::spawn(cfg, Sink::null()).unwrap();
-        for ev in &events[..500] {
-            e.push(ev.clone()).unwrap();
-        }
-    }
-    // reaching here without deadlock is the assertion
 }
 
 #[test]
@@ -270,6 +234,103 @@ fn drive_to_error(engine: &mut Box<dyn OijEngine>, events: &[Event]) -> Error {
     engine
         .finish()
         .expect_err("injected fault must surface from push or finish")
+}
+
+/// The engine shell's lifecycle contract, once for all four engines (they
+/// share one `EngineShell`, so they must share one contract): misuse after
+/// `finish` is an error, an injected worker panic poisons the engine so
+/// every later call fails fast with the original cause, `abort` is the
+/// degraded exit that still works then, and dropping an engine without
+/// `finish` — healthy mid-stream or poisoned — joins its threads inside
+/// `send_timeout + JOIN_KILL_GRACE`.
+#[test]
+fn lifecycle_contract_holds_for_every_engine() {
+    use oij::durability::spawn_engine as spawn_kind;
+    use oij_core::config::JOIN_KILL_GRACE;
+    with_watchdog(120, || {
+        for kind in [
+            EngineKind::KeyOij,
+            EngineKind::ScaleOij,
+            EngineKind::SplitJoin,
+            EngineKind::OpenMldb,
+        ] {
+            let label = kind.label();
+            let query = OijQuery::builder()
+                .preceding(Duration::from_micros(50))
+                .build()
+                .unwrap();
+            let mut cfg = EngineConfig::new(query, 2).unwrap();
+            cfg.send_timeout = StdDuration::from_millis(500);
+            cfg.channel_capacity = 8;
+            let teardown_bound = cfg.send_timeout + JOIN_KILL_GRACE;
+            let events = workload(4_000, 16, 0, 37);
+
+            // Misuse after a completed finish.
+            let mut engine = spawn_kind(kind, cfg.clone(), Sink::null()).unwrap();
+            for ev in &events[..500] {
+                engine.push(ev.clone()).unwrap();
+            }
+            assert_eq!(engine.finish().unwrap().input_tuples, 500, "{label}");
+            assert!(
+                engine.push(events[500].clone()).is_err(),
+                "{label}: push after finish"
+            );
+            assert!(engine.finish().is_err(), "{label}: finish twice");
+            assert!(engine.abort().is_err(), "{label}: abort after finish");
+            drop(engine);
+
+            // Drop without finish, healthy and mid-stream.
+            let mut engine = spawn_kind(kind, cfg.clone(), Sink::null()).unwrap();
+            for ev in &events[..500] {
+                engine.push(ev.clone()).unwrap();
+            }
+            let t0 = std::time::Instant::now();
+            drop(engine);
+            assert!(
+                t0.elapsed() < teardown_bound,
+                "{label}: drop took {:?}",
+                t0.elapsed()
+            );
+
+            // Poison: fail fast with the first cause, from push and finish.
+            let mut faulty = cfg.clone();
+            faulty.faults = FaultPlan::none().panic_at(0, 0, "contract panic");
+            let mut engine = spawn_kind(kind, faulty.clone(), Sink::null()).unwrap();
+            let first = drive_to_error(&mut engine, &events);
+            assert!(
+                matches!(&first, Error::WorkerFailed { worker: 0, cause, .. } if cause == "contract panic"),
+                "{label}: got {first:?}"
+            );
+            for _ in 0..3 {
+                let t0 = std::time::Instant::now();
+                let again = engine.push(events[0].clone()).expect_err("poisoned push");
+                assert_eq!(again, first, "{label}");
+                assert!(
+                    t0.elapsed() < StdDuration::from_millis(50),
+                    "{label}: not fail-fast"
+                );
+            }
+            let at_finish = engine.finish().expect_err("poisoned finish");
+            assert_eq!(at_finish, first, "{label}");
+            // The degraded exit still works, exactly once.
+            assert!(
+                engine.abort().expect("abort after poison").aborted,
+                "{label}"
+            );
+            assert!(engine.abort().is_err(), "{label}: abort twice");
+
+            // Drop of a poisoned engine that was never aborted.
+            let mut engine = spawn_kind(kind, faulty, Sink::null()).unwrap();
+            drive_to_error(&mut engine, &events);
+            let t0 = std::time::Instant::now();
+            drop(engine);
+            assert!(
+                t0.elapsed() < teardown_bound,
+                "{label}: drop took {:?}",
+                t0.elapsed()
+            );
+        }
+    });
 }
 
 #[test]
@@ -672,6 +733,52 @@ fn flush_deadline_drains_trickle_input_before_finish() {
             assert_eq!(stats.input_tuples, 10, "{kind}");
             assert_eq!(rows.lock().len(), 10, "{kind}");
         }
+    });
+}
+
+#[test]
+fn served_plan_flush_deadline_drains_trickle_input_before_cancel() {
+    with_watchdog(60, || {
+        // The serving tier's fan-out is the engines' worker pool, so a
+        // served plan with `batch_size > 1` gets the same flush deadline:
+        // three bases park in a partial batch, then probe traffic — which
+        // sends nothing to the plan's workers but advances its driver
+        // time — steps past the deadline and must hand the batch over.
+        // Arrival instants are explicit, so no sleep paces the feed.
+        let query = OijQuery::builder()
+            .preceding(Duration::from_micros(50))
+            .build()
+            .unwrap();
+        let mut cfg = EngineConfig::new(query, 1).unwrap().with_batch_size(64);
+        cfg.flush_deadline = StdDuration::from_millis(1);
+        // Keep heartbeats out of the way: only the deadline may flush.
+        cfg.heartbeat_every = 100_000;
+        let mut rt = oij::serve::ServeRuntime::new(oij::serve::ServeConfig::new()).unwrap();
+        let (sink, rows) = Sink::collect();
+        let id = rt.register(cfg, sink, None).unwrap();
+        let t0 = std::time::Instant::now();
+        let tuple = |i: u64| Tuple::new(Timestamp::from_micros(i as i64), 1, 1.0);
+        for i in 0..3u64 {
+            rt.push_at(Event::data(i, Side::Base, tuple(i)), t0)
+                .unwrap();
+        }
+        for i in 3..6u64 {
+            let at = t0 + StdDuration::from_millis(5 * (i - 2));
+            rt.push_at(Event::data(i, Side::Probe, tuple(i)), at)
+                .unwrap();
+        }
+        let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+        while rows.lock().len() < 3 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {}/3 rows before cancel — the partial batch stayed parked",
+                rows.lock().len()
+            );
+            std::thread::sleep(StdDuration::from_millis(5));
+        }
+        let stats = rt.cancel(id).unwrap();
+        assert_eq!(stats.results, 3);
+        assert_eq!(rows.lock().len(), 3);
     });
 }
 
