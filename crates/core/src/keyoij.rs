@@ -16,18 +16,19 @@
 //! 2. a small key count starves most joiners (Figure 8a),
 //! 3. overlapping windows are recomputed from scratch (Figure 9).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use oij_agg::FullWindowAgg;
-use oij_common::{EmitMode, FeatureRow, Key, Result, Side, Timestamp, Window};
+use oij_agg::PartialAgg;
+use oij_common::{AggSpec, FeatureRow, Key, Result, Timestamp, Window, WindowSpec};
 use oij_index::{BackendReader, BackendWriter, OijIndexReader, OijIndexWriter};
 
 use crate::config::EngineConfig;
 use crate::driver::open_durability;
-use crate::instrument::{JoinerInstruments, JoinerReport};
+use crate::instrument::JoinerInstruments;
 use crate::message::DataMsg;
-use crate::shell::{forward_engine, EngineShell, HashRoute, Joiner, Supervision};
+use crate::shell::{
+    emit, forward_engine, insert_probe, EngineShell, HashRoute, Joiner, ProbeRuns, Supervision,
+};
 use crate::sink::{worker_sink_stack, Sink};
 
 /// The Key-OIJ engine. See the [module docs](self).
@@ -37,7 +38,6 @@ impl KeyOij {
     /// Spawns the joiner threads and returns the ready engine.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         cfg.validate()?;
-        let origin = Instant::now();
         let sup = Supervision::default();
         // Key-OIJ never emits side-output markers (SideOutput degrades to
         // Drop here), so late tuples join best-effort and must be retained.
@@ -45,7 +45,8 @@ impl KeyOij {
         let joiners = (0..cfg.joiners)
             .map(|id| {
                 let sink = worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup);
-                KeyJoiner::new(&cfg, sink, origin)
+                let agg = cfg.query.agg;
+                FullScanJoiner::new(&cfg, ToSink { sink, agg })
             })
             .collect();
         let routing = HashRoute(cfg.joiners as u64);
@@ -55,208 +56,107 @@ impl KeyOij {
 
 forward_engine!(KeyOij);
 
-/// One Key-OIJ worker thread's state.
-struct KeyJoiner {
-    cfg: EngineConfig,
+/// What tells the two full-scan baselines apart: which probes a joiner
+/// stores, and where one base tuple's aggregate over that store goes.
+pub(crate) trait Slice {
+    /// Store step: whether this joiner keeps the probe that arrived as
+    /// `seq`.
+    fn owns(&self, _seq: u64) -> bool {
+        true
+    }
+    /// Process step: hands on `base`'s aggregate over this joiner's store.
+    fn deliver(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, agg: PartialAgg);
+    /// Clean end of input, after the final drain.
+    fn close(&mut self) {}
+}
+
+/// Key-OIJ: the joiner owns its keys outright, so the aggregate is the
+/// feature row.
+struct ToSink {
     sink: Sink,
-    inst: JoinerInstruments,
-    /// Per-key probe buffers (the paper's "buffer"), behind the pluggable
-    /// index backend. The join path deliberately ignores the backend's
-    /// timestamp order: it always scans the key's full retained range.
+    agg: AggSpec,
+}
+
+impl Slice for ToSink {
+    fn deliver(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, agg: PartialAgg) {
+        let (t, value) = (&base.tuple, agg.finish(self.agg));
+        let row = FeatureRow::new(t.ts, t.key, base.seq, value, agg.count);
+        emit(&self.sink, inst, row, base.arrival);
+    }
+}
+
+/// One worker thread of a full-scan baseline (Key-OIJ, and SplitJoin per
+/// slice): probe tuples are buffered per key behind the pluggable index
+/// backend, and every base tuple is answered by a [`scan_unpruned`] of
+/// its key's whole retained buffer, so lateness still inflates every
+/// scan, Figure 7 style.
+pub(crate) struct FullScanJoiner<S> {
+    window: WindowSpec,
     writer: BackendWriter,
     reader: BackendReader,
     node_bytes: usize,
-    /// Watermark mode: pending base tuples keyed by (emit_ts, seq).
-    pending: BTreeMap<(i64, u64), PendingBase>,
-    since_expire: usize,
-    last_wm: Timestamp,
+    slice: S,
 }
 
-struct PendingBase {
-    key: Key,
-    ts: Timestamp,
-    arrival: Instant,
-}
-
-impl Joiner<DataMsg> for KeyJoiner {
-    fn instruments(&mut self) -> &mut JoinerInstruments {
-        &mut self.inst
-    }
-
-    fn on_heartbeat(&mut self, wm: Timestamp) {
-        // Key-OIJ is single-owner per key: a heartbeat only refreshes the
-        // expiration watermark.
-        self.last_wm = self.last_wm.max(wm);
-        if self.cfg.query.emit == EmitMode::Watermark {
-            self.drain_pending(self.last_wm);
-        }
-    }
-
-    fn on_data(&mut self, msg: DataMsg) {
-        self.inst.processed += 1;
-        self.last_wm = msg.watermark;
-        if msg.tuple.ts < msg.watermark {
-            self.inst.late_violations += 1;
-        }
-        match msg.side {
-            Side::Probe => {
-                if self.inst.cache.is_some() {
-                    let addr = self.writer.insert_hinted_traced(msg.tuple, false);
-                    self.inst.record_access(addr, self.node_bytes);
-                } else {
-                    self.writer.insert(msg.tuple);
-                }
-            }
-            Side::Base => match self.cfg.query.emit {
-                EmitMode::Eager => {
-                    self.join_and_emit(msg.tuple.key, msg.tuple.ts, msg.seq, msg.arrival)
-                }
-                EmitMode::Watermark => {
-                    let emit_ts = msg.tuple.ts + self.cfg.query.window.following;
-                    self.pending.insert(
-                        (emit_ts.as_micros(), msg.seq),
-                        PendingBase {
-                            key: msg.tuple.key,
-                            ts: msg.tuple.ts,
-                            arrival: msg.arrival,
-                        },
-                    );
-                }
-            },
-        }
-        if self.cfg.query.emit == EmitMode::Watermark {
-            self.drain_pending(msg.watermark);
-        }
-        self.since_expire += 1;
-        if self.since_expire >= self.cfg.expire_every {
-            self.since_expire = 0;
-            self.expire();
-        }
-    }
-
-    /// Processes one coalesced batch. Semantically identical to calling
-    /// [`on_data`](Joiner::on_data) once per message — the only shortcut is
-    /// handing a run of consecutive same-key probes in eager mode to the
-    /// backend as one [`insert_batch`](OijIndexWriter::insert_batch) call
-    /// (inserts have no emission side effects, and nothing reads the index
-    /// mid-run, so deferred publication is safe). The run is capped at the
-    /// remaining expiration budget so the periodic sweep still fires after
-    /// exactly the same message as on the unbatched path.
-    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
-        let eager = self.cfg.query.emit == EmitMode::Eager;
-        let mut i = 0;
-        while i < msgs.len() {
-            if !(eager && msgs[i].side == Side::Probe) || self.inst.cache.is_some() {
-                // Base tuples and watermark mode keep the scalar path:
-                // both can emit, which couples every message to the ones
-                // before it. So does the cache model, which needs a node
-                // address per insert.
-                self.on_data(msgs[i].clone());
-                i += 1;
-                continue;
-            }
-            let key = msgs[i].tuple.key;
-            let budget = (self.cfg.expire_every - self.since_expire).max(1);
-            let mut end = i + 1;
-            while end < msgs.len()
-                && end - i < budget
-                && msgs[end].side == Side::Probe
-                && msgs[end].tuple.key == key
-            {
-                end += 1;
-            }
-            let mut run = Vec::with_capacity(end - i);
-            for m in &msgs[i..end] {
-                self.inst.processed += 1;
-                self.last_wm = m.watermark;
-                if m.tuple.ts < m.watermark {
-                    self.inst.late_violations += 1;
-                }
-                run.push((m.tuple.clone(), false));
-            }
-            self.writer.insert_batch(run);
-            self.since_expire += end - i;
-            if self.since_expire >= self.cfg.expire_every {
-                self.since_expire = 0;
-                self.expire();
-            }
-            i = end;
-        }
-    }
-
-    fn on_end(&mut self) {
-        // End of input: everything is buffered, so all pending bases are
-        // complete — drain them at an infinite watermark.
-        self.drain_pending(Timestamp::MAX);
-    }
-
-    fn into_report(self) -> JoinerReport {
-        self.inst
-    }
-}
-
-impl KeyJoiner {
-    fn new(cfg: &EngineConfig, sink: Sink, origin: Instant) -> Self {
+impl<S> FullScanJoiner<S> {
+    pub(crate) fn new(cfg: &EngineConfig, slice: S) -> Self {
         let (writer, reader) = cfg.index_backend.build();
-        let node_bytes = writer.node_footprint();
-        KeyJoiner {
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            sink,
+        FullScanJoiner {
+            window: cfg.query.window,
+            node_bytes: writer.node_footprint(),
             writer,
             reader,
-            node_bytes,
-            pending: BTreeMap::new(),
-            since_expire: 0,
-            last_wm: Timestamp::MIN,
+            slice,
+        }
+    }
+}
+
+impl<S: Slice> Joiner<DataMsg> for FullScanJoiner<S> {
+    /// Runs of same-key probes go to the backend as one `insert_batch`.
+    const PROBE_RUNS: ProbeRuns = ProbeRuns::SameKey;
+
+    fn store(&mut self, inst: &mut JoinerInstruments, probe: DataMsg) {
+        if self.slice.owns(probe.seq) {
+            insert_probe(&mut self.writer, inst, probe.tuple);
         }
     }
 
-    /// Emits pending base tuples whose windows closed below `watermark`.
-    fn drain_pending(&mut self, watermark: Timestamp) {
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 > watermark.as_micros() {
-                break;
-            }
-            let ((_, seq), base) = entry.remove_entry();
-            self.join_and_emit(base.key, base.ts, seq, base.arrival);
+    fn store_run(&mut self, run: impl Iterator<Item = DataMsg>) {
+        // A run with no owned probe inserts nothing, so no key state is
+        // created (matching the scalar path).
+        let owned: Vec<_> = run
+            .filter(|m| self.slice.owns(m.seq))
+            .map(|m| (m.tuple, false))
+            .collect();
+        if !owned.is_empty() {
+            self.writer.insert_batch(owned);
         }
     }
 
-    /// The Key-OIJ join: a [`scan_unpruned`] of the key's whole retained
-    /// buffer, so lateness still inflates every scan, Figure 7 style.
-    fn join_and_emit(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
-        let window = self.cfg.query.window.window_of(ts);
-        let mut agg = FullWindowAgg::new(self.cfg.query.agg);
-        let (reader, node_bytes) = (&self.reader, self.node_bytes);
-        let visited = scan_unpruned(reader, &mut self.inst, node_bytes, key, window, |v| {
-            agg.add(v)
-        });
-        let matched = agg.count();
-        self.inst.record_effectiveness(matched, visited);
-        self.sink
-            .emit(FeatureRow::new(ts, key, seq, agg.finish(), matched));
-        self.inst.results += 1;
-        self.inst.record_latency(arrival);
+    fn answer(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, _frontier: Timestamp) {
+        let window = self.window.window_of(base.tuple.ts);
+        let mut agg = PartialAgg::empty();
+        let (reader, node_bytes, key) = (&self.reader, self.node_bytes, base.tuple.key);
+        let visited = scan_unpruned(reader, inst, node_bytes, key, window, |v| agg.add(v));
+        inst.record_effectiveness(agg.count, visited);
+        self.slice.deliver(inst, base, agg);
     }
 
-    /// Periodic expiration sweep, delegated to the backend's
-    /// `evict_below` (the bound is identical to the original
-    /// retain-by-timestamp sweep: keep `t ≥ wm − PRE − FOL`).
-    fn expire(&mut self) {
-        if self.last_wm == Timestamp::MIN {
-            return;
+    /// Delegated to the backend's `evict_below`. A probe at `t` can still
+    /// serve a lateness-compliant base `s ≥ wm` whose window starts at
+    /// `s − PRE`; deferred bases reach back a further FOL. Keep
+    /// `t ≥ wm − PRE − FOL`.
+    fn evict(&mut self, wm: Timestamp) -> u64 {
+        if wm == Timestamp::MIN {
+            return 0;
         }
-        // A probe at `t` can still serve a lateness-compliant base `s ≥ wm`
-        // whose window starts at `s − PRE`; pending bases reach back a
-        // further FOL. Keep `t ≥ wm − PRE − FOL`.
-        let bound = self.last_wm.saturating_sub(self.cfg.query.window.length());
-        let other_t0 = self.inst.wants_breakdown().then(Instant::now);
-        self.inst.evicted += self.writer.evict_below(bound) as u64;
-        if let Some(t0) = other_t0 {
-            self.inst
-                .add_breakdown(0, 0, t0.elapsed().as_nanos() as u64);
-        }
+        self.writer
+            .evict_below(wm.saturating_sub(self.window.length())) as u64
+    }
+
+    fn end(&mut self, drain: impl FnOnce(&mut Self)) {
+        drain(self);
+        self.slice.close();
     }
 }
 
@@ -310,7 +210,7 @@ pub(crate) fn scan_unpruned(
 mod tests {
     use super::*;
     use crate::engine::OijEngine;
-    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
+    use oij_common::{Duration, EmitMode, Event, OijQuery, Side, Tuple};
 
     fn query(pre: i64, lateness: i64, emit: EmitMode) -> OijQuery {
         OijQuery::builder()

@@ -8,12 +8,19 @@ use oij_common::{Side, Timestamp, Tuple};
 
 /// What the shared shell needs to know about a data payload: the two
 /// stamps the driver already took, so coalescing and protocol shadowing
-/// add no clock read and no field per tuple.
+/// add no clock read and no field per tuple, and what the per-message
+/// joiner step branches on.
 pub trait Payload: Send + 'static {
     /// Instant the driver accepted the tuple (flush-deadline anchor).
     fn arrival(&self) -> Instant;
     /// The driver's pre-observation watermark stamp for the tuple.
     fn watermark(&self) -> Timestamp;
+    /// Which stream the tuple belongs to.
+    fn side(&self) -> Side;
+    /// The tuple.
+    fn tuple(&self) -> &Tuple;
+    /// Global arrival sequence number.
+    fn seq(&self) -> u64;
 }
 
 /// One unit of work handed to a joiner.
@@ -94,5 +101,17 @@ impl Payload for DataMsg {
     #[inline]
     fn watermark(&self) -> Timestamp {
         self.watermark
+    }
+    #[inline]
+    fn side(&self) -> Side {
+        self.side
+    }
+    #[inline]
+    fn tuple(&self) -> &Tuple {
+        &self.tuple
+    }
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.seq
     }
 }

@@ -26,14 +26,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oij_agg::FullWindowAgg;
-use oij_common::{EmitMode, Error, FeatureRow, Key, Result, Side, Timestamp};
+use oij_common::{EmitMode, Error, FeatureRow, Result, Timestamp};
 use oij_index::{BackendReader, BackendWriter, Exclusive, OijIndexReader, OijIndexWriter};
 
 use crate::config::EngineConfig;
 use crate::driver::open_durability;
-use crate::instrument::{JoinerInstruments, JoinerReport};
+use crate::instrument::JoinerInstruments;
 use crate::message::DataMsg;
-use crate::shell::{forward_engine, EngineShell, Joiner, RoundRobin, Supervision};
+use crate::shell::{emit, forward_engine, EngineShell, Joiner, ProbeRuns, RoundRobin, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
 
 /// The shared store: one backend index writer behind a writer-exclusive
@@ -65,7 +65,6 @@ impl OpenMldbBaseline {
                     .into(),
             ));
         }
-        let origin = Instant::now();
         let (writer, reader) = cfg.index_backend.build();
         let store: Arc<Store> = Arc::new(Store {
             writer: RwLock::new("openmldb_store", Exclusive::new(writer)),
@@ -78,13 +77,10 @@ impl OpenMldbBaseline {
         let durable = open_durability(&cfg, false)?;
         let workers = (0..cfg.joiners)
             .map(|id| MldbWorker {
-                inst: JoinerInstruments::new(&cfg.instrument, origin),
                 cfg: cfg.clone(),
                 sink: worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup),
                 store: Arc::clone(&store),
                 expired_to: Arc::clone(&expired_to),
-                since_expire: 0,
-                last_wm: Timestamp::MIN,
             })
             .collect();
         let routing = RoundRobin {
@@ -101,98 +97,34 @@ forward_engine!(OpenMldbBaseline);
 struct MldbWorker {
     cfg: EngineConfig,
     sink: Sink,
-    inst: JoinerInstruments,
     store: Arc<Store>,
     expired_to: Arc<AtomicI64>,
-    since_expire: usize,
-    last_wm: Timestamp,
 }
 
 impl Joiner<DataMsg> for MldbWorker {
-    fn instruments(&mut self) -> &mut JoinerInstruments {
-        &mut self.inst
+    /// One writer-lock acquisition covers a whole run of consecutive
+    /// probes. Deferred publication is safe because readers scan under
+    /// the read lock, so no reader can overlap the run.
+    const PROBE_RUNS: ProbeRuns = ProbeRuns::AnyKey;
+
+    fn store(&mut self, _inst: &mut JoinerInstruments, probe: DataMsg) {
+        // The bottleneck the paper measures: a writer-exclusive lock over
+        // the whole store per insertion.
+        // LOCK: openmldb_store
+        let mut store = self.store.writer.write();
+        store.get_mut().insert(probe.tuple);
     }
 
-    fn on_data(&mut self, msg: DataMsg) {
-        self.inst.processed += 1;
-        self.last_wm = msg.watermark;
-        if msg.tuple.ts < msg.watermark {
-            self.inst.late_violations += 1;
-        }
-        match msg.side {
-            Side::Probe => {
-                // The bottleneck the paper measures: a writer-exclusive
-                // lock over the whole store per insertion.
-                // LOCK: openmldb_store
-                let mut store = self.store.writer.write();
-                store.get_mut().insert(msg.tuple);
-            }
-            Side::Base => {
-                self.join_and_emit(msg.tuple.key, msg.tuple.ts, msg.seq, msg.arrival);
-            }
-        }
-        self.since_expire += 1;
-        if self.since_expire >= self.cfg.expire_every {
-            self.since_expire = 0;
-            self.expire();
-        }
+    fn store_run(&mut self, run: impl Iterator<Item = DataMsg>) {
+        let run = run.map(|m| (m.tuple, false)).collect();
+        // LOCK: openmldb_store
+        let mut store = self.store.writer.write();
+        store.get_mut().insert_batch(run);
     }
 
-    /// Processes one coalesced batch; semantically identical to calling
-    /// [`on_data`](Joiner::on_data) once per message. The pinned resource here
-    /// is the store's writer lock: one acquisition covers a whole run of
-    /// consecutive probes, handed to the backend as one
-    /// [`insert_batch`](OijIndexWriter::insert_batch) call — deferred
-    /// publication is safe because readers scan under the read lock, so no
-    /// reader can overlap the run. Runs are capped at the remaining
-    /// expiration budget so the sweep cadence matches the unbatched path
-    /// exactly.
-    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
-        let mut i = 0;
-        while i < msgs.len() {
-            if msgs[i].side != Side::Probe {
-                self.on_data(msgs[i].clone());
-                i += 1;
-                continue;
-            }
-            let budget = (self.cfg.expire_every - self.since_expire).max(1);
-            let mut end = i + 1;
-            while end < msgs.len() && end - i < budget && msgs[end].side == Side::Probe {
-                end += 1;
-            }
-            {
-                let mut run = Vec::with_capacity(end - i);
-                for m in &msgs[i..end] {
-                    self.inst.processed += 1;
-                    self.last_wm = m.watermark;
-                    if m.tuple.ts < m.watermark {
-                        self.inst.late_violations += 1;
-                    }
-                    run.push((m.tuple.clone(), false));
-                }
-                // One writer-exclusive acquisition for the whole probe run.
-                // LOCK: openmldb_store
-                let mut store = self.store.writer.write();
-                store.get_mut().insert_batch(run);
-            }
-            self.since_expire += end - i;
-            if self.since_expire >= self.cfg.expire_every {
-                self.since_expire = 0;
-                self.expire();
-            }
-            i = end;
-        }
-    }
-
-    fn into_report(self) -> JoinerReport {
-        self.inst
-    }
-}
-
-impl MldbWorker {
-    fn join_and_emit(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
+    fn answer(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, _frontier: Timestamp) {
+        let (key, ts) = (base.tuple.key, base.tuple.ts);
         let window = self.cfg.query.window.window_of(ts);
-        let (lo, hi) = (window.start.as_micros(), window.end.as_micros());
         let mut agg = FullWindowAgg::new(self.cfg.query.agg);
         {
             // Read path: ordered range scan — OpenMLDB is good at this. The
@@ -200,47 +132,39 @@ impl MldbWorker {
             // no half-published batch is visible; see [`Store`]).
             // LOCK: openmldb_store
             let store = self.store.writer.read();
-            let lookup_t0 = self.inst.wants_breakdown().then(Instant::now);
-            self.store.reader.scan_ts_range(
-                key,
-                Timestamp::from_micros(lo),
-                Timestamp::from_micros(hi),
-                |t| agg.add(t.value),
-            );
+            let lookup_t0 = inst.wants_breakdown().then(Instant::now);
+            self.store
+                .reader
+                .scan_ts_range(key, window.start, window.end, |t| agg.add(t.value));
             if let Some(t0) = lookup_t0 {
                 // Ordered scans fuse lookup+match; attribute to lookup.
-                self.inst
-                    .add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
+                inst.add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
             }
             drop(store);
         }
         let matched = agg.count();
-        self.inst.record_effectiveness(matched, matched);
-        self.sink
-            .emit(FeatureRow::new(ts, key, seq, agg.finish(), matched));
-        self.inst.results += 1;
-        self.inst.record_latency(arrival);
+        inst.record_effectiveness(matched, matched);
+        let row = FeatureRow::new(ts, key, base.seq, agg.finish(), matched);
+        emit(&self.sink, inst, row, base.arrival);
     }
 
-    fn expire(&mut self) {
-        if self.last_wm == Timestamp::MIN {
-            return;
+    fn evict(&mut self, wm: Timestamp) -> u64 {
+        if wm == Timestamp::MIN {
+            return 0;
         }
         // No lateness slack — the baseline ignores disorder. Retention is
         // the window length only.
-        let bound = (self.last_wm + self.cfg.query.window.lateness)
+        let bound = (wm + self.cfg.query.window.lateness)
             .saturating_sub(self.cfg.query.window.length())
             .as_micros();
         // ORDERING: AcqRel — the winning worker both observes the previous bound (Acquire) and publishes the new one to later callers (Release), so expiry never runs twice for one bound.
         // Skip if another worker already expired past this bound.
         if self.expired_to.fetch_max(bound, Ordering::AcqRel) >= bound {
-            return;
+            return 0;
         }
         // LOCK: openmldb_store
         let mut store = self.store.writer.write();
-        let evicted = store.get_mut().evict_below(Timestamp::from_micros(bound)) as u64;
-        drop(store);
-        self.inst.evicted += evicted;
+        store.get_mut().evict_below(Timestamp::from_micros(bound)) as u64
     }
 }
 
@@ -249,7 +173,7 @@ mod tests {
     use super::*;
     use crate::engine::OijEngine;
     use crate::oracle::Oracle;
-    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
+    use oij_common::{AggSpec, Duration, Event, OijQuery, Side, Tuple};
 
     fn query(pre: i64) -> OijQuery {
         OijQuery::builder()

@@ -21,21 +21,21 @@
 //! guarantee, exactly like every other engine treats them best-effort.
 
 use crate::sync::atomic::{AtomicI64, Ordering};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use oij_agg::{FullWindowAgg, PartialAgg, RunningAgg, TwoStackAgg};
-use oij_common::{AggSpec, EmitMode, FeatureRow, Key, Side, Timestamp};
+use oij_common::{AggSpec, FeatureRow, Key, Timestamp};
 use oij_index::{BackendReader, BackendWriter, OijIndexReader, OijIndexWriter};
 use oij_skiplist::RcuCell;
 
 use crate::config::{EngineConfig, LatePolicy};
 use crate::faults::DrainBarrier;
 use crate::hash_key;
-use crate::instrument::{JoinerInstruments, JoinerReport};
+use crate::instrument::JoinerInstruments;
 use crate::message::DataMsg;
-use crate::shell::{Joiner, Supervision};
+use crate::shell::{emit, insert_probe, Joiner, Supervision};
 use crate::sink::Sink;
 
 use super::schedule::Schedule;
@@ -80,6 +80,18 @@ impl IncAggState {
         }
     }
 
+    /// Takes in the newly settled `(ts µs, value)` pairs (the two-stack
+    /// FIFO needs them in timestamp order).
+    fn absorb(&mut self, pairs: &mut Vec<(i64, f64)>) {
+        match self {
+            IncAggState::Run(run) => pairs.drain(..).for_each(|(_, v)| run.add(v)),
+            IncAggState::Stack(stack) => {
+                pairs.sort_unstable_by_key(|(t, _)| *t);
+                pairs.drain(..).for_each(|(_, v)| stack.push(v));
+            }
+        }
+    }
+
     /// Merges the settled aggregate with the freshly scanned unsettled
     /// suffix into the emitted `(value, matched)` pair.
     fn emit_with(&self, spec: AggSpec, fresh: &PartialAgg) -> (Option<f64>, u64) {
@@ -115,27 +127,19 @@ fn opt_combine(a: Option<f64>, b: Option<f64>, f: impl Fn(f64, f64) -> f64) -> O
     }
 }
 
-struct PendingBase {
-    key: Key,
-    ts: Timestamp,
-    arrival: Instant,
-}
-
 pub(crate) struct ScaleJoiner {
     id: usize,
     cfg: EngineConfig,
     sink: Sink,
-    inst: JoinerInstruments,
     writer: BackendWriter,
-    readers: Vec<BackendReader>,
+    indexes: TeamIndexes,
     schedule: Arc<RcuCell<Schedule>>,
     part_mask: u64,
     inc: HashMap<Key, IncState>,
-    pending: BTreeMap<(i64, u64), PendingBase>,
     progress: Arc<Vec<AtomicI64>>,
-    /// Per-joiner *hold* frontier: `min(progress, oldest pending emit-ts)`.
+    /// Per-joiner *hold* frontier: `min(progress, oldest deferred emit-ts)`.
     /// Eviction must use `min(hold)` rather than `min(progress)` — a
-    /// teammate's pending base tuple still needs the window below its
+    /// teammate's deferred base tuple still needs the window below its
     /// emit timestamp even after everyone's watermark has moved past it.
     hold: Arc<Vec<AtomicI64>>,
     /// Per-joiner *incremental floor*: the smallest `start` of this
@@ -150,223 +154,67 @@ pub(crate) struct ScaleJoiner {
     sup: Supervision,
     scratch: Vec<f64>,
     scratch_pairs: Vec<(i64, f64)>,
-    since_expire: usize,
-    node_bytes: usize,
 }
 
-/// Scale-OIJ keeps the default per-message `on_batch`: per-tuple progress
-/// publication and pending drains are load-bearing for the cross-joiner
-/// frontiers, and the SWMR writer already amortizes same-key inserts
-/// through its internal position hint. Batching still amortizes the
-/// channel synchronization and per-message allocation.
+/// Scale-OIJ stores probes one at a time: per-tuple progress publication
+/// is load-bearing for the cross-joiner frontiers, and the SWMR writer
+/// already amortizes same-key inserts through its internal position hint.
+/// Batching still amortizes the channel synchronization and per-message
+/// allocation.
 impl Joiner<DataMsg> for ScaleJoiner {
-    fn instruments(&mut self) -> &mut JoinerInstruments {
-        &mut self.inst
+    /// Under `LatePolicy::SideOutput` the violating tuple goes to the sink
+    /// as a marked late row instead of being processed best-effort.
+    fn divert_late(&mut self, inst: &mut JoinerInstruments, msg: &DataMsg) -> bool {
+        if self.cfg.late_policy != LatePolicy::SideOutput {
+            return false;
+        }
+        inst.late_side_outputs += 1;
+        let t = &msg.tuple;
+        self.sink
+            .emit(FeatureRow::late_marker(t.ts, t.key, msg.seq));
+        true
     }
 
-    fn on_heartbeat(&mut self, wm: Timestamp) {
-        self.store_progress(wm);
-        if self.cfg.query.emit == EmitMode::Watermark {
-            self.drain_pending(self.safe_frontier());
-        }
-        self.maybe_expire();
+    fn store(&mut self, inst: &mut JoinerInstruments, probe: DataMsg) {
+        insert_probe(&mut self.writer, inst, probe.tuple);
     }
 
-    fn on_data(&mut self, msg: DataMsg) {
-        self.inst.processed += 1;
-        if msg.tuple.ts < msg.watermark {
-            self.inst.late_violations += 1;
-            if self.cfg.late_policy == LatePolicy::SideOutput {
-                // Route the violating tuple to the sink as a marked late
-                // row instead of processing it best-effort; bookkeeping
-                // (progress, drains, expiration) still runs below so the
-                // frontiers keep advancing.
-                self.inst.late_side_outputs += 1;
-                self.sink.emit(FeatureRow::late_marker(
-                    msg.tuple.ts,
-                    msg.tuple.key,
-                    msg.seq,
-                ));
-                self.store_progress(msg.watermark);
-                if self.cfg.query.emit == EmitMode::Watermark {
-                    self.drain_pending(self.safe_frontier());
-                }
-                self.maybe_expire();
-                return;
-            }
-        }
-        match msg.side {
-            Side::Probe => {
-                if self.inst.cache.is_some() {
-                    let addr = self.writer.insert_hinted_traced(msg.tuple, false);
-                    self.inst.record_access(addr, self.node_bytes);
-                } else {
-                    self.writer.insert(msg.tuple);
-                }
-            }
-            Side::Base => match self.cfg.query.emit {
-                EmitMode::Eager => self.join_and_emit(
-                    msg.tuple.key,
-                    msg.tuple.ts,
-                    msg.seq,
-                    msg.arrival,
-                    msg.watermark,
-                ),
-                EmitMode::Watermark => {
-                    let emit_ts = msg.tuple.ts + self.cfg.query.window.following;
-                    self.pending.insert(
-                        (emit_ts.as_micros(), msg.seq),
-                        PendingBase {
-                            key: msg.tuple.key,
-                            ts: msg.tuple.ts,
-                            arrival: msg.arrival,
-                        },
-                    );
-                }
-            },
-        }
-        // Publish progress only after the message is fully applied, so the
-        // safe frontier implies completeness.
-        self.store_progress(msg.watermark);
-        if self.cfg.query.emit == EmitMode::Watermark {
-            self.drain_pending(self.safe_frontier());
-        }
-        self.maybe_expire();
+    fn answer(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, watermark: Timestamp) {
+        let (key, ts) = (base.tuple.key, base.tuple.ts);
+        let (value, matched) = self.join(inst, key, ts, watermark);
+        let row = FeatureRow::new(ts, key, base.seq, value, matched);
+        emit(&self.sink, inst, row, base.arrival);
     }
 
-    fn on_end(&mut self) {
-        // End of input: publish infinite progress (but NOT an infinite
-        // hold — pending bases still guard their windows) and wait for the
-        // whole team so every index is complete before the final drain.
-        // ORDERING: Release — publishes this joiner's completed index before the infinite progress mark; pairs with teammates' Acquire loads in `safe_frontier`.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.progress[self.id].store(i64::MAX, Ordering::Release);
-        self.publish_hold();
-        // A teammate died or the engine is tearing down when the wait
-        // falls through: skip the final drain (its indexes are incomplete
-        // anyway) and surface what we have as a degraded partial report.
-        // BLOCKING-OK: end-of-input rendezvous — the streaming hot loop is over, and the barrier is kill/poison-aware so fault supervision can release it.
-        if self.barrier.wait(&self.sup.failures, &self.sup.kill) {
-            self.drain_pending(Timestamp::MAX);
-        }
-    }
-
-    fn into_report(self) -> JoinerReport {
-        self.inst
-    }
-}
-
-impl ScaleJoiner {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        id: usize,
-        cfg: &EngineConfig,
-        sink: Sink,
-        origin: Instant,
-        writer: BackendWriter,
-        readers: Vec<BackendReader>,
-        schedule: Arc<RcuCell<Schedule>>,
-        progress: Arc<Vec<AtomicI64>>,
-        hold: Arc<Vec<AtomicI64>>,
-        inc_floor: Arc<Vec<AtomicI64>>,
-        barrier: Arc<DrainBarrier>,
-        sup: &Supervision,
-    ) -> Self {
-        let node_bytes = writer.node_footprint();
-        ScaleJoiner {
-            id,
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            sink,
-            writer,
-            readers,
-            schedule,
-            part_mask: (cfg.partitions - 1) as u64,
-            inc: HashMap::new(),
-            pending: BTreeMap::new(),
-            progress,
-            hold,
-            inc_floor,
-            barrier,
-            sup: sup.clone(),
-            scratch: Vec::new(),
-            scratch_pairs: Vec::new(),
-            since_expire: 0,
-            node_bytes,
-        }
-    }
-
-    #[inline]
-    fn store_progress(&self, wm: Timestamp) {
-        // Monotone max: heartbeats and data interleave in send order, so a
-        // plain store would already be monotone, but fetch_max is cheap and
-        // robust.
-        // ORDERING: Release — publishes every index write up to `wm` before the frontier advances; pairs with the Acquire loads in `safe_frontier`.
+    /// Publishes progress (a monotone max: heartbeats and data interleave
+    /// in send order) and re-publishes the hold frontier. The hold is
+    /// monotone too: the watermark only grows, draining only raises the
+    /// oldest deferred emit-ts, and a newly deferred base has `emit_ts ≥
+    /// wm ≥` the previous hold. At end of input progress is infinite but
+    /// the hold is not — deferred bases still guard their windows.
+    fn publish(&mut self, wm: Timestamp, oldest_deferred: Option<Timestamp>) {
+        // ORDERING: Release — publishes every index write up to `wm` before the frontier advances; pairs with the Acquire loads in `drain_frontier`.
         // PANIC-OK: `self.id` < joiners == slot-array length by construction.
         self.progress[self.id].fetch_max(wm.as_micros(), Ordering::Release);
-        self.publish_hold();
-    }
-
-    /// Re-publishes this joiner's hold frontier. Monotone: the watermark
-    /// only grows, draining only raises the oldest pending emit-ts, and a
-    /// newly pended base has `emit_ts ≥ wm ≥` the previous hold.
-    #[inline]
-    fn publish_hold(&self) {
-        // ORDERING: Relaxed — this joiner is the only writer of its own progress slot; remote slots are read with Acquire in the frontier scans.
+        let hold = oldest_deferred.map_or(wm, |oldest| wm.min(oldest));
+        // ORDERING: Release — pairs with the Acquire loads in `retention_bound`, so a raised hold implies the deferred set that justified it is visible.
         // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        let wm = self.progress[self.id].load(Ordering::Relaxed);
-        let oldest_pending = self
-            .pending
-            .first_key_value()
-            .map(|(k, _)| k.0)
-            .unwrap_or(i64::MAX);
-        // ORDERING: Release — pairs with the Acquire loads in `hold_frontier`, so a raised hold implies the pending set that justified it is visible.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.hold[self.id].store(wm.min(oldest_pending), Ordering::Release);
+        self.hold[self.id].store(hold.as_micros(), Ordering::Release);
     }
 
-    /// `min_j hold_j`: nothing at or above this event time may be needed by
-    /// an un-emitted base tuple anywhere in the team.
-    fn hold_frontier(&self) -> Timestamp {
-        // ORDERING: Acquire — pairs with each joiner's Release store in `publish_hold`.
-        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-        let min = self
-            .hold
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-            .expect("≥1 joiner");
-        Timestamp::from_micros(min)
+    /// The safe frontier `min_j progress_j`: every joiner has fully
+    /// processed all input up to this event time (see module docs of
+    /// [`super`]).
+    fn drain_frontier(&self, _wm: Timestamp) -> Timestamp {
+        // ORDERING: Acquire — pairs with each joiner's Release store in `publish`: a frontier at `t` implies every index covers `t`.
+        Timestamp::from_micros(min_slot(&self.progress))
     }
 
-    /// `min_j progress_j`: every joiner has fully processed all input up to
-    /// this event time (see module docs of [`super`]).
-    fn safe_frontier(&self) -> Timestamp {
-        // ORDERING: Acquire — pairs with each joiner's Release store in `store_progress`: a frontier at `t` implies every index covers `t`.
-        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-        let min = self
-            .progress
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-            .expect("≥1 joiner");
-        Timestamp::from_micros(min)
-    }
-
-    fn maybe_expire(&mut self) {
-        self.since_expire += 1;
-        if self.since_expire < self.cfg.expire_every {
-            return;
+    fn evict(&mut self, _wm: Timestamp) -> u64 {
+        let retention_bound = self.retention_bound();
+        if retention_bound == i64::MIN {
+            return 0; // no joiner has published a hold yet
         }
-        self.since_expire = 0;
-        let frontier = self.hold_frontier();
-        if frontier == Timestamp::MIN {
-            return;
-        }
-        let other_t0 = self.inst.wants_breakdown().then(Instant::now);
-        let retention_bound = frontier
-            .saturating_sub(self.cfg.query.window.length())
-            .as_micros();
 
         // Janitor: drop incremental states more than one extra
         // window+lateness behind (idle keys — they rebuild cheaply on their
@@ -388,43 +236,132 @@ impl ScaleJoiner {
         // Evict below min(retention, every joiner's incremental floor):
         // subtract-deltas then never read evicted data.
         // ORDERING: Acquire — pairs with each joiner's Release `inc_floor` store above, so eviction never outruns a teammate's incremental state.
-        // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-        let floor_min = self
-            .inc_floor
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .min()
-            .expect("≥1 joiner");
-        let bound = Timestamp::from_micros(retention_bound.min(floor_min));
-        self.inst.evicted += self.writer.evict_below(bound) as u64;
-        if let Some(t0) = other_t0 {
-            self.inst
-                .add_breakdown(0, 0, t0.elapsed().as_nanos() as u64);
+        let bound = retention_bound.min(min_slot(&self.inc_floor));
+        self.writer.evict_below(Timestamp::from_micros(bound)) as u64
+    }
+
+    /// End of input (infinite progress is already published): wait for
+    /// the whole team so every index is complete before the final drain.
+    fn end(&mut self, drain: impl FnOnce(&mut Self)) {
+        // A teammate died or the engine is tearing down when the wait
+        // falls through: skip the final drain (its indexes are incomplete
+        // anyway) and surface what we have as a degraded partial report.
+        // BLOCKING-OK: end-of-input rendezvous — the streaming hot loop is over, and the barrier is kill/poison-aware so fault supervision can release it.
+        if self.barrier.wait(&self.sup.failures, &self.sup.kill) {
+            drain(self);
+        }
+    }
+}
+
+/// The minimum over one cross-joiner frontier array (Acquire loads; the
+/// call sites name the Release stores they pair with).
+fn min_slot(slots: &[AtomicI64]) -> i64 {
+    // ORDERING: Acquire — see the call sites.
+    // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
+    slots
+        .iter()
+        .map(|p| p.load(Ordering::Acquire))
+        .min()
+        .expect("≥1 joiner")
+}
+
+/// Every joiner's time-travel index, readable by all (virtual-team
+/// visibility).
+struct TeamIndexes {
+    readers: Vec<BackendReader>,
+    node_bytes: usize,
+}
+
+impl TeamIndexes {
+    /// The one team scan: visits `key`'s tuples with `lo ≤ ts ≤ hi` in
+    /// every team member's index, feeding each `(ts µs, value)` to `visit`
+    /// and each node touch to the LLC model; the elapsed time is Fig 6
+    /// lookup time. Returns the tuples visited.
+    fn scan(
+        &self,
+        inst: &mut JoinerInstruments,
+        team: &[usize],
+        key: Key,
+        (lo, hi): (i64, i64),
+        mut visit: impl FnMut(i64, f64),
+    ) -> u64 {
+        let lookup_t0 = inst.wants_breakdown().then(Instant::now);
+        let (lo, hi) = (Timestamp::from_micros(lo), Timestamp::from_micros(hi));
+        let mut visited = 0;
+        for &m in team {
+            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
+            visited += self.readers[m].scan_ts_range_addr(key, lo, hi, |t, addr| {
+                if let Some(c) = inst.cache.as_mut() {
+                    c.access(addr, self.node_bytes);
+                }
+                visit(t.ts.as_micros(), t.value);
+            }) as u64;
+        }
+        if let Some(t0) = lookup_t0 {
+            inst.add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
+        }
+        visited
+    }
+}
+
+impl ScaleJoiner {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        id: usize,
+        cfg: &EngineConfig,
+        sink: Sink,
+        writer: BackendWriter,
+        readers: Vec<BackendReader>,
+        schedule: Arc<RcuCell<Schedule>>,
+        progress: Arc<Vec<AtomicI64>>,
+        hold: Arc<Vec<AtomicI64>>,
+        inc_floor: Arc<Vec<AtomicI64>>,
+        barrier: Arc<DrainBarrier>,
+        sup: &Supervision,
+    ) -> Self {
+        let node_bytes = writer.node_footprint();
+        ScaleJoiner {
+            id,
+            cfg: cfg.clone(),
+            sink,
+            writer,
+            indexes: TeamIndexes {
+                readers,
+                node_bytes,
+            },
+            schedule,
+            part_mask: (cfg.partitions - 1) as u64,
+            inc: HashMap::new(),
+            progress,
+            hold,
+            inc_floor,
+            barrier,
+            sup: sup.clone(),
+            scratch: Vec::new(),
+            scratch_pairs: Vec::new(),
         }
     }
 
-    fn drain_pending(&mut self, frontier: Timestamp) {
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 > frontier.as_micros() {
-                break;
-            }
-            let ((_, seq), base) = entry.remove_entry();
-            self.join_and_emit(base.key, base.ts, seq, base.arrival, frontier);
-        }
-        self.publish_hold();
+    /// `min_j hold_j − window`: no probe below this event time is needed
+    /// by an un-emitted base tuple anywhere in the team (`i64::MIN` until
+    /// every joiner has published a hold).
+    fn retention_bound(&self) -> i64 {
+        // ORDERING: Acquire — pairs with each joiner's Release store in `publish`.
+        Timestamp::from_micros(min_slot(&self.hold))
+            .saturating_sub(self.cfg.query.window.length())
+            .as_micros()
     }
 
     /// The Scale-OIJ join: read the whole virtual team's time-travel
     /// indexes, incrementally over the watermark-settled region when
-    /// possible.
-    fn join_and_emit(
+    /// possible. Returns the aggregate and the match count.
+    fn join(
         &mut self,
+        inst: &mut JoinerInstruments,
         key: Key,
         ts: Timestamp,
-        seq: u64,
-        arrival: Instant,
         watermark: Timestamp,
-    ) {
+    ) -> (Option<f64>, u64) {
         let window = self.cfg.query.window.window_of(ts);
         let (a, b) = (window.start.as_micros(), window.end.as_micros());
         // Fresh schedule load: the channel recv that delivered this base
@@ -436,8 +373,7 @@ impl ScaleJoiner {
         let team = &sched.teams[p];
 
         if !self.cfg.incremental {
-            self.plain_rescan(key, a, b, team, seq, ts, arrival);
-            return;
+            return self.plain_rescan(inst, key, a, b, team);
         }
 
         // Settled frontier: everything strictly below the watermark is
@@ -451,81 +387,72 @@ impl ScaleJoiner {
             // The whole window is still unsettled (startup, or lateness ≫
             // window as in Workload C): fresh scan, no state to keep.
             self.inc.remove(&key);
-            self.plain_rescan(key, a, b, team, seq, ts, arrival);
-            return;
+            return self.plain_rescan(inst, key, a, b, team);
         }
 
-        let evict_bound = {
-            let retention = self
-                .hold_frontier()
-                .saturating_sub(self.cfg.query.window.length())
-                .as_micros();
-            // ORDERING: Acquire — pairs with the Release `inc_floor` stores; see the eviction bound in `on_watermark`.
-            // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
-            let floor_min = self
-                .inc_floor
-                .iter()
-                .map(|p| p.load(Ordering::Acquire))
-                .min()
-                .expect("≥1 joiner");
-            retention.min(floor_min)
-        };
-        enum Plan {
-            /// Slide the state forward (in-order base).
-            Advance,
-            /// Out-of-order base: the state still covers a suffix of this
-            /// window — serve it read-only with two small boundary scans
-            /// instead of throwing the state away (jitter is bounded by the
-            /// lateness, so the prefix `[a, st.start)` is tiny).
-            ReadOnly,
-            Rebuild,
-        }
-        let plan = match self.inc.get(&key) {
-            Some(st) if st.start < evict_bound || st.settled_end > settled_hi => Plan::Rebuild,
-            Some(st) if st.start <= a && st.settled_end >= a - 1 => Plan::Advance,
-            Some(st) if a < st.start && a >= evict_bound && st.settled_end < b => Plan::ReadOnly,
-            Some(_) => Plan::Rebuild,
-            None => Plan::Rebuild,
-        };
-        let (value, matched) = match plan {
-            Plan::Advance => {
-                let fresh = self.advance_settled(key, a, settled_hi, b, team);
-                // PANIC-OK: `advance_settled` created or updated this key's entry.
-                let st = self.inc.get(&key).expect("advanced above");
-                st.agg.emit_with(self.cfg.query.agg, &fresh)
+        // ORDERING: Acquire — pairs with the Release `inc_floor` stores; see the eviction bound in `evict`.
+        let evict_bound = self.retention_bound().min(min_slot(&self.inc_floor));
+        let fresh = match self.inc.get(&key) {
+            Some(st) if st.start < evict_bound || st.settled_end > settled_hi => {
+                self.rebuild_settled(inst, key, a, settled_hi, b, team)
             }
-            Plan::ReadOnly => {
-                let (st_start, st_end) = {
-                    // PANIC-OK: the Plan::ReadOnly arm is only taken when the entry matched above.
-                    let st = self.inc.get(&key).expect("matched above");
-                    (st.start, st.settled_end)
-                };
-                let mut fresh = self.scan_suffix(key, a, st_start - 1, team);
-                let suffix = self.scan_suffix(key, st_end + 1, b, team);
-                fresh.merge(&suffix);
-                // PANIC-OK: entry existence re-checked by the match that chose this plan.
-                let st = self.inc.get(&key).expect("matched above");
-                st.agg.emit_with(self.cfg.query.agg, &fresh)
+            // Slide the state forward (in-order base).
+            Some(st) if st.start <= a && st.settled_end >= a - 1 => {
+                self.advance_settled(inst, key, a, settled_hi, b, team)
             }
-            Plan::Rebuild => {
-                let fresh = self.rebuild_settled(key, a, settled_hi, b, team);
-                // PANIC-OK: `rebuild_settled` created this key's entry.
-                let st = self.inc.get(&key).expect("rebuilt above");
-                st.agg.emit_with(self.cfg.query.agg, &fresh)
+            // Out-of-order base: the state still covers a suffix of this
+            // window — serve it read-only with two small boundary scans
+            // instead of throwing the state away (jitter is bounded by the
+            // lateness, so the prefix `[a, st.start)` is tiny).
+            Some(st) if a < st.start && a >= evict_bound && st.settled_end < b => {
+                let (st_start, st_end) = (st.start, st.settled_end);
+                let mut fresh = PartialAgg::empty();
+                let mut add = |_: i64, v: f64| fresh.add(v);
+                let indexes = &self.indexes;
+                indexes.scan(inst, team, key, (a, st_start - 1), &mut add);
+                indexes.scan(inst, team, key, (st_end + 1, b), &mut add);
+                fresh
             }
+            _ => self.rebuild_settled(inst, key, a, settled_hi, b, team),
         };
+        // PANIC-OK: every arm above found, advanced or rebuilt this key's entry.
+        let st = self.inc.get(&key).expect("state kept above");
+        let (value, matched) = st.agg.emit_with(self.cfg.query.agg, &fresh);
         // The time-travel property holds for the delta scans too: every
         // visited tuple is (or was) in-window.
-        self.inst.record_effectiveness(matched, matched);
-        self.emit(key, ts, seq, arrival, value, matched);
+        inst.record_effectiveness(matched, matched);
+        (value, matched)
     }
 
-    /// Subtract `[st.start, a)`; one merged forward scan
-    /// `(st.settled_end, b]` feeds the settled state (`ts ≤ settled_hi`)
-    /// and the returned unsettled partial (`ts > settled_hi`) — adjacent
-    /// ranges share a single index seek.
+    /// One merged team scan of `[lo, hi]`: tuples at or below `settled_hi`
+    /// land in `scratch_pairs` (for the settled state), the rest in the
+    /// returned unsettled partial — adjacent ranges share one index seek.
+    fn scan_split(
+        &mut self,
+        inst: &mut JoinerInstruments,
+        key: Key,
+        range: (i64, i64),
+        settled_hi: i64,
+        team: &[usize],
+    ) -> PartialAgg {
+        let mut fresh = PartialAgg::empty();
+        self.scratch_pairs.clear();
+        self.indexes.scan(inst, team, key, range, |ts, v| {
+            if ts <= settled_hi {
+                self.scratch_pairs.push((ts, v));
+            } else {
+                fresh.add(v);
+            }
+        });
+        fresh
+    }
+
+    /// Subtract `[st.start, a)`, then [`scan_split`](Self::scan_split)
+    /// `(st.settled_end, b]` into the settled state and the returned
+    /// unsettled partial.
     fn advance_settled(
         &mut self,
+        inst: &mut JoinerInstruments,
         key: Key,
         a: i64,
         settled_hi: i64,
@@ -537,70 +464,23 @@ impl ScaleJoiner {
             let st = self.inc.get(&key).expect("caller checked");
             (st.start, st.settled_end)
         };
-        let lookup_t0 = self.inst.breakdown.is_some().then(Instant::now);
-        let scratch = &mut self.scratch;
-        let pairs = &mut self.scratch_pairs;
-        let readers = &self.readers;
-        let node_bytes = self.node_bytes;
-        let mut cache = self.inst.cache.as_mut();
-        scratch.clear();
-        pairs.clear();
-        for &m in team {
-            let cache = &mut cache;
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            readers[m].scan_ts_range_addr(
-                key,
-                Timestamp::from_micros(old_start),
-                Timestamp::from_micros(a - 1),
-                |t, addr| {
-                    if let Some(c) = cache.as_mut() {
-                        c.access(addr, node_bytes);
-                    }
-                    scratch.push(t.value);
-                },
-            );
-        }
-        let mut fresh = PartialAgg::empty();
-        for &m in team {
-            let cache = &mut cache;
-            let fresh = &mut fresh;
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            readers[m].scan_ts_range_addr(
-                key,
-                Timestamp::from_micros(old_end + 1),
-                Timestamp::from_micros(b),
-                |t, addr| {
-                    if let Some(c) = cache.as_mut() {
-                        c.access(addr, node_bytes);
-                    }
-                    let ts = t.ts.as_micros();
-                    if ts <= settled_hi {
-                        pairs.push((ts, t.value));
-                    } else {
-                        fresh.add(t.value);
-                    }
-                },
-            );
-        }
+        self.scratch.clear();
+        self.indexes
+            .scan(inst, team, key, (old_start, a - 1), |_, v| {
+                self.scratch.push(v)
+            });
+        let fresh = self.scan_split(inst, key, (old_end + 1, b), settled_hi, team);
 
-        let match_t0 = lookup_t0.map(|t0| (t0, Instant::now()));
-        let settled_count = self.inc.get(&key).map(|st| st.agg.count()).unwrap_or(0);
-        if self.scratch.len() as u64 > settled_count {
-            // Only possible when lateness-violating tuples landed in the
-            // settled region; rebuild rather than underflow.
-            return self.rebuild_settled(key, a, settled_hi, b, team);
-        }
+        let match_t0 = inst.wants_breakdown().then(Instant::now);
         // PANIC-OK: the caller verified this key has incremental state.
         let st = self.inc.get_mut(&key).expect("caller checked");
+        if self.scratch.len() as u64 > st.agg.count() {
+            // Only possible when lateness-violating tuples landed in the
+            // settled region; rebuild rather than underflow.
+            return self.rebuild_settled(inst, key, a, settled_hi, b, team);
+        }
         match &mut st.agg {
-            IncAggState::Run(run) => {
-                for &v in self.scratch.iter() {
-                    run.evict(v);
-                }
-                for &(_, v) in self.scratch_pairs.iter() {
-                    run.add(v);
-                }
-            }
+            IncAggState::Run(run) => self.scratch.iter().for_each(|&v| run.evict(v)),
             IncAggState::Stack(stack) => {
                 // FIFO fronts are the oldest timestamps — exactly the
                 // subtract range, because pushes are ts-sorted.
@@ -608,194 +488,68 @@ impl ScaleJoiner {
                     // PANIC-OK: the loop bound is `scratch.len()`, which counted exactly the evictable fronts.
                     stack.evict().expect("guarded by count check");
                 }
-                self.scratch_pairs.sort_unstable_by_key(|(t, _)| *t);
-                for &(_, v) in self.scratch_pairs.iter() {
-                    stack.push(v);
-                }
             }
         }
+        st.agg.absorb(&mut self.scratch_pairs);
         st.start = a;
         st.settled_end = settled_hi;
-        if let Some((t0, t1)) = match_t0 {
-            let t2 = Instant::now();
-            self.inst.add_breakdown(
-                t1.duration_since(t0).as_nanos() as u64,
-                t2.duration_since(t1).as_nanos() as u64,
-                0,
-            );
+        if let Some(t0) = match_t0 {
+            inst.add_breakdown(0, t0.elapsed().as_nanos() as u64, 0);
         }
         fresh
     }
 
-    /// Builds a fresh settled state over `[a, settled_hi]` with one merged
-    /// scan of `[a, b]`, returning the unsettled partial (`ts > settled_hi`).
+    /// Builds a fresh settled state over `[a, settled_hi]` with one
+    /// [`scan_split`](Self::scan_split) of `[a, b]`, returning the
+    /// unsettled partial.
     fn rebuild_settled(
         &mut self,
+        inst: &mut JoinerInstruments,
         key: Key,
         a: i64,
         settled_hi: i64,
         b: i64,
         team: &[usize],
     ) -> PartialAgg {
-        let lookup_t0 = self.inst.breakdown.is_some().then(Instant::now);
-        let pairs = &mut self.scratch_pairs;
-        let readers = &self.readers;
-        let node_bytes = self.node_bytes;
-        let mut cache = self.inst.cache.as_mut();
-        pairs.clear();
-        let mut fresh = PartialAgg::empty();
-        for &m in team {
-            let cache = &mut cache;
-            let fresh = &mut fresh;
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            readers[m].scan_ts_range_addr(
-                key,
-                Timestamp::from_micros(a),
-                Timestamp::from_micros(b),
-                |t, addr| {
-                    if let Some(c) = cache.as_mut() {
-                        c.access(addr, node_bytes);
-                    }
-                    let ts = t.ts.as_micros();
-                    if ts <= settled_hi {
-                        pairs.push((ts, t.value));
-                    } else {
-                        fresh.add(t.value);
-                    }
-                },
-            );
-        }
-        let match_t0 = lookup_t0.map(|t0| (t0, Instant::now()));
-        let mut state = IncAggState::fresh(self.cfg.query.agg);
-        match &mut state {
-            IncAggState::Run(run) => {
-                for &(_, v) in self.scratch_pairs.iter() {
-                    run.add(v);
-                }
-            }
-            IncAggState::Stack(stack) => {
-                self.scratch_pairs.sort_unstable_by_key(|(t, _)| *t);
-                for &(_, v) in self.scratch_pairs.iter() {
-                    stack.push(v);
-                }
-            }
-        }
+        let fresh = self.scan_split(inst, key, (a, b), settled_hi, team);
+        let match_t0 = inst.wants_breakdown().then(Instant::now);
+        let mut agg = IncAggState::fresh(self.cfg.query.agg);
+        agg.absorb(&mut self.scratch_pairs);
         self.inc.insert(
             key,
             IncState {
                 start: a,
                 settled_end: settled_hi,
-                agg: state,
+                agg,
             },
         );
-        if let Some((t0, t1)) = match_t0 {
-            let t2 = Instant::now();
-            self.inst.add_breakdown(
-                t1.duration_since(t0).as_nanos() as u64,
-                t2.duration_since(t1).as_nanos() as u64,
-                0,
-            );
-        }
-        fresh
-    }
-
-    /// Scans `[lo, hi]` across the team into a mergeable partial.
-    fn scan_suffix(&mut self, key: Key, lo: i64, hi: i64, team: &[usize]) -> PartialAgg {
-        let mut fresh = PartialAgg::empty();
-        if hi < lo {
-            return fresh;
-        }
-        let lookup_t0 = self.inst.breakdown.is_some().then(Instant::now);
-        let readers = &self.readers;
-        let node_bytes = self.node_bytes;
-        let mut cache = self.inst.cache.as_mut();
-        for &m in team {
-            let cache = &mut cache;
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            readers[m].scan_ts_range_addr(
-                key,
-                Timestamp::from_micros(lo),
-                Timestamp::from_micros(hi),
-                |t, addr| {
-                    if let Some(c) = cache.as_mut() {
-                        c.access(addr, node_bytes);
-                    }
-                    fresh.add(t.value);
-                },
-            );
-        }
-        if let Some(t0) = lookup_t0 {
-            self.inst
-                .add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
+        if let Some(t0) = match_t0 {
+            inst.add_breakdown(0, t0.elapsed().as_nanos() as u64, 0);
         }
         fresh
     }
 
     /// Non-incremental full window scan (the "Scale-OIJ w/o inc" ablation).
-    #[allow(clippy::too_many_arguments)]
     fn plain_rescan(
         &mut self,
+        inst: &mut JoinerInstruments,
         key: Key,
         a: i64,
         b: i64,
         team: &[usize],
-        seq: u64,
-        ts: Timestamp,
-        arrival: Instant,
-    ) {
-        let lookup_t0 = self.inst.breakdown.is_some().then(Instant::now);
-        let scratch = &mut self.scratch;
-        let readers = &self.readers;
-        let node_bytes = self.node_bytes;
-        let mut cache = self.inst.cache.as_mut();
-        scratch.clear();
-        let mut visited = 0u64;
-        for &m in team {
-            let cache = &mut cache;
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            visited += readers[m].scan_ts_range_addr(
-                key,
-                Timestamp::from_micros(a),
-                Timestamp::from_micros(b),
-                |t, addr| {
-                    if let Some(c) = cache.as_mut() {
-                        c.access(addr, node_bytes);
-                    }
-                    scratch.push(t.value);
-                },
-            ) as u64;
-        }
-        let t1 = lookup_t0.map(|t0| (t0, Instant::now()));
+    ) -> (Option<f64>, u64) {
+        self.scratch.clear();
+        let visited = self
+            .indexes
+            .scan(inst, team, key, (a, b), |_, v| self.scratch.push(v));
+        let match_t0 = inst.wants_breakdown().then(Instant::now);
         let mut full = FullWindowAgg::new(self.cfg.query.agg);
-        for &v in self.scratch.iter() {
-            full.add(v);
-        }
-        let (value, matched) = (full.finish(), full.count());
-        if let Some((t0, t1)) = t1 {
-            let t2 = Instant::now();
-            self.inst.add_breakdown(
-                t1.duration_since(t0).as_nanos() as u64,
-                t2.duration_since(t1).as_nanos() as u64,
-                0,
-            );
+        self.scratch.iter().for_each(|&v| full.add(v));
+        if let Some(t0) = match_t0 {
+            inst.add_breakdown(0, t0.elapsed().as_nanos() as u64, 0);
         }
         // The time-travel property: visited == matched.
-        self.inst.record_effectiveness(matched, visited);
-        self.emit(key, ts, seq, arrival, value, matched);
-    }
-
-    #[inline]
-    fn emit(
-        &mut self,
-        key: Key,
-        ts: Timestamp,
-        seq: u64,
-        arrival: Instant,
-        agg: Option<f64>,
-        matched: u64,
-    ) {
-        self.sink.emit(FeatureRow::new(ts, key, seq, agg, matched));
-        self.inst.results += 1;
-        self.inst.record_latency(arrival);
+        inst.record_effectiveness(full.count(), visited);
+        (full.finish(), full.count())
     }
 }

@@ -31,7 +31,6 @@ mod joiner;
 
 use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use oij_common::Result;
 use oij_skiplist::RcuCell;
@@ -115,7 +114,6 @@ impl ScaleOij {
     /// scheduler thread if the dynamic schedule is enabled.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         cfg.validate()?;
-        let origin = Instant::now();
         let joiners = cfg.joiners;
 
         // One SWMR index per joiner (backend chosen by the config;
@@ -152,7 +150,6 @@ impl ScaleOij {
                     id,
                     &cfg,
                     worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup),
-                    origin,
                     writer,
                     readers.clone(),
                     Arc::clone(&schedule),

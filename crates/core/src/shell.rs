@@ -9,19 +9,24 @@
 //! * `EngineShell` — `Driver` + pool + routing policy + optional auxiliary
 //!   thread: the only real [`OijEngine`] implementation; the four public
 //!   engine types wrap one each and forward.
-//! * `run_worker` — the one receive loop, over the [`Joiner`] trait.
+//! * `run_worker` — the one receive loop and the one per-message joiner
+//!   step, over the [`Joiner`] trait.
 //!
 //! Policy and joiner are generic parameters: every call on the per-tuple
 //! path is monomorphised — no `dyn`, no field added to the messages and
 //! no clock read added per tuple.
+//!
+//! lint: hot_path
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
-use oij_common::{Error, Event, Result, Timestamp};
+use oij_common::{Duration, EmitMode, Error, Event, FeatureRow, Result, Side, Timestamp, Tuple};
 use oij_durability::DurabilityRuntime;
+use oij_index::{BackendWriter, OijIndexWriter};
 
 use crate::batch::{Batcher, SlotPool};
 use crate::config::EngineConfig;
@@ -33,6 +38,7 @@ use crate::faults::{
 use crate::hash_key;
 use crate::instrument::{JoinerInstruments, JoinerReport};
 use crate::message::{DataMsg, Msg, Payload};
+use crate::sink::Sink;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The supervision state all threads of one pool share: the first-failure
@@ -56,32 +62,260 @@ impl Supervision {
     }
 }
 
-/// What one worker thread plugs into the shared receive loop: the join
-/// algorithm, and nothing about channels, faults or batching.
-pub trait Joiner<T>: Sized {
-    /// The worker's instrument bundle. The loop records protocol
-    /// shadowing, batch occupancy and busy time into it.
-    fn instruments(&mut self) -> &mut JoinerInstruments;
-    /// A watermark heartbeat (never sent ahead of parked data). Never
-    /// called on edges whose routing policy sends none.
-    fn on_heartbeat(&mut self, _watermark: Timestamp) {}
-    /// One data message.
-    fn on_data(&mut self, msg: T);
-    /// One coalesced run. Must be semantically identical to calling
-    /// [`on_data`](Self::on_data) per message, which is what the default
-    /// does; override only to amortize work across the run. The loop
-    /// clears and recycles the buffer afterwards.
-    fn on_batch(&mut self, msgs: &mut Vec<T>) {
-        for msg in msgs.drain(..) {
-            self.on_data(msg);
+/// Which consecutive probes of a coalesced batch a joiner takes as one
+/// [`store_run`](Joiner::store_run).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeRuns {
+    /// None: every probe is stored on its own.
+    Single,
+    /// Consecutive probes of one key (a per-key structure stays pinned).
+    SameKey,
+    /// Any consecutive probes (one lock acquisition covers the run).
+    AnyKey,
+}
+
+/// What one worker thread plugs into the shared loop: its store and its
+/// scan. Accounting, the late check, watermark deferral, the expiry cadence
+/// and probe-run batching are the loop's per-message step (DESIGN.md
+/// "Engine shell"); the loop also owns the worker's instrument bundle and
+/// lends it to the hooks that measure. Nothing here knows about channels
+/// or faults.
+pub trait Joiner<T: Payload>: Sized {
+    /// How probes of one batch coalesce into [`store_run`](Self::store_run)
+    /// calls. A joiner that overrides [`divert_late`](Self::divert_late)
+    /// must keep `Single`: a run is stored without asking.
+    const PROBE_RUNS: ProbeRuns = ProbeRuns::Single;
+
+    /// A tuple below its watermark stamp (already counted as a lateness
+    /// violation). `true`: the joiner disposed of it and the step neither
+    /// stores nor answers it; progress, drains and expiry still run.
+    fn divert_late(&mut self, _inst: &mut JoinerInstruments, _msg: &T) -> bool {
+        false
+    }
+
+    /// Stores one probe tuple.
+    fn store(&mut self, inst: &mut JoinerInstruments, probe: T);
+
+    /// Stores a run of consecutive probes; implemented by exactly the
+    /// joiners that set [`PROBE_RUNS`](Self::PROBE_RUNS). Nothing is
+    /// answered, published or evicted mid-run, so publication may be
+    /// deferred to the end of the run.
+    fn store_run(&mut self, _run: impl Iterator<Item = T>) {
+        unreachable!("PROBE_RUNS is Single: probes are stored one at a time");
+    }
+
+    /// Answers one base tuple at `frontier`: the tuple's own watermark
+    /// stamp under eager emission, the drain frontier for a deferred one
+    /// (`Timestamp::MAX` at end of input).
+    fn answer(&mut self, inst: &mut JoinerInstruments, base: &T, frontier: Timestamp);
+
+    /// Everything stamped up to `wm` is applied; `oldest_deferred` is the
+    /// emission time of the oldest base tuple still waiting. Called after
+    /// every message and heartbeat, again after a drain moved the oldest
+    /// deferred base, and with `Timestamp::MAX` at end of input.
+    fn publish(&mut self, _wm: Timestamp, _oldest_deferred: Option<Timestamp>) {}
+
+    /// The frontier deferred base tuples may drain to once `wm` is
+    /// published.
+    fn drain_frontier(&self, wm: Timestamp) -> Timestamp {
+        wm
+    }
+
+    /// One expiry sweep at watermark `wm`; returns the tuples evicted.
+    fn evict(&mut self, _wm: Timestamp) -> u64 {
+        0
+    }
+
+    /// Clean end of input — the terminal `Flush`, or a disconnect at
+    /// teardown; `drain` answers every base tuple still deferred. Not
+    /// called after a fault-plan exit: a dead worker drains nothing.
+    fn end(&mut self, drain: impl FnOnce(&mut Self)) {
+        drain(self);
+    }
+}
+
+/// The one result emission: the row goes to the sink, is counted, and
+/// its latency recorded.
+#[inline]
+pub fn emit(sink: &Sink, inst: &mut JoinerInstruments, row: FeatureRow, arrival: Instant) {
+    sink.emit(row);
+    inst.results += 1;
+    inst.record_latency(arrival);
+}
+
+/// The one probe insert: under the cache model the new node's address
+/// feeds the LLC simulator.
+#[inline]
+pub(crate) fn insert_probe(writer: &mut BackendWriter, inst: &mut JoinerInstruments, tuple: Tuple) {
+    if inst.cache.is_some() {
+        let addr = writer.insert_hinted_traced(tuple, false);
+        inst.record_access(addr, writer.node_footprint());
+    } else {
+        writer.insert(tuple);
+    }
+}
+
+/// Watermark emission's queue (DESIGN.md §3.1): base tuples held until
+/// the drain frontier reaches `ts + FOL`, in (emission time, arrival
+/// sequence) order.
+struct Deferred<T>(BTreeMap<(i64, u64), T>);
+
+impl<T: Payload> Deferred<T> {
+    fn push(&mut self, emit_ts: Timestamp, base: T) {
+        self.0.insert((emit_ts.as_micros(), base.seq()), base);
+    }
+
+    fn oldest(&self) -> Option<Timestamp> {
+        self.0.keys().next().map(|k| Timestamp::from_micros(k.0))
+    }
+
+    fn pop_due(&mut self, frontier: Timestamp) -> Option<T> {
+        let entry = self.0.first_entry()?;
+        (entry.key().0 <= frontier.as_micros()).then(|| entry.remove())
+    }
+}
+
+/// The engine-independent state of one worker and the per-message step
+/// over it: count and late check, store **or** answer-now / defer to
+/// `ts + FOL`, publish, drain, expiry cadence.
+struct Step<T> {
+    /// The worker's measurements; its final state is the worker's report.
+    inst: JoinerInstruments,
+    /// Watermark emission: how far past its timestamp (FOL) a base tuple
+    /// is deferred. `None`: eager emission answers it at once.
+    defer_by: Option<Duration>,
+    expire_every: usize,
+    /// Messages (and heartbeats) since the last expiry sweep; always
+    /// below `expire_every` between steps.
+    since_expire: usize,
+    /// Monotone maximum of the watermark stamps seen.
+    last_wm: Timestamp,
+    pending: Deferred<T>,
+}
+
+impl<T: Payload> Step<T> {
+    /// `origin` anchors the busy timeline (the same instant for every
+    /// worker of a pool).
+    fn new(cfg: &EngineConfig, origin: Instant) -> Self {
+        Step {
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+            defer_by: (cfg.query.emit == EmitMode::Watermark).then_some(cfg.query.window.following),
+            expire_every: cfg.expire_every,
+            since_expire: 0,
+            last_wm: Timestamp::MIN,
+            pending: Deferred(BTreeMap::new()),
         }
     }
-    /// Clean end of input — the terminal `Flush`, or a disconnect at
-    /// teardown. Not called after a fault-plan exit: a dead worker drains
-    /// nothing.
-    fn on_end(&mut self) {}
-    /// The final report.
-    fn into_report(self) -> JoinerReport;
+
+    /// Counts one tuple; whether it violates the lateness contract.
+    #[inline]
+    fn count(&mut self, msg: &T) -> bool {
+        self.inst.processed += 1;
+        let late = msg.tuple().ts < msg.watermark();
+        if late {
+            self.inst.late_violations += 1;
+        }
+        late
+    }
+
+    /// One data message.
+    #[inline]
+    fn data<J: Joiner<T>>(&mut self, joiner: &mut J, msg: T) {
+        let wm = msg.watermark();
+        if self.count(&msg) && joiner.divert_late(&mut self.inst, &msg) {
+            // Disposed of by the joiner.
+        } else if msg.side() == Side::Probe {
+            joiner.store(&mut self.inst, msg);
+        } else if let Some(fol) = self.defer_by {
+            self.pending.push(msg.tuple().ts + fol, msg);
+        } else {
+            joiner.answer(&mut self.inst, &msg, wm);
+        }
+        self.advance(joiner, wm, 1);
+    }
+
+    /// How many of `rest`'s leading messages extend the probe run `first`
+    /// opens: capped at the remaining expiry budget, so the sweep fires
+    /// after exactly the same message as on the unbatched path.
+    #[inline]
+    fn run_extent(&self, runs: ProbeRuns, first: &T, rest: &[T]) -> usize {
+        if runs == ProbeRuns::Single || first.side() != Side::Probe {
+            return 0;
+        }
+        let key = first.tuple().key;
+        rest.iter()
+            .take((self.expire_every - self.since_expire).saturating_sub(1))
+            .take_while(|m| {
+                m.side() == Side::Probe && (runs == ProbeRuns::AnyKey || m.tuple().key == key)
+            })
+            .count()
+    }
+
+    /// One probe run — `first` and the next `more` messages of `rest`:
+    /// per-tuple accounting, one `store_run`, one step of bookkeeping
+    /// (only eager emission forms runs, so no drain can fall inside one).
+    fn run<J: Joiner<T>>(
+        &mut self,
+        joiner: &mut J,
+        first: T,
+        rest: &mut std::vec::Drain<'_, T>,
+        more: usize,
+    ) {
+        self.count(&first);
+        let mut wm = first.watermark();
+        for m in rest.as_slice().iter().take(more) {
+            self.count(m);
+            wm = m.watermark();
+        }
+        joiner.store_run(std::iter::once(first).chain(rest.take(more)));
+        self.advance(joiner, wm, more + 1);
+    }
+
+    /// The bookkeeping after `n` applied messages (or one heartbeat)
+    /// stamped up to `wm`. Progress is published only after the messages
+    /// are fully applied, so a published frontier implies completeness.
+    #[inline]
+    fn advance<J: Joiner<T>>(&mut self, joiner: &mut J, wm: Timestamp, n: usize) {
+        self.last_wm = self.last_wm.max(wm);
+        joiner.publish(self.last_wm, self.pending.oldest());
+        if self.defer_by.is_some() {
+            let frontier = joiner.drain_frontier(self.last_wm);
+            self.drain_pending(joiner, frontier);
+        }
+        self.since_expire += n;
+        if self.since_expire >= self.expire_every {
+            self.since_expire = 0;
+            // Eviction is Fig 6 "other" time, for every engine.
+            let t0 = self.inst.wants_breakdown().then(Instant::now);
+            self.inst.evicted += joiner.evict(self.last_wm);
+            if let Some(t0) = t0 {
+                self.inst
+                    .add_breakdown(0, 0, t0.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+
+    /// Answers the deferred base tuples whose windows closed at or below
+    /// `frontier`.
+    fn drain_pending<J: Joiner<T>>(&mut self, joiner: &mut J, frontier: Timestamp) {
+        let mut drained = false;
+        while let Some(base) = self.pending.pop_due(frontier) {
+            joiner.answer(&mut self.inst, &base, frontier);
+            drained = true;
+        }
+        if drained {
+            joiner.publish(self.last_wm, self.pending.oldest());
+        }
+    }
+
+    /// Clean end of input: everything is applied, so every deferred base
+    /// tuple is complete.
+    fn finish<J: Joiner<T>>(mut self, joiner: &mut J) -> JoinerReport {
+        self.last_wm = Timestamp::MAX;
+        joiner.publish(Timestamp::MAX, self.pending.oldest());
+        joiner.end(|j| self.drain_pending(j, Timestamp::MAX));
+        self.inst
+    }
 }
 
 /// The one receive loop of the driver→joiner edge.
@@ -91,72 +325,73 @@ fn run_worker<T: Payload, J: Joiner<T>>(
     faults: Option<WorkerFaults>,
     kill: &AtomicBool,
     recycle: &SlotPool<Vec<T>>,
+    mut step: Step<T>,
 ) -> JoinerReport {
-    let timeline_on = joiner.instruments().timeline.is_some();
+    let timeline_on = step.inst.timeline.is_some();
+    // Probe runs need what only eager emission gives (inserts emit and
+    // drain nothing, so grouping them is invisible); the cache model needs
+    // a node address per insert, and fault ordinals address single tuples.
+    let runs = if step.defer_by.is_none() && faults.is_none() && step.inst.cache.is_none() {
+        J::PROBE_RUNS
+    } else {
+        ProbeRuns::Single
+    };
+    // Whether the fault plan ends the worker at the next data message —
+    // one never-taken branch per message for the empty plan. Ordinals
+    // address individual data messages, also inside a batch, so an
+    // injection point that is not on a batch boundary still fires exactly
+    // there, mid-batch.
     let mut ordinal = 0u64;
+    let mut exits = || {
+        let Some(f) = &faults else { return false };
+        ordinal += 1;
+        f.before_message(ordinal - 1, kill) == FaultAction::Exit
+    };
     for msg in rx {
+        let busy_start = (timeline_on && msg.tuples() > 0).then(Instant::now);
         match msg {
             Msg::Flush => {
-                joiner.instruments().proto.finish();
+                step.inst.proto.finish();
                 break;
             }
             Msg::Heartbeat(wm) => {
-                joiner.instruments().proto.heartbeat(wm);
-                joiner.on_heartbeat(wm);
+                step.inst.proto.heartbeat(wm);
+                step.advance(&mut joiner, wm, 1);
             }
             Msg::Data(data) => {
-                joiner.instruments().proto.data(data.watermark());
-                // The one never-taken branch per message the empty
-                // fault plan costs.
-                if let Some(f) = &faults {
-                    let action = f.before_message(ordinal, kill);
-                    ordinal += 1;
-                    if action == FaultAction::Exit {
-                        return joiner.into_report();
-                    }
+                step.inst.proto.data(data.watermark());
+                if exits() {
+                    return step.inst;
                 }
-                let busy_start = timeline_on.then(Instant::now);
-                joiner.on_data(*data);
-                if let Some(s) = busy_start {
-                    joiner.instruments().record_busy(s);
-                }
+                step.data(&mut joiner, *data);
             }
             Msg::Batch(mut batch) => {
-                let inst = joiner.instruments();
-                inst.record_batch(batch.msgs.len());
-                inst.proto.batch(batch.msgs.len());
+                step.inst.record_batch(batch.msgs.len());
+                step.inst.proto.batch(batch.msgs.len());
                 for m in &batch.msgs {
-                    inst.proto.data(m.watermark());
+                    step.inst.proto.data(m.watermark());
                 }
-                let busy_start = timeline_on.then(Instant::now);
-                if let Some(f) = &faults {
-                    // Fault ordinals address individual data messages
-                    // inside the batch, so an injection point that is
-                    // not on a batch boundary still fires exactly
-                    // there, mid-batch.
-                    for msg in batch.msgs.drain(..) {
-                        let action = f.before_message(ordinal, kill);
-                        ordinal += 1;
-                        if action == FaultAction::Exit {
-                            return joiner.into_report();
-                        }
-                        joiner.on_data(msg);
+                // The batch is consumed by value: no message is cloned.
+                let mut rest = batch.msgs.drain(..);
+                while let Some(first) = rest.next() {
+                    if exits() {
+                        return step.inst;
                     }
-                } else {
-                    joiner.on_batch(&mut batch.msgs);
+                    match step.run_extent(runs, &first, rest.as_slice()) {
+                        0 => step.data(&mut joiner, first),
+                        more => step.run(&mut joiner, first, &mut rest, more),
+                    }
                 }
-                if let Some(s) = busy_start {
-                    joiner.instruments().record_busy(s);
-                }
-                // Recycle the (emptied) buffer; a full pool just
-                // drops it.
-                batch.msgs.clear();
+                drop(rest);
+                // Recycle the emptied buffer; a full pool just drops it.
                 let _ = recycle.put(batch.msgs);
             }
         }
+        if let Some(s) = busy_start {
+            step.inst.record_busy(s);
+        }
     }
-    joiner.on_end();
-    joiner.into_report()
+    step.finish(&mut joiner)
 }
 
 /// The driver side of the driver→joiner edge plus the supervised worker
@@ -209,19 +444,21 @@ impl<T: Payload> WorkerPool<T> {
         // few spares (under broadcast every worker returns its own clone);
         // overflow just means one fresh allocation per batch.
         let recycle = Arc::new(SlotPool::new(joiners.len() * 8 + 16));
+        let origin = Instant::now();
         let mut senders = Vec::with_capacity(joiners.len());
         let mut handles = Vec::with_capacity(joiners.len());
         for (id, joiner) in joiners.into_iter().enumerate() {
             // CHANNEL: driver -> joiner (one bounded queue per worker; the serving runtime's ingest thread is the driver of each plan's pool)
             let (tx, rx) = bounded::<Msg<T>>(cfg.channel_capacity);
             let faults = cfg.faults.for_worker(id, engine, id, &sup.failures);
-            let (wsup, wrecycle) = (sup.clone(), Arc::clone(&recycle));
+            let (wsup, wrecycle, step) =
+                (sup.clone(), Arc::clone(&recycle), Step::new(cfg, origin));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{thread_prefix}{id}"))
                     .spawn(move || {
                         run_supervised(engine, id, &wsup.failures, || {
-                            run_worker(joiner, rx, faults, &wsup.kill, &wrecycle)
+                            run_worker(joiner, rx, faults, &wsup.kill, &wrecycle, step)
                         })
                     })
                     .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
@@ -269,6 +506,7 @@ impl<T: Payload> WorkerPool<T> {
     /// path, which waits briefly for the supervisor's attribution and
     /// reports the real cause.
     pub fn try_route(&mut self, worker: usize, msg: Msg<T>) -> Result<Option<Msg<T>>> {
+        // PANIC-OK: `worker` < joiners == `senders` length — every routing policy derives it from the joiner count.
         match self.senders[worker].try_send(msg) {
             Ok(()) => Ok(None),
             Err(TrySendError::Full(back)) => Ok(Some(back)),
@@ -281,6 +519,7 @@ impl<T: Payload> WorkerPool<T> {
     #[inline]
     pub fn route(&mut self, worker: usize, msg: Msg<T>) -> Result<()> {
         let sent = send_guarded(
+            // PANIC-OK: `worker` < joiners == `senders` length — every routing policy derives it from the joiner count.
             &self.senders[worker],
             msg,
             self.send_timeout,
@@ -739,3 +978,46 @@ macro_rules! forward_engine {
     };
 }
 pub(crate) use forward_engine;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::FaultPlan;
+    use crate::message::BatchMsg;
+    use oij_common::OijQuery;
+
+    /// Takes same-key probe runs, so a batch of same-key probes is one
+    /// `store_run` unless something splits it.
+    struct Runs;
+
+    impl Joiner<DataMsg> for Runs {
+        const PROBE_RUNS: ProbeRuns = ProbeRuns::SameKey;
+        fn store(&mut self, _: &mut JoinerInstruments, _: DataMsg) {}
+        fn answer(&mut self, _: &mut JoinerInstruments, _: &DataMsg, _: Timestamp) {}
+    }
+
+    #[test]
+    fn a_fault_ordinal_mid_probe_run_fires_at_exactly_that_tuple() {
+        let query = OijQuery::sum_over_preceding(Duration::from_micros(10), Duration::ZERO);
+        let mut cfg = EngineConfig::new(query.unwrap(), 1).unwrap();
+        cfg.faults = FaultPlan::none().crash_at(0, 5);
+        let sup = Supervision::default();
+        let mut pool = WorkerPool::spawn("test", "t-", &cfg, 1, false, sup, vec![Runs]).unwrap();
+        let arrival = Instant::now();
+        let msgs = (0..8)
+            .map(|seq| DataMsg {
+                side: Side::Probe,
+                tuple: Tuple::new(Timestamp::from_micros(seq as i64), 7, 1.0),
+                seq,
+                arrival,
+                watermark: Timestamp::MIN,
+            })
+            .collect();
+        let batch = Msg::Batch(Box::new(BatchMsg { msgs }));
+        pool.route(0, batch).unwrap();
+        assert!(pool.join_workers().is_err(), "the crash must be reported");
+        // Tuples 0..=4 were applied; the run did not swallow ordinal 5.
+        let stats = pool.stats(8, StdDuration::ZERO);
+        assert_eq!(stats.joiner_loads, vec![5]);
+    }
+}

@@ -16,26 +16,23 @@
 //! and degrades with thread count when windows are small (Figure 21).
 
 use crate::sync::atomic::AtomicBool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use oij_agg::PartialAgg;
-use oij_common::{EmitMode, FeatureRow, Key, Result, Side, Timestamp};
-use oij_index::{BackendReader, BackendWriter, OijIndexWriter};
+use oij_common::{FeatureRow, Key, Result, Timestamp};
 
 use crate::config::EngineConfig;
 use crate::driver::open_durability;
 use crate::engine::RunStats;
 use crate::faults::{FaultAction, WorkerFaults};
-use crate::instrument::{JoinerInstruments, JoinerReport};
-use crate::keyoij::scan_unpruned;
+use crate::instrument::JoinerInstruments;
+use crate::keyoij::{FullScanJoiner, Slice};
 use crate::message::DataMsg;
-use crate::shell::{
-    forward_engine, AuxRole, AuxThread, Broadcast, EngineShell, Joiner, Supervision,
-};
+use crate::shell::{forward_engine, AuxRole, AuxThread, Broadcast, EngineShell, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
 
 /// The SplitJoin-OIJ engine. See the [module docs](self).
@@ -94,7 +91,6 @@ impl SplitJoin {
     /// Spawns the joiners and the collector.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         cfg.validate()?;
-        let origin = Instant::now();
         let joiners = cfg.joiners;
         // CHANNEL: joiner -> collector (partial results fan in)
         let (col_tx, col_rx) = bounded::<ToCollector>(cfg.channel_capacity);
@@ -102,7 +98,15 @@ impl SplitJoin {
         // SplitJoin never emits side-output markers.
         let durable = open_durability(&cfg, false)?;
         let workers = (0..joiners)
-            .map(|id| SplitJoiner::new(id, &cfg, origin, col_tx.clone()))
+            .map(|id| {
+                let collector = col_tx.clone();
+                let share = Share {
+                    id,
+                    joiners,
+                    collector,
+                };
+                FullScanJoiner::new(&cfg, share)
+            })
             .collect();
         drop(col_tx);
 
@@ -215,199 +219,42 @@ fn collector_loop(
     CollectorReport { results, latency }
 }
 
-struct SplitJoiner {
+/// SplitJoin's [`Slice`] of a [`FullScanJoiner`]: stores its round-robin
+/// share of the probe stream, processes every base tuple against it and
+/// ships the partial aggregate to the collector.
+struct Share {
     id: usize,
-    cfg: EngineConfig,
-    inst: JoinerInstruments,
+    joiners: usize,
     collector: Sender<ToCollector>,
-    /// This joiner's round-robin storage slice, behind the configured
-    /// index backend. The process step still scans a key's whole slice —
-    /// the backend's timestamp order is not used to prune.
-    writer: BackendWriter,
-    reader: BackendReader,
-    node_bytes: usize,
-    /// Watermark mode: pending base tuples.
-    pending: BTreeMap<(i64, u64), (Key, Timestamp, Instant)>,
-    since_expire: usize,
-    last_wm: Timestamp,
 }
 
-impl Joiner<DataMsg> for SplitJoiner {
-    fn instruments(&mut self) -> &mut JoinerInstruments {
-        &mut self.inst
+impl Slice for Share {
+    fn owns(&self, seq: u64) -> bool {
+        seq as usize % self.joiners == self.id
     }
 
-    fn on_data(&mut self, msg: DataMsg) {
-        self.inst.processed += 1;
-        self.last_wm = msg.watermark;
-        if msg.tuple.ts < msg.watermark {
-            self.inst.late_violations += 1;
-        }
-        match msg.side {
-            Side::Probe => {
-                // Store step: only the round-robin owner keeps the tuple.
-                if msg.seq as usize % self.cfg.joiners == self.id {
-                    if self.inst.cache.is_some() {
-                        let addr = self.writer.insert_hinted_traced(msg.tuple, false);
-                        self.inst.record_access(addr, self.node_bytes);
-                    } else {
-                        self.writer.insert(msg.tuple);
-                    }
-                }
-            }
-            Side::Base => match self.cfg.query.emit {
-                // Process step: everyone scans their slice.
-                EmitMode::Eager => {
-                    self.partial_join(msg.tuple.key, msg.tuple.ts, msg.seq, msg.arrival)
-                }
-                EmitMode::Watermark => {
-                    let emit_ts = msg.tuple.ts + self.cfg.query.window.following;
-                    self.pending.insert(
-                        (emit_ts.as_micros(), msg.seq),
-                        (msg.tuple.key, msg.tuple.ts, msg.arrival),
-                    );
-                }
-            },
-        }
-        if self.cfg.query.emit == EmitMode::Watermark {
-            self.drain_pending(msg.watermark);
-        }
-        self.since_expire += 1;
-        if self.since_expire >= self.cfg.expire_every {
-            self.since_expire = 0;
-            self.expire();
-        }
-    }
-
-    /// Processes one coalesced batch; semantically identical to calling
-    /// [`on_data`](Joiner::on_data) once per message. Runs of consecutive
-    /// same-key probes in eager mode hand their *owned* subset to the
-    /// backend as one [`insert_batch`](OijIndexWriter::insert_batch) call
-    /// (no read happens mid-run, so deferred publication is safe), and
-    /// non-owned probes in the run only pay their bookkeeping. Runs are
-    /// capped at the remaining expiration budget so the sweep cadence
-    /// matches the unbatched path exactly.
-    fn on_batch(&mut self, msgs: &mut Vec<DataMsg>) {
-        let eager = self.cfg.query.emit == EmitMode::Eager;
-        let mut i = 0;
-        while i < msgs.len() {
-            if !(eager && msgs[i].side == Side::Probe) || self.inst.cache.is_some() {
-                // Bases and watermark mode can emit, and the cache model
-                // needs a node address per insert — keep the scalar path.
-                self.on_data(msgs[i].clone());
-                i += 1;
-                continue;
-            }
-            let key = msgs[i].tuple.key;
-            let budget = (self.cfg.expire_every - self.since_expire).max(1);
-            let mut end = i + 1;
-            while end < msgs.len()
-                && end - i < budget
-                && msgs[end].side == Side::Probe
-                && msgs[end].tuple.key == key
-            {
-                end += 1;
-            }
-            // Owned probes become one deferred-publication run; a run
-            // with no owned probe inserts nothing, so no key state is
-            // created (matching the scalar path).
-            let mut run = Vec::new();
-            for m in &msgs[i..end] {
-                self.inst.processed += 1;
-                self.last_wm = m.watermark;
-                if m.tuple.ts < m.watermark {
-                    self.inst.late_violations += 1;
-                }
-                if m.seq as usize % self.cfg.joiners == self.id {
-                    run.push((m.tuple.clone(), false));
-                }
-            }
-            if !run.is_empty() {
-                self.writer.insert_batch(run);
-            }
-            self.since_expire += end - i;
-            if self.since_expire >= self.cfg.expire_every {
-                self.since_expire = 0;
-                self.expire();
-            }
-            i = end;
-        }
-    }
-
-    fn on_end(&mut self) {
-        // Every broadcast message reached every joiner, so the local slice
-        // is complete: drain pending bases unconditionally.
-        self.drain_pending(Timestamp::MAX);
-        // SEND-OK: teardown marker; the collector drains until every joiner's
-        // Done arrives, so this send can only block while it is still reading.
-        // PROTO: joiner-collector.closed
-        let _ = self.collector.send(ToCollector::JoinerDone);
-    }
-
-    fn into_report(self) -> JoinerReport {
-        self.inst
-    }
-}
-
-impl SplitJoiner {
-    fn new(id: usize, cfg: &EngineConfig, origin: Instant, collector: Sender<ToCollector>) -> Self {
-        let (writer, reader) = cfg.index_backend.build();
-        let node_bytes = writer.node_footprint();
-        SplitJoiner {
-            id,
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            collector,
-            writer,
-            reader,
-            node_bytes,
-            pending: BTreeMap::new(),
-            since_expire: 0,
-            last_wm: Timestamp::MIN,
-        }
-    }
-
-    fn drain_pending(&mut self, watermark: Timestamp) {
-        while let Some(entry) = self.pending.first_entry() {
-            if entry.key().0 > watermark.as_micros() {
-                break;
-            }
-            let ((_, seq), (key, ts, arrival)) = entry.remove_entry();
-            self.partial_join(key, ts, seq, arrival);
-        }
-    }
-
-    /// Full [`scan_unpruned`] of the local slice (the key's whole retained
-    /// range, with the relative-window predicate applied engine-side);
-    /// ships the partial aggregate to the collector.
-    fn partial_join(&mut self, key: Key, ts: Timestamp, seq: u64, arrival: Instant) {
-        let window = self.cfg.query.window.window_of(ts);
-        let mut agg = PartialAgg::empty();
-        let (reader, node_bytes) = (&self.reader, self.node_bytes);
-        let visited = scan_unpruned(reader, &mut self.inst, node_bytes, key, window, |v| {
-            agg.add(v)
-        });
-        self.inst.record_effectiveness(agg.count, visited);
-        self.inst.results += 1; // partial results produced by this joiner
-                                // SEND-OK: the collector loops on recv until all JoinerDone markers
-                                // arrive and never sends back to joiners, so this edge cannot cycle;
-                                // a dead collector surfaces as a send error, not a wedge.
-                                // PROTO: joiner-collector.stream
+    fn deliver(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, agg: PartialAgg) {
+        inst.results += 1; // partial results produced by this joiner
+                           // SEND-OK: the collector loops on recv until all JoinerDone markers
+                           // arrive and never sends back to joiners, so this edge cannot cycle;
+                           // a dead collector surfaces as a send error, not a wedge.
+                           // PROTO: joiner-collector.stream
         let _ = self.collector.send(ToCollector::Partial(Box::new(Partial {
-            seq,
-            key,
-            ts,
-            arrival,
+            seq: base.seq,
+            key: base.tuple.key,
+            ts: base.tuple.ts,
+            arrival: base.arrival,
             agg,
         })));
     }
 
-    fn expire(&mut self) {
-        if self.last_wm == Timestamp::MIN {
-            return;
-        }
-        let bound = self.last_wm.saturating_sub(self.cfg.query.window.length());
-        self.inst.evicted += self.writer.evict_below(bound) as u64;
+    /// Every broadcast message reached every joiner, so the local slice
+    /// was complete when the deferred bases drained.
+    fn close(&mut self) {
+        // SEND-OK: teardown marker; the collector drains until every joiner's
+        // Done arrives, so this send can only block while it is still reading.
+        // PROTO: joiner-collector.closed
+        let _ = self.collector.send(ToCollector::JoinerDone);
     }
 }
 
@@ -416,7 +263,7 @@ mod tests {
     use super::*;
     use crate::engine::OijEngine;
     use crate::oracle::Oracle;
-    use oij_common::{AggSpec, Duration, Event, OijQuery, Tuple};
+    use oij_common::{AggSpec, Duration, EmitMode, Event, OijQuery, Side, Tuple};
 
     fn query(pre: i64, lateness: i64, emit: EmitMode) -> OijQuery {
         OijQuery::builder()

@@ -285,7 +285,6 @@ pub struct ServeRuntime {
     /// `debug_assertions`; release builds keep the ingest path free).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     write_busy: AtomicBool,
-    origin: Instant,
     events: u64,
     since_expire: usize,
     evicted: u64,
@@ -312,7 +311,6 @@ impl ServeRuntime {
                 },
             ),
             write_busy: AtomicBool::new(false),
-            origin: Instant::now(),
             events: 0,
             since_expire: 0,
             evicted: 0,
@@ -452,13 +450,13 @@ impl ServeRuntime {
             .enumerate()
             .map(|(w, ack)| {
                 let sink = worker_sink_stack(&cfg, w, sink.clone(), &None, &sup);
-                QueryWorker::new(
-                    &cfg,
+                let (cfg, reader, ack) = (cfg.clone(), self.writer.reader(), Arc::clone(ack));
+                QueryWorker {
+                    cfg,
                     sink,
-                    self.origin,
-                    self.writer.reader(),
-                    Arc::clone(ack),
-                )
+                    reader,
+                    ack,
+                }
             })
             .collect();
         let prefix = format!("oij-serve-q{id}-w");

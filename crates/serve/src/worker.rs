@@ -17,11 +17,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oij_agg::FullWindowAgg;
-use oij_common::{FeatureRow, Timestamp, Tuple};
+use oij_common::{FeatureRow, Side, Timestamp, Tuple};
 use oij_core::config::EngineConfig;
-use oij_core::instrument::{JoinerInstruments, JoinerReport};
+use oij_core::instrument::JoinerInstruments;
 use oij_core::message::Payload;
-use oij_core::shell::Joiner;
+use oij_core::shell::{emit, Joiner};
 use oij_core::sink::Sink;
 use oij_index::{BackendReader, OijIndexReader};
 
@@ -57,89 +57,64 @@ impl Payload for BaseMsg {
     fn watermark(&self) -> Timestamp {
         self.watermark
     }
+    #[inline]
+    fn side(&self) -> Side {
+        Side::Base
+    }
+    #[inline]
+    fn tuple(&self) -> &Tuple {
+        &self.tuple
+    }
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.seq
+    }
 }
 
 /// The state owned by one query worker thread.
 pub(crate) struct QueryWorker {
-    cfg: EngineConfig,
-    sink: Sink,
-    inst: JoinerInstruments,
+    pub cfg: EngineConfig,
+    pub sink: Sink,
     /// Cloned reader over the runtime's shared probe index.
-    reader: BackendReader,
+    pub reader: BackendReader,
     /// Monotone acknowledged watermark (µs) published to the central
     /// evictor: the runtime may only evict below the *minimum* of these
     /// across all workers of all queries, minus the window extent, so a
     /// backlogged worker's pending scans keep their probes.
-    ack: Arc<AtomicI64>,
+    pub ack: Arc<AtomicI64>,
 }
 
 /// Panics unwind into the pool's supervisor, which records them in the
 /// query's failure cell — one query's panic never reaches its neighbours.
-/// Heartbeats keep idle workers' acknowledgements moving.
 impl Joiner<BaseMsg> for QueryWorker {
-    fn instruments(&mut self) -> &mut JoinerInstruments {
-        &mut self.inst
-    }
-
-    fn on_heartbeat(&mut self, wm: Timestamp) {
-        self.acknowledge(wm);
+    fn store(&mut self, _inst: &mut JoinerInstruments, _probe: BaseMsg) {
+        unreachable!("probes never travel a served plan's edge");
     }
 
     /// Answers one base tuple: a window scan of the shared index in
     /// `(ts, seq)` order, filtered to the probes visible at dispatch.
     /// The scan order and the `f64` accumulation order are therefore
     /// identical to a solo engine run's, bit for bit.
-    fn on_data(&mut self, msg: BaseMsg) {
-        self.inst.processed += 1;
-        if msg.tuple.ts < msg.watermark {
-            self.inst.late_violations += 1;
-        }
-        let window = self.cfg.query.window.window_of(msg.tuple.ts);
+    fn answer(&mut self, inst: &mut JoinerInstruments, msg: &BaseMsg, _frontier: Timestamp) {
+        let (key, ts) = (msg.tuple.key, msg.tuple.ts);
+        let window = self.cfg.query.window.window_of(ts);
         let mut agg = FullWindowAgg::new(self.cfg.query.agg);
         let bound = msg.bound;
-        let visited = self.reader.scan_window_seq(msg.tuple.key, window, |t, s| {
+        let visited = self.reader.scan_window_seq(key, window, |t, s| {
             if s < bound {
                 agg.add(t.value);
             }
         }) as u64;
         let matched = agg.count();
-        self.inst.record_effectiveness(matched, visited);
-        self.sink.emit(FeatureRow::new(
-            msg.tuple.ts,
-            msg.tuple.key,
-            msg.seq,
-            agg.finish(),
-            matched,
-        ));
-        self.inst.results += 1;
-        self.inst.record_latency(msg.arrival);
-        self.acknowledge(msg.watermark);
+        inst.record_effectiveness(matched, visited);
+        let row = FeatureRow::new(ts, key, msg.seq, agg.finish(), matched);
+        emit(&self.sink, inst, row, msg.arrival);
     }
 
-    fn into_report(self) -> JoinerReport {
-        self.inst
-    }
-}
-
-impl QueryWorker {
-    pub(crate) fn new(
-        cfg: &EngineConfig,
-        sink: Sink,
-        origin: Instant,
-        reader: BackendReader,
-        ack: Arc<AtomicI64>,
-    ) -> Self {
-        QueryWorker {
-            inst: JoinerInstruments::new(&cfg.instrument, origin),
-            cfg: cfg.clone(),
-            sink,
-            reader,
-            ack,
-        }
-    }
-
-    /// Publishes watermark progress to the central evictor.
-    fn acknowledge(&self, wm: Timestamp) {
+    /// Publishes watermark progress to the central evictor — after each
+    /// answered base, and on heartbeats, which keep idle workers'
+    /// acknowledgements moving.
+    fn publish(&mut self, wm: Timestamp, _oldest_deferred: Option<Timestamp>) {
         // ORDERING: Release — the evictor's Acquire load must see this
         // worker's completed scans before trusting the acknowledgement;
         // fetch_max keeps the counter monotone under reordered stamps.

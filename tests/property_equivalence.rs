@@ -257,6 +257,14 @@ proptest! {
                     got_stats.input_tuples, want_stats.input_tuples,
                     "{} batch={}", kind, batch
                 );
+                // The sweep cadence matches the unbatched path exactly:
+                // every sweep fires after the same message, so it evicts
+                // the same tuples.
+                prop_assert_eq!(got_stats.evicted, want_stats.evicted, "{} batch={}", kind, batch);
+                prop_assert_eq!(
+                    &got_stats.joiner_loads, &want_stats.joiner_loads,
+                    "{} batch={}", kind, batch
+                );
                 // The occupancy histogram proves batches actually flowed
                 // (conservation: every tuple arrived inside some batch).
                 prop_assert_eq!(

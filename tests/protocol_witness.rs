@@ -232,7 +232,10 @@ fn stamped_recovery_replay_preserves_the_heartbeat_bound() {
             .unwrap_or_else(|e| panic!("{kind:?}: protocol violation at finish: {e}"));
 
         let mut seen = HashSet::new();
-        for r in pre_rows.lock().iter().chain(post_rows.lock().iter()) {
+        // One `sink_collect` guard at a time: copy the first row set out
+        // before locking the second (the lockdep witness forbids nesting).
+        let pre = pre_rows.lock().clone();
+        for r in pre.iter().chain(post_rows.lock().iter()) {
             assert!(
                 seen.insert((r.seq, r.late)),
                 "{kind:?}: duplicate row seq {} late {}",
