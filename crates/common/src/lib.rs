@@ -21,7 +21,6 @@
 pub mod error;
 pub mod event;
 pub mod lockdep;
-pub mod protowit;
 pub mod query;
 pub mod result;
 pub mod time;

@@ -1,9 +1,6 @@
 //! Class-carrying lock wrappers with a runtime lock-order witness.
 //!
-//! The static half of the workspace's deadlock-freedom story is `cargo
-//! xtask lint` rule R6: every acquisition site is tagged with a declared
-//! lock class and lexical nesting must respect the `[lockorder]` partial
-//! order in `lint.toml`. This module is the dynamic half — a miniature
+//! This module is the workspace's one lock-order check — a miniature
 //! lockdep. [`Mutex`] and [`RwLock`] carry their class name; every
 //! acquisition pushes onto a thread-local held stack, and every *nested*
 //! acquisition records a `held_class -> acquired_class` edge in a global
@@ -17,10 +14,7 @@
 //!
 //! Instrumentation is compiled under `--cfg lockdep` (and in this
 //! crate's own unit tests); otherwise the wrappers are thin non-poisoning
-//! shims over `std::sync` and the witness costs nothing. Under
-//! `OIJ_LOCKDEP_LOG=<path>` every first-observed class and edge is
-//! appended to `<path>`; `cargo xtask lockdep-check <path>` then verifies
-//! observed ⊆ declared against `lint.toml`.
+//! shims over `std::sync` and the witness costs nothing.
 //!
 //! Engines never name this module directly — their `sync.rs` facades
 //! re-export it, so the splice point is the same one loom uses.
@@ -29,10 +23,8 @@ use std::sync::PoisonError;
 
 /// A class-carrying, non-poisoning [`std::sync::Mutex`].
 ///
-/// `class` must be one of the lock classes declared in `lint.toml
-/// [lockorder]` — rule R6 checks the acquisition-site tags, the witness
-/// checks the runtime graph, and `cargo xtask lockdep-check` ties the
-/// two together.
+/// `class` names the lock's role (`"sink_collect"`, `"failure_slot"`,
+/// …); every lock of one class is one node of the witness's order graph.
 #[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
     class: &'static str,
@@ -165,7 +157,6 @@ mod witness {
     //! The active witness: thread-local held stack + global order graph.
 
     use std::cell::RefCell;
-    use std::io::Write as _;
     use std::panic::Location;
     use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -191,7 +182,7 @@ mod witness {
         }
     }
 
-    /// One first-observed nesting, kept for the graph and the log.
+    /// One first-observed nesting.
     struct ObservedEdge {
         from: &'static str,
         to: &'static str,
@@ -201,7 +192,6 @@ mod witness {
     /// the witness must not recurse into itself.
     #[derive(Default)]
     struct Graph {
-        classes: Vec<(&'static str, String)>,
         edges: Vec<ObservedEdge>,
     }
 
@@ -229,34 +219,9 @@ mod witness {
         GRAPH.get_or_init(Mutex::default)
     }
 
-    /// Classes with this prefix (the witness's own self-tests) are
-    /// tracked for cycle/re-entrancy detection but never logged, so a
-    /// workspace-wide `OIJ_LOCKDEP_LOG` capture records only the
-    /// production lock graph and `cargo xtask lockdep-check` does not
-    /// demand the synthetic test classes be declared in lint.toml.
-    pub(crate) const SELFTEST_PREFIX: &str = "__selftest_";
-
-    /// Appends one log line if `OIJ_LOCKDEP_LOG` is set. Failures are
-    /// ignored — the witness must never take the process down over I/O.
-    fn log_line(line: &str) {
-        let Ok(path) = std::env::var("OIJ_LOCKDEP_LOG") else {
-            return;
-        };
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            // One `write` per record: with O_APPEND that keeps records
-            // from concurrent threads (and test binaries) whole, which
-            // `writeln!`'s separate newline write does not.
-            let _ = f.write_all(format!("{line}\n").as_bytes());
-        }
-    }
-
     /// Records an acquisition of `class` at the caller's location:
-    /// re-entrancy and would-be-cyclic nestings panic; new classes and
-    /// edges go to the observed log.
+    /// re-entrancy and would-be-cyclic nestings panic; new edges join the
+    /// observed graph.
     #[track_caller]
     pub(crate) fn acquire(class: &'static str) -> HeldToken {
         let site = Location::caller();
@@ -274,14 +239,7 @@ mod witness {
                     );
                 }
             }
-            let logged = !class.starts_with(SELFTEST_PREFIX);
             let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
-            if !g.classes.iter().any(|(c, _)| *c == class) {
-                g.classes.push((class, site.to_string()));
-                if logged {
-                    log_line(&format!("class {class} {site}"));
-                }
-            }
             for l in held.iter() {
                 if g.edges.iter().any(|e| e.from == l.class && e.to == class) {
                     continue;
@@ -299,9 +257,6 @@ mod witness {
                     from: l.class,
                     to: class,
                 });
-                if logged {
-                    log_line(&format!("edge {} {class} {} {site}", l.class, l.site));
-                }
             }
         });
 

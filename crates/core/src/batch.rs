@@ -184,7 +184,6 @@ impl<T: Payload> Batcher<T> {
     #[inline]
     pub(crate) fn push(&mut self, dest: usize, msg: T) -> Option<Msg<T>> {
         if self.passthrough() {
-            // PROTO: driver-joiner.stream
             return Some(Msg::Data(Box::new(msg)));
         }
         let buf = &mut self.bufs[dest];
@@ -206,7 +205,6 @@ impl<T: Payload> Batcher<T> {
             self.armed -= 1;
             self.first_at[dest] = None;
             let msgs = std::mem::take(buf);
-            // PROTO: driver-joiner.stream
             return Some(Msg::Batch(Box::new(BatchMsg { msgs })));
         }
         None
@@ -247,7 +245,6 @@ impl<T: Payload> Batcher<T> {
         self.armed -= 1;
         self.first_at[dest] = None;
         let msgs = std::mem::take(&mut self.bufs[dest]);
-        // PROTO: driver-joiner.stream
         Msg::Batch(Box::new(BatchMsg { msgs }))
     }
 }

@@ -18,7 +18,7 @@ pub const JOIN_KILL_GRACE: StdDuration = StdDuration::from_millis(500);
 /// How long a send-side disconnect waits for the dead worker's supervisor
 /// to record the panic payload before reporting a generic disconnect
 /// (`send_guarded`). The supervisor only needs to finish `catch_unwind`
-/// and a brief `// LOCK: failure_slot` critical section, so this is half
+/// and a brief `failure_slot` critical section, so this is half
 /// of [`JOIN_KILL_GRACE`].
 pub const DISCONNECT_ATTRIBUTION_GRACE: StdDuration = StdDuration::from_millis(250);
 

@@ -74,12 +74,22 @@ impl Driver {
     }
 
     /// Converts an incoming event, stamping arrival time and the
-    /// **pre-observation** watermark (see [`DataMsg::watermark`]). With
-    /// durability enabled the event is appended to the WAL *before* it
-    /// is returned for dispatch: once the caller sees `Ok`, the tuple
-    /// survives a crash. `None`: the event was an input flush marker —
-    /// nothing to route.
-    pub(crate) fn prepare(&mut self, event: Event) -> Result<Option<DataMsg>> {
+    /// **pre-observation** watermark (see [`DataMsg::watermark`]). `None`:
+    /// the event was an input flush marker — nothing to route.
+    ///
+    /// `stamp` selects the ingest mode. `None` is **live** ingest: the
+    /// stamp is read off the tracker, and with durability enabled the
+    /// event is appended to the WAL *before* it is returned for dispatch
+    /// — once the caller sees `Ok`, the tuple survives a crash. `Some` is
+    /// **replay**: the message carries the logged stamp instead of a
+    /// freshly computed one (identical late classification), nothing is
+    /// appended (the event is already in the WAL), and the replay counter
+    /// ticks.
+    pub(crate) fn prepare(
+        &mut self,
+        event: Event,
+        stamp: Option<Timestamp>,
+    ) -> Result<Option<DataMsg>> {
         if self.finished {
             return Err(Error::InvalidState("push after finish".into()));
         }
@@ -94,17 +104,21 @@ impl Driver {
                 // tuple (the "pre-observation watermark" contract) and the
                 // WAL append must precede dispatch (crash durability).
                 // STAMP: stamp-observe.pre
-                let watermark = self.tracker.current().time();
+                let watermark = stamp.unwrap_or_else(|| self.tracker.current().time());
                 if let Some(rt) = &self.durable {
-                    // STAMP: wal-dispatch.pre
-                    rt.record_event(LoggedEvent {
-                        seq: event.seq,
-                        side,
-                        ts: tuple.ts.as_micros(),
-                        key: tuple.key,
-                        value: tuple.value,
-                        stamp: watermark.as_micros(),
-                    })?;
+                    if stamp.is_some() {
+                        rt.note_replayed();
+                    } else {
+                        // STAMP: wal-dispatch.pre
+                        rt.record_event(LoggedEvent {
+                            seq: event.seq,
+                            side,
+                            ts: tuple.ts.as_micros(),
+                            key: tuple.key,
+                            value: tuple.value,
+                            stamp: watermark.as_micros(),
+                        })?;
+                    }
                 }
                 // STAMP: stamp-observe.post
                 self.tracker.observe(tuple.ts);
@@ -116,41 +130,6 @@ impl Driver {
                     seq: event.seq,
                     arrival: now,
                     watermark,
-                }))
-            }
-        }
-    }
-
-    /// Converts a **replayed** event: the message carries the logged
-    /// pre-observation watermark `stamp` instead of a freshly computed
-    /// one (identical late classification), nothing is appended to the
-    /// WAL (the event is already in it), and the replay counter ticks.
-    pub(crate) fn prepare_stamped(
-        &mut self,
-        event: Event,
-        stamp: Timestamp,
-    ) -> Result<Option<DataMsg>> {
-        if self.finished {
-            return Err(Error::InvalidState("push after finish".into()));
-        }
-        let now = Instant::now();
-        if self.started.is_none() {
-            self.started = Some(now);
-        }
-        match event.kind {
-            EventKind::Flush => Ok(None),
-            EventKind::Data { side, tuple } => {
-                self.tracker.observe(tuple.ts);
-                self.pushed += 1;
-                if let Some(rt) = &self.durable {
-                    rt.note_replayed();
-                }
-                Ok(Some(DataMsg {
-                    side,
-                    tuple,
-                    seq: event.seq,
-                    arrival: now,
-                    watermark: stamp,
                 }))
             }
         }
@@ -192,8 +171,8 @@ impl Driver {
         stats.throughput = stats.input_tuples as f64 / secs;
     }
 
-    /// The current watermark (diagnostics).
-    #[allow(dead_code)]
+    /// The current watermark.
+    #[cfg(test)]
     pub(crate) fn watermark(&self) -> Timestamp {
         self.tracker.current().time()
     }
@@ -215,19 +194,19 @@ mod tests {
     #[test]
     fn watermark_is_pre_observation() {
         let mut d = Driver::with_durability(Duration::from_micros(10), None);
-        let m1 = d.prepare(ev(0, 100)).unwrap().expect("data");
+        let m1 = d.prepare(ev(0, 100), None).unwrap().expect("data");
         assert_eq!(m1.watermark, Timestamp::MIN); // nothing observed before
-        let m2 = d.prepare(ev(1, 200)).unwrap().expect("data");
+        let m2 = d.prepare(ev(1, 200), None).unwrap().expect("data");
         assert_eq!(m2.watermark, Timestamp::from_micros(90)); // 100 - 10
     }
 
     #[test]
     fn push_after_finish_errors() {
         let mut d = Driver::with_durability(Duration::ZERO, None);
-        d.prepare(ev(0, 1)).unwrap();
+        d.prepare(ev(0, 1), None).unwrap();
         let (n, _) = d.finish().unwrap();
         assert_eq!(n, 1);
-        assert!(d.prepare(ev(1, 2)).is_err());
+        assert!(d.prepare(ev(1, 2), None).is_err());
         assert!(d.finish().is_err());
     }
 
@@ -237,7 +216,7 @@ mod tests {
         // A replayed event carries its original stamp even though the
         // tracker would compute something else.
         let m = d
-            .prepare_stamped(ev(0, 100), Timestamp::from_micros(42))
+            .prepare(ev(0, 100), Some(Timestamp::from_micros(42)))
             .unwrap()
             .expect("data");
         assert_eq!(m.watermark, Timestamp::from_micros(42));

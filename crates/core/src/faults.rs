@@ -373,7 +373,6 @@ impl FailureCell {
 
     /// Records a failure; keeps the first one.
     pub fn record(&self, engine: &'static str, worker: usize, cause: String) {
-        // LOCK: failure_slot
         let mut slot = self.slot.lock();
         if slot.is_none() {
             *slot = Some(WorkerFailure {
@@ -414,7 +413,6 @@ impl FailureCell {
         if !self.is_poisoned() {
             return None;
         }
-        // LOCK: failure_slot
         self.slot.lock().clone()
     }
 
@@ -477,8 +475,8 @@ pub fn send_guarded<T>(
     worker: usize,
     cell: &FailureCell,
 ) -> Result<()> {
-    // SEND-OK: this IS send_guarded's body — the wait is deadline-bounded
-    // and a timeout is translated into a WorkerStalled/WorkerFailed error.
+    // The wait is deadline-bounded and a timeout is translated into a
+    // WorkerStalled/WorkerFailed error.
     match tx.send_timeout(msg, deadline) {
         Ok(()) => Ok(()),
         Err(SendTimeoutError::Timeout(_)) => Err(cell.to_error().unwrap_or(Error::WorkerStalled {

@@ -7,7 +7,6 @@
 use std::time::Instant;
 
 use oij_cachesim::CacheSim;
-use oij_common::protowit::ProtoChannel;
 use oij_common::Timestamp;
 use oij_metrics::{
     BatchOccupancy, BusyTimeline, EffectivenessMeter, LatencyHistogram, TimeBreakdown,
@@ -15,15 +14,12 @@ use oij_metrics::{
 
 use crate::config::Instrumentation;
 
-/// Receive-side shadow of one message-protocol edge (DESIGN.md §8,
-/// R8/R9). Always on: the checks are a few integer compares per
-/// *message* (not per tuple), and a protocol regression — a heartbeat
-/// running backwards, a heartbeat below data already delivered, traffic
-/// after `Flush` — must fail plain `cargo test`, not only `--cfg
-/// protowit` runs. The wrapped [`ProtoChannel`] is the cfg-gated witness
-/// half: under `--cfg protowit` it additionally traces first-observed
-/// sends to `OIJ_PROTO_LOG` for `cargo xtask proto-check`; otherwise it
-/// is a zero-sized no-op.
+/// Receive-side shadow of one message-protocol edge — the workspace's
+/// one check of the `(data|batch|heartbeat)* flush` grammar (DESIGN.md
+/// §8). Always on: the checks are a few integer compares per *message*
+/// (not per tuple), and a protocol regression — a heartbeat running
+/// backwards, a heartbeat below data already delivered, traffic after
+/// `Flush` — must fail plain `cargo test`.
 ///
 /// A panic from here surfaces through the engine supervisors as a
 /// `WorkerFailure`, so a violating run fails loudly instead of emitting
@@ -31,19 +27,17 @@ use crate::config::Instrumentation;
 #[derive(Debug)]
 pub struct ProtoProbe {
     edge: &'static str,
-    witness: ProtoChannel,
     last_heartbeat: Option<Timestamp>,
     max_data: Option<Timestamp>,
     finished: bool,
 }
 
 impl ProtoProbe {
-    /// Opens the shadow of protocol edge `edge` (a `lint.toml
-    /// [protocol]` alias).
+    /// Opens the shadow of the edge named `edge` (the name only labels
+    /// the panic message).
     pub fn new(edge: &'static str) -> ProtoProbe {
         ProtoProbe {
             edge,
-            witness: ProtoChannel::new(edge),
             last_heartbeat: None,
             max_data: None,
             finished: false,
@@ -65,15 +59,13 @@ impl ProtoProbe {
     pub fn data(&mut self, watermark: Timestamp) {
         self.check_open("data");
         self.max_data = Some(self.max_data.map_or(watermark, |m| m.max(watermark)));
-        self.witness.data(watermark);
     }
 
     /// Observes one `Batch` of `len` messages (per-message watermarks go
     /// through [`data`](Self::data)).
     #[inline]
-    pub fn batch(&mut self, len: usize) {
+    pub fn batch(&mut self, _len: usize) {
         self.check_open("batch");
-        self.witness.batch(len);
     }
 
     /// Observes one `Heartbeat` carrying `ts`; panics on a regression
@@ -101,14 +93,12 @@ impl ProtoProbe {
             );
         }
         self.last_heartbeat = Some(ts);
-        self.witness.heartbeat(ts);
     }
 
     /// Observes the edge's terminal `Flush`; anything after panics.
     pub fn finish(&mut self) {
         self.check_open("finish");
         self.finished = true;
-        self.witness.finish();
     }
 }
 

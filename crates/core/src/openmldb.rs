@@ -110,14 +110,12 @@ impl Joiner<DataMsg> for MldbWorker {
     fn store(&mut self, _inst: &mut JoinerInstruments, probe: DataMsg) {
         // The bottleneck the paper measures: a writer-exclusive lock over
         // the whole store per insertion.
-        // LOCK: openmldb_store
         let mut store = self.store.writer.write();
         store.get_mut().insert(probe.tuple);
     }
 
     fn store_run(&mut self, run: impl Iterator<Item = DataMsg>) {
         let run = run.map(|m| (m.tuple, false)).collect();
-        // LOCK: openmldb_store
         let mut store = self.store.writer.write();
         store.get_mut().insert_batch(run);
     }
@@ -130,7 +128,6 @@ impl Joiner<DataMsg> for MldbWorker {
             // Read path: ordered range scan — OpenMLDB is good at this. The
             // read lock models the shared-store contention (and guarantees
             // no half-published batch is visible; see [`Store`]).
-            // LOCK: openmldb_store
             let store = self.store.writer.read();
             let lookup_t0 = inst.wants_breakdown().then(Instant::now);
             self.store
@@ -162,7 +159,6 @@ impl Joiner<DataMsg> for MldbWorker {
         if self.expired_to.fetch_max(bound, Ordering::AcqRel) >= bound {
             return 0;
         }
-        // LOCK: openmldb_store
         let mut store = self.store.writer.write();
         store.get_mut().evict_below(Timestamp::from_micros(bound)) as u64
     }

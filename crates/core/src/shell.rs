@@ -448,7 +448,8 @@ impl<T: Payload> WorkerPool<T> {
         let mut senders = Vec::with_capacity(joiners.len());
         let mut handles = Vec::with_capacity(joiners.len());
         for (id, joiner) in joiners.into_iter().enumerate() {
-            // CHANNEL: driver -> joiner (one bounded queue per worker; the serving runtime's ingest thread is the driver of each plan's pool)
+            // One bounded queue per worker; the serving runtime's ingest
+            // thread is the driver of each plan's pool.
             let (tx, rx) = bounded::<Msg<T>>(cfg.channel_capacity);
             let faults = cfg.faults.for_worker(id, engine, id, &sup.failures);
             let (wsup, wrecycle, step) =
@@ -593,7 +594,6 @@ impl<T: Payload> WorkerPool<T> {
             for j in 0..self.senders.len() {
                 // Control traffic always takes the guarded send.
                 // STAMP: flush-heartbeat.post
-                // PROTO: driver-joiner.stream
                 self.route(j, Msg::Heartbeat(watermark))?;
             }
         }
@@ -610,7 +610,6 @@ impl<T: Payload> WorkerPool<T> {
             deliver(self, lane, out)?;
         }
         for j in 0..self.senders.len() {
-            // PROTO: driver-joiner.closed
             self.route(j, Msg::Flush)?;
         }
         Ok(())
@@ -900,13 +899,13 @@ impl<R: Routing, A: AuxRole> EngineShell<R, A> {
 impl<R: Routing, A: AuxRole> OijEngine for EngineShell<R, A> {
     fn push(&mut self, event: Event) -> Result<()> {
         self.pool.check()?;
-        let prepared = self.driver.prepare(event)?;
+        let prepared = self.driver.prepare(event, None)?;
         self.accept(prepared)
     }
 
     fn push_stamped(&mut self, event: Event, stamp: Timestamp) -> Result<()> {
         self.pool.check()?;
-        let prepared = self.driver.prepare_stamped(event, stamp)?;
+        let prepared = self.driver.prepare(event, Some(stamp))?;
         self.accept(prepared)
     }
 

@@ -114,7 +114,6 @@ impl Sink {
         match self {
             Sink::Null => {}
             Sink::Collect(store) => {
-                // LOCK: sink_collect
                 store.lock().push(row);
             }
             Sink::Faulty(faults, inner) => {
@@ -134,12 +133,7 @@ impl Sink {
                 }
                 let fkey = frontier_key(row.seq, row.late);
                 if runtime.admit(fkey) {
-                    // Delivered ⇒ logged: the RAII guard panics if this
-                    // scope unwinds or returns between delivery and the
-                    // emitted-frontier mark (protowit witness, DESIGN.md
-                    // §8).
                     // STAMP: deliver-mark.pre
-                    let delivery = oij_common::protowit::begin_delivery(row.seq);
                     inner.emit(row);
                     // Delivered ⇒ logged. If the mark itself cannot be
                     // persisted the run must not continue claiming
@@ -148,7 +142,6 @@ impl Sink {
                     if let Err(e) = runtime.mark_emitted(fkey) {
                         panic!("durable sink failed to log emission: {e}");
                     }
-                    delivery.marked();
                 }
             }
             Sink::Retry {
@@ -277,6 +270,86 @@ mod tests {
         let start = std::time::Instant::now();
         sink.emit(FeatureRow::new(Timestamp::from_micros(1), 1, 0, None, 0));
         assert!(start.elapsed() < StdDuration::from_secs(5));
+    }
+
+    /// `Sink::durable` over a fresh temp-dir runtime and a collecting
+    /// inner sink.
+    struct DurableFixture {
+        sink: Sink,
+        rt: Arc<DurabilityRuntime>,
+        failures: Arc<FailureCell>,
+        rows: Arc<Mutex<Vec<FeatureRow>>>,
+        dir: std::path::PathBuf,
+    }
+
+    impl DurableFixture {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("oij-sink-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let spec = oij_durability::RetentionSpec {
+                extent: oij_common::Duration::from_micros(10),
+                lateness: oij_common::Duration::ZERO,
+                side_output: false,
+            };
+            let rt = DurabilityRuntime::open(&oij_durability::DurabilityConfig::new(&dir), spec);
+            let rt = Arc::new(rt.expect("open durability runtime"));
+            let failures = Arc::new(FailureCell::new());
+            let (inner, rows) = Sink::collect();
+            DurableFixture {
+                sink: Sink::durable(Arc::clone(&rt), Arc::clone(&failures), inner),
+                rt,
+                failures,
+                rows,
+                dir,
+            }
+        }
+    }
+
+    impl Drop for DurableFixture {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    #[test]
+    fn durable_sink_delivers_once_and_marks() {
+        const N: u64 = 20;
+        let f = DurableFixture::new("once");
+        let row = |seq: u64| FeatureRow::new(Timestamp::from_micros(seq as i64), 1, seq, None, 0);
+        for seq in 0..N {
+            f.sink.emit(row(seq));
+        }
+        // A re-emitted (seq, late) identity — what replay after a crash
+        // produces — is dropped by `admit`, because the first delivery
+        // was marked.
+        f.sink.emit(row(3));
+        let seqs: Vec<u64> = f.rows.lock().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..N).collect::<Vec<_>>(), "each row exactly once");
+        let m = f.rt.metrics();
+        assert_eq!(m.emitted_rows, N);
+        assert_eq!(m.rows_deduped_on_recovery, 1);
+        for seq in 0..N {
+            assert!(
+                !f.rt.admit(frontier_key(seq, false)),
+                "seq {seq} missing from the emitted frontier"
+            );
+        }
+        // The late marker of the same seq is a different identity.
+        assert!(f.rt.admit(frontier_key(3, true)));
+    }
+
+    #[test]
+    fn crashed_cell_neither_delivers_nor_marks() {
+        let f = DurableFixture::new("crash");
+        f.failures.record_crash("test", 0);
+        f.sink
+            .emit(FeatureRow::new(Timestamp::from_micros(1), 1, 0, None, 0));
+        assert!(f.rows.lock().is_empty(), "a dead process delivers nothing");
+        assert_eq!(f.rt.metrics().emitted_rows, 0);
+        assert!(
+            f.rt.admit(frontier_key(0, false)),
+            "an undelivered row must stay replayable"
+        );
     }
 
     #[test]

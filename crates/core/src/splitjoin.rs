@@ -92,7 +92,7 @@ impl SplitJoin {
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         cfg.validate()?;
         let joiners = cfg.joiners;
-        // CHANNEL: joiner -> collector (partial results fan in)
+        // Partial results fan in from every joiner.
         let (col_tx, col_rx) = bounded::<ToCollector>(cfg.channel_capacity);
         let sup = Supervision::default();
         // SplitJoin never emits side-output markers.
@@ -155,9 +155,9 @@ fn collector_loop(
     let mut ordinal = 0u64;
     let mut latency = latency_on.then(oij_metrics::LatencyHistogram::new);
     // Receive-side shadow of the joiner→collector edge. The edge is a
-    // fan-in of `joiners` senders, so the protocol's single terminal
-    // `Finish` is realized by the LAST `JoinerDone` marker; individual
-    // markers before that are not terminal for the merged edge.
+    // fan-in of `joiners` senders, so its single terminal `Flush` is
+    // realized by the LAST `JoinerDone` marker; individual markers before
+    // that are not terminal for the merged edge.
     let mut proto = crate::instrument::ProtoProbe::new("joiner-collector");
     for msg in rx {
         match msg {
@@ -234,11 +234,11 @@ impl Slice for Share {
     }
 
     fn deliver(&mut self, inst: &mut JoinerInstruments, base: &DataMsg, agg: PartialAgg) {
-        inst.results += 1; // partial results produced by this joiner
-                           // SEND-OK: the collector loops on recv until all JoinerDone markers
-                           // arrive and never sends back to joiners, so this edge cannot cycle;
-                           // a dead collector surfaces as a send error, not a wedge.
-                           // PROTO: joiner-collector.stream
+        // Partial results produced by this joiner.
+        inst.results += 1;
+        // The collector loops on recv until all JoinerDone markers arrive
+        // and never sends back to joiners, so this edge cannot cycle; a
+        // dead collector surfaces as a send error, not a wedge.
         let _ = self.collector.send(ToCollector::Partial(Box::new(Partial {
             seq: base.seq,
             key: base.tuple.key,
@@ -251,9 +251,8 @@ impl Slice for Share {
     /// Every broadcast message reached every joiner, so the local slice
     /// was complete when the deferred bases drained.
     fn close(&mut self) {
-        // SEND-OK: teardown marker; the collector drains until every joiner's
-        // Done arrives, so this send can only block while it is still reading.
-        // PROTO: joiner-collector.closed
+        // Teardown marker; the collector drains until every joiner's Done
+        // arrives, so this send can only block while it is still reading.
         let _ = self.collector.send(ToCollector::JoinerDone);
     }
 }

@@ -10,8 +10,8 @@
 //! silently fall outside loom's view and the coverage map would rot.
 //!
 //! `Mutex` and `RwLock` come from `oij_common::lockdep` in both
-//! configurations: the wrappers are non-poisoning, carry their declared
-//! lock class (see `lint.toml [lockorder]` and rule R6), and under
+//! configurations: the wrappers are non-poisoning, carry their lock
+//! class (named at `Mutex::new("class", ..)`), and under
 //! `RUSTFLAGS="--cfg lockdep"` record every acquisition in a runtime
 //! lock-order witness that panics on observed cycles and re-entrancy.
 //! The vendored loom stand-in has no lock support, and the engines'

@@ -210,12 +210,59 @@ pub struct ServeSnapshot {
 
 /// Admission bookkeeping, shared with any front-end thread that
 /// registers or cancels queries.
+#[derive(Default)]
 struct Ledger {
     active_queries: usize,
     active_joiners: usize,
     /// Active `-- name:` labels → query id (labels are unique while
     /// registered; freed on cancel).
     names: BTreeMap<String, u64>,
+}
+
+impl Ledger {
+    /// Reserves one query slot, `joiners` threads and (if given) the
+    /// `name` for query `id`, or explains which budget refuses.
+    fn reserve(
+        &mut self,
+        cfg: &ServeConfig,
+        id: u64,
+        joiners: usize,
+        name: Option<&str>,
+    ) -> Result<()> {
+        if self.active_queries + 1 > cfg.max_queries {
+            return Err(Error::Admission(format!(
+                "concurrent query limit of {} reached",
+                cfg.max_queries
+            )));
+        }
+        if self.active_joiners + joiners > cfg.max_total_joiners {
+            return Err(Error::Admission(format!(
+                "joiner budget exhausted: {} in use of {}, query wants {}",
+                self.active_joiners, cfg.max_total_joiners, joiners
+            )));
+        }
+        if let Some(n) = name {
+            if self.names.contains_key(n) {
+                return Err(Error::Admission(format!(
+                    "query name '{n}' is already registered"
+                )));
+            }
+            self.names.insert(n.to_string(), id);
+        }
+        self.active_queries += 1;
+        self.active_joiners += joiners;
+        Ok(())
+    }
+
+    /// Returns exactly what one successful [`reserve`](Self::reserve)
+    /// took.
+    fn release(&mut self, joiners: usize, name: Option<&str>) {
+        self.active_queries -= 1;
+        self.active_joiners -= joiners;
+        if let Some(n) = name {
+            self.names.remove(n);
+        }
+    }
 }
 
 /// One registered query's runtime state on the ingest side: the ingest
@@ -302,14 +349,7 @@ impl ServeRuntime {
             queries: BTreeMap::new(),
             retired: BTreeMap::new(),
             next_id: 0,
-            ledger: Mutex::new(
-                "serve_admission",
-                Ledger {
-                    active_queries: 0,
-                    active_joiners: 0,
-                    names: BTreeMap::new(),
-                },
-            ),
+            ledger: Mutex::new("serve_admission", Ledger::default()),
             write_busy: AtomicBool::new(false),
             events: 0,
             since_expire: 0,
@@ -381,52 +421,20 @@ impl ServeRuntime {
             )));
         }
         let id = self.next_id;
-        {
-            // Reserve budget before spawning anything.
-            // LOCK: serve_admission
-            let mut ledger = self.ledger.lock();
-            if ledger.active_queries + 1 > self.cfg.max_queries {
-                return Err(Error::Admission(format!(
-                    "concurrent query limit of {} reached",
-                    self.cfg.max_queries
-                )));
-            }
-            if ledger.active_joiners + cfg.joiners > self.cfg.max_total_joiners {
-                return Err(Error::Admission(format!(
-                    "joiner budget exhausted: {} in use of {}, query wants {}",
-                    ledger.active_joiners, self.cfg.max_total_joiners, cfg.joiners
-                )));
-            }
-            if let Some(n) = &name {
-                if ledger.names.contains_key(n) {
-                    return Err(Error::Admission(format!(
-                        "query name '{n}' is already registered"
-                    )));
-                }
-                ledger.names.insert(n.clone(), id);
-            }
-            ledger.active_queries += 1;
-            ledger.active_joiners += cfg.joiners;
-        }
+        // Reserve budget before spawning anything; `cfg` moves into the
+        // query, so remember what to hand back if the spawn fails.
+        let joiners = cfg.joiners;
+        self.ledger
+            .lock()
+            .reserve(&self.cfg, id, joiners, name.as_deref())?;
         match self.spawn_query(id, cfg, sink, name.clone()) {
             Ok(()) => {
                 self.next_id += 1;
                 Ok(QueryId(id))
             }
             Err(e) => {
-                // Release the reservation; nothing was spawned durably
-                // (spawn_query joins what it managed to start).
-                // LOCK: serve_admission
-                let mut ledger = self.ledger.lock();
-                ledger.active_queries -= 1;
-                ledger.active_joiners -= self
-                    .queries
-                    .get(&id)
-                    .map(|q| q.cfg.joiners)
-                    .unwrap_or_default();
-                if let Some(n) = &name {
-                    ledger.names.remove(n);
-                }
+                // Nothing was registered: hand the whole reservation back.
+                self.ledger.lock().release(joiners, name.as_deref());
                 Err(e)
             }
         }
@@ -489,15 +497,7 @@ impl ServeRuntime {
             .queries
             .remove(&id.0)
             .ok_or_else(|| Error::InvalidState(format!("unknown query {id}")))?;
-        {
-            // LOCK: serve_admission
-            let mut ledger = self.ledger.lock();
-            ledger.active_queries -= 1;
-            ledger.active_joiners -= q.cfg.joiners;
-            if let Some(n) = &q.name {
-                ledger.names.remove(n);
-            }
-        }
+        self.ledger.lock().release(q.cfg.joiners, q.name.as_deref());
         let result = q.shutdown();
         if let Ok(stats) = &result {
             self.retired.insert(id.0, stats.clone());
@@ -516,7 +516,6 @@ impl ServeRuntime {
 
     /// Resolves an active query's `-- name:` label.
     pub fn lookup(&self, name: &str) -> Option<QueryId> {
-        // LOCK: serve_admission
         self.ledger.lock().names.get(name).copied().map(QueryId)
     }
 
@@ -728,6 +727,26 @@ mod tests {
             .emit(EmitMode::Eager)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn ledger_release_returns_exactly_what_reserve_took() {
+        let budgets = ServeConfig::new().with_budgets(2, 5, 16);
+        let mut ledger = Ledger::default();
+        ledger.reserve(&budgets, 0, 3, Some("a")).unwrap();
+        ledger.reserve(&budgets, 1, 2, None).unwrap();
+        // Each budget refuses on its own, and a refusal reserves nothing.
+        let full = ledger.reserve(&budgets, 2, 1, Some("c")).unwrap_err();
+        assert!(full.to_string().contains("query limit"), "{full}");
+        ledger.release(2, None);
+        let joiners = ledger.reserve(&budgets, 2, 3, Some("c")).unwrap_err();
+        assert!(joiners.to_string().contains("joiner budget"), "{joiners}");
+        let name = ledger.reserve(&budgets, 2, 1, Some("a")).unwrap_err();
+        assert!(name.to_string().contains("already registered"), "{name}");
+        assert!(!ledger.names.contains_key("c"));
+        ledger.release(3, Some("a"));
+        assert_eq!((ledger.active_queries, ledger.active_joiners), (0, 0));
+        assert!(ledger.names.is_empty());
     }
 
     fn events(n: u64) -> Vec<Event> {

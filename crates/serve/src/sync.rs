@@ -9,7 +9,7 @@
 //! worker plus monotone acknowledgement counters, both already covered
 //! by the engine-side models, so there is no `--cfg loom` arm here. The
 //! locks come from `oij_common::lockdep` and participate in the runtime
-//! lock-order witness under `RUSTFLAGS="--cfg lockdep"` (rule R6).
+//! lock-order witness under `RUSTFLAGS="--cfg lockdep"`.
 
 pub(crate) mod atomic {
     pub(crate) use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};

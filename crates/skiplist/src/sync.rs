@@ -41,9 +41,8 @@ pub(crate) mod uninstrumented {
 }
 
 /// Class-carrying locks routed through the workspace lockdep witness
-/// (`oij_common::lockdep`): acquisitions are tagged for lint rule R6 and,
-/// under `RUSTFLAGS="--cfg lockdep"`, recorded in the runtime lock-order
-/// graph. The index structures are lock-free today, so nothing imports
+/// (`oij_common::lockdep`): under `RUSTFLAGS="--cfg lockdep"` acquisitions
+/// are recorded in the runtime lock-order graph. The index structures are lock-free today, so nothing imports
 /// these yet — but R2 bans `std::sync` locks crate-wide, so any future
 /// lock lands here and inherits the instrumentation automatically.
 #[allow(unused_imports)]

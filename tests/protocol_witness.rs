@@ -1,20 +1,23 @@
-//! Temporal-protocol witness suite (DESIGN.md §8, R8/R9).
+//! Message-protocol suite (DESIGN.md §8): the tests behind the one check
+//! of the driver→joiner `(data|batch|heartbeat)* flush` grammar.
 //!
 //! Every joiner carries an always-on [`ProtoProbe`] shadowing its
 //! receive side of the driver→joiner edge: it panics — surfacing as a
 //! supervised `WorkerFailed` — on a heartbeat regression, on a heartbeat
 //! below the watermark of data already delivered, or on any traffic
-//! after the edge's terminal `Flush`. The property tests here drive
-//! disordered workloads through **all four engines × batch sizes
+//! after the edge's terminal `Flush`. There is no second, cfg-gated
+//! witness and no send-site tag rule behind it: the probe runs in every
+//! build, so plain `cargo test` is the gate. The property tests here
+//! drive disordered workloads through **all four engines × batch sizes
 //! {1, 2, 7, 64}** and require clean completion: a run that finishes
 //! `Ok` is a run in which no sink observed a `DataMsg::watermark` above
 //! a later `Heartbeat` timestamp on any channel.
 //!
-//! The direct probe tests prove the witness actually bites (so the
+//! The direct probe tests prove the probe actually bites (so the
 //! clean-completion assertion is not vacuous), and the recovery test
 //! extends the property across a crash: replayed tuples go through
-//! `prepare_stamped` with their WAL-logged original stamps, and the
-//! probes stay armed through replay and resumed live ingest.
+//! `push_stamped` with their WAL-logged original stamps, and the probes
+//! stay armed through replay and resumed live ingest.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -163,11 +166,11 @@ fn probe_accepts_a_monotone_stream() {
 fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("oij-protowit-{tag}-{}-{n}", std::process::id()))
+    std::env::temp_dir().join(format!("oij-protocol-{tag}-{}-{n}", std::process::id()))
 }
 
 /// Crash mid-run, recover (replaying retained tuples through
-/// `prepare_stamped` with their original WAL-logged watermark stamps),
+/// `push_stamped` with their original WAL-logged watermark stamps),
 /// resume live ingest, and finish. The probes are armed in both the
 /// crashed and the recovered engine: a replay that re-stamped tuples out
 /// of order — or a heartbeat computed from a regressed tracker — would

@@ -889,3 +889,29 @@ fn empty_fault_plan_keeps_every_engine_exact() {
         }
     });
 }
+
+/// The lockdep CI job is only a check if the witness is really compiled
+/// into the locks the engines use: nest two classes in opposite orders
+/// and require the cycle panic. (Under plain `cargo test` the wrappers are
+/// inert shims and this test does not exist.)
+#[cfg(lockdep)]
+#[test]
+fn lockdep_witness_is_compiled_in_and_rejects_an_order_cycle() {
+    use oij::sync::Mutex;
+    use std::sync::Arc;
+
+    let a = Arc::new(Mutex::new("robustness_cycle_a", ()));
+    let b = Arc::new(Mutex::new("robustness_cycle_b", ()));
+    {
+        let _ga = a.lock();
+        let _gb = b.lock();
+    }
+    let err = std::thread::spawn(move || {
+        let _gb = b.lock();
+        let _ga = a.lock();
+    })
+    .join()
+    .expect_err("b -> a after a -> b must trip the witness");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("lock-order cycle"), "{msg}");
+}

@@ -20,7 +20,7 @@ pub struct SourceFile {
     /// string/char literal contents are spaces. Keyword scans use these.
     pub masked_lines: Vec<String>,
     /// Comment-visible lines: string/char literal contents are spaces but
-    /// comment text survives. Marker (`SAFETY:`, `ORDERING:`, `LOCK:`, …)
+    /// comment text survives. Marker (`SAFETY:`, `ORDERING:`, `STAMP:`, …)
     /// and `//! lint:` tag lookups use these, so marker text quoted inside
     /// a string or a multi-line raw string can never satisfy a rule.
     pub comment_lines: Vec<String>,
@@ -80,21 +80,11 @@ impl SourceFile {
     /// comment-visible view, so a marker quoted inside a string literal
     /// never counts.
     pub fn marker_near(&self, idx: usize, marker: &str) -> bool {
-        self.marker_text(idx, marker).is_some()
-    }
-
-    /// Like [`marker_near`](Self::marker_near), but returns the text
-    /// following the first occurrence of `marker` in the window (trimmed),
-    /// for markers that carry an argument (`// LOCK: <class>`,
-    /// `// CHANNEL: <src> -> <dst>`).
-    pub fn marker_text(&self, idx: usize, marker: &str) -> Option<String> {
         let start = self.stmt_start(idx);
-        for l in &self.comment_lines[start..=idx] {
-            if let Some(pos) = l.find(marker) {
-                return Some(l[pos + marker.len()..].trim().to_string());
-            }
-        }
-        comment_run_text(&self.comment_lines, start, marker)
+        self.comment_lines[start..=idx]
+            .iter()
+            .any(|l| l.contains(marker))
+            || comment_run_has(&self.comment_lines, start, marker)
     }
 
     /// First line of the statement containing line `idx`: walks upward
@@ -126,32 +116,20 @@ impl SourceFile {
     }
 }
 
-/// Text after `marker` on `lines[idx]`, or on the contiguous run of
-/// comment / attribute / doc lines directly above `idx`. `lines` must be
-/// the comment-visible view so string contents cannot masquerade as
-/// comment lines (a raw string whose interior lines start with `//` is
-/// blank in that view and therefore terminates the run).
-pub fn comment_run_text(lines: &[String], idx: usize, marker: &str) -> Option<String> {
-    let after = |l: &str| {
-        l.find(marker)
-            .map(|pos| l[pos + marker.len()..].trim().to_string())
-    };
-    if let Some(text) = lines.get(idx).and_then(|l| after(l)) {
-        return Some(text);
-    }
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let t = lines[i].trim_start();
-        if t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!") || t.starts_with('*') {
-            if let Some(text) = after(t) {
-                return Some(text);
-            }
-        } else {
-            break;
-        }
-    }
-    None
+/// True if `marker` appears on the contiguous run of comment / attribute
+/// / doc lines directly above `idx`. `lines` must be the comment-visible
+/// view so string contents cannot masquerade as comment lines (a raw
+/// string whose interior lines start with `//` is blank in that view and
+/// therefore terminates the run).
+fn comment_run_has(lines: &[String], idx: usize, marker: &str) -> bool {
+    lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|t| {
+            t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!") || t.starts_with('*')
+        })
+        .any(|t| t.contains(marker))
 }
 
 /// `(byte_start, byte_end)` of every line of `text`, end exclusive of
@@ -602,16 +580,5 @@ mod tests {
         assert_eq!(&src[3..7], "cdef");
         assert_eq!(f.line_span(0), None);
         assert_eq!(f.line_span(5), None);
-    }
-
-    #[test]
-    fn marker_text_returns_the_annotation_payload() {
-        let src = "// LOCK: sink_collect — leaf lock\nlet g = self.mu.lock();\n";
-        let f = SourceFile::parse("a.rs", src);
-        assert_eq!(
-            f.marker_text(1, "LOCK:"),
-            Some("sink_collect — leaf lock".to_string())
-        );
-        assert_eq!(f.marker_text(1, "CHANNEL:"), None);
     }
 }

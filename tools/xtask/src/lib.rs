@@ -7,9 +7,6 @@
 pub mod audit;
 pub mod lexer;
 pub mod lint;
-pub mod lockdep;
-pub mod obslog;
-pub mod proto;
 
 use std::path::{Path, PathBuf};
 

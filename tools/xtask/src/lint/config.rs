@@ -31,51 +31,16 @@
 //! subject contains it. Entries that suppress nothing fail the run
 //! (stale suppressions rot into silent coverage holes).
 //!
-//! The deadlock-freedom rules (R6/R7) read two more tables:
+//! The stamp-discipline rule (R9) reads one more table:
 //!
 //! ```toml
-//! [lockorder]
-//! classes = ["failure_slot", "sink_collect"]
-//! order = ["failure_slot -> sink_collect"]   # may hold lhs while taking rhs
-//!
-//! [topology]
-//! workers = ["driver", "joiner", "collector"]
-//! edges = ["driver -> joiner : bounded", "joiner -> collector : bounded"]
-//! ```
-//!
-//! `order` must reference declared classes and form a strict partial
-//! order — a cycle in the *declared* order is rejected at parse time,
-//! before any source file is scanned. `edges` must reference declared
-//! workers; cycle-freedom of the bounded subgraph is R7's job (so the
-//! fixture suite can pin its rule id), not the parser's.
-//!
-//! The temporal-protocol rules (R8/R9) read two more tables:
-//!
-//! ```toml
-//! [protocol]
-//! edges = ["driver-joiner = driver -> joiner"]
-//! transitions = [
-//!     "driver-joiner : stream --data--> stream",
-//!     "driver-joiner : stream --heartbeat--> stream",
-//!     "driver-joiner : stream --finish--> closed",
-//! ]
-//!
 //! [stamps]
 //! pairs = ["wal-dispatch : wal-append < dispatch"]
 //! ```
 //!
-//! Each `[protocol]` edge aliases a declared `[topology]` edge and
-//! carries a small automaton over the message alphabet `data`, `batch`,
-//! `heartbeat`, `finish`. The parser enforces the grammar's shape:
-//! every alias has at least one transition, exactly one `finish`
-//! transition whose target (the terminal state) has no outgoing
-//! transitions, and `heartbeat` transitions are self-loops (heartbeats
-//! interleave with the data grammar without changing phase; their
-//! monotonicity is the runtime witness's job). Reachability of *tagged*
-//! states is R8's job, so the fixture suite can pin its rule id.
 //! `[stamps]` names ordered site pairs (`<name> : <pre-label> <
 //! <post-label>`); the labels are documentation, the `name` is what
-//! `// STAMP: <name>.{pre,post}` tags reference (R9).
+//! `// STAMP: <name>.{pre,post}` tags reference.
 
 /// One allowlist entry from `[[allow]]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,41 +52,6 @@ pub struct AllowEntry {
     pub subject: String,
     pub reason: String,
 }
-
-/// One declared channel edge from `[topology] edges`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelEdge {
-    pub src: String,
-    pub dst: String,
-    /// `true` for `: bounded` (the deadlock-relevant kind), `false` for
-    /// `: unbounded`.
-    pub bounded: bool,
-}
-
-/// One protocol edge from `[protocol] edges`: an alias for a declared
-/// topology edge, carrying a message automaton.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtoEdge {
-    /// Alias referenced by `// PROTO:` tags, transitions, and the
-    /// runtime witness.
-    pub name: String,
-    pub src: String,
-    pub dst: String,
-}
-
-/// One transition from `[protocol] transitions`:
-/// `"<edge> : <from> --<sym>--> <to>"`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProtoTransition {
-    pub edge: String,
-    pub from: String,
-    /// Message symbol: `data`, `batch`, `heartbeat`, or `finish`.
-    pub sym: String,
-    pub to: String,
-}
-
-/// The message alphabet every protocol automaton ranges over.
-pub const PROTO_SYMBOLS: [&str; 4] = ["data", "batch", "heartbeat", "finish"];
 
 /// One ordered site pair from `[stamps] pairs`.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,31 +79,6 @@ pub struct Config {
     /// Files containing loom models; a public atomic-owning type must be
     /// named in at least one of them.
     pub loom_models: Vec<String>,
-    /// Named lock classes (`[lockorder] classes`); every `// LOCK:` tag
-    /// must name one (R6).
-    pub lock_classes: Vec<String>,
-    /// Declared acquisition-order pairs `(a, b)`: a thread holding class
-    /// `a` may acquire class `b`. R6 checks nested acquisitions against
-    /// the transitive closure of this relation.
-    pub lock_order: Vec<(String, String)>,
-    /// Worker names (`[topology] workers`).
-    pub topo_workers: Vec<String>,
-    /// Declared channel edges (`[topology] edges`); every `// CHANNEL:`
-    /// tag must name one (R7).
-    pub topo_edges: Vec<ChannelEdge>,
-    /// 1-based lint.toml line of the `edges = [...]` key — the anchor for
-    /// R7's whole-graph diagnostics (bounded cycle, stale edge).
-    pub topo_edges_line: usize,
-    /// Declared protocol edges (`[protocol] edges`); every `// PROTO:`
-    /// tag must name one (R8).
-    pub proto_edges: Vec<ProtoEdge>,
-    /// Declared automaton transitions (`[protocol] transitions`). The
-    /// start state of an edge's automaton is the `from` state of its
-    /// first transition.
-    pub proto_transitions: Vec<ProtoTransition>,
-    /// 1-based lint.toml line of the `[protocol] edges` key — the anchor
-    /// for R8's whole-declaration diagnostics (stale edge).
-    pub proto_edges_line: usize,
     /// Declared ordered site pairs (`[stamps] pairs`); every `// STAMP:`
     /// tag must name one (R9).
     pub stamp_pairs: Vec<StampPair>,
@@ -235,8 +140,7 @@ impl Config {
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 let name = name.trim();
                 match name {
-                    "scope" | "facade" | "loom" | "lockorder" | "topology" | "protocol"
-                    | "stamps" => table = name.to_string(),
+                    "scope" | "facade" | "loom" | "stamps" => table = name.to_string(),
                     other => {
                         return Err(format!("lint.toml:{lineno}: unknown table `[{other}]`"));
                     }
@@ -253,31 +157,6 @@ impl Config {
                 ("facade", "files") => cfg.facade_files = parse_string_array(value, lineno)?,
                 ("loom", "crates") => cfg.loom_crates = parse_string_array(value, lineno)?,
                 ("loom", "models") => cfg.loom_models = parse_string_array(value, lineno)?,
-                ("lockorder", "classes") => cfg.lock_classes = parse_string_array(value, lineno)?,
-                ("lockorder", "order") => {
-                    for s in parse_string_array(value, lineno)? {
-                        cfg.lock_order.push(parse_order_pair(&s, lineno)?);
-                    }
-                }
-                ("topology", "workers") => cfg.topo_workers = parse_string_array(value, lineno)?,
-                ("topology", "edges") => {
-                    cfg.topo_edges_line = lineno;
-                    for s in parse_string_array(value, lineno)? {
-                        cfg.topo_edges.push(parse_channel_edge(&s, lineno)?);
-                    }
-                }
-                ("protocol", "edges") => {
-                    cfg.proto_edges_line = lineno;
-                    for s in parse_string_array(value, lineno)? {
-                        cfg.proto_edges.push(parse_proto_edge(&s, lineno)?);
-                    }
-                }
-                ("protocol", "transitions") => {
-                    for s in parse_string_array(value, lineno)? {
-                        cfg.proto_transitions
-                            .push(parse_proto_transition(&s, lineno)?);
-                    }
-                }
                 ("stamps", "pairs") => {
                     cfg.stamp_pairs_line = lineno;
                     for s in parse_string_array(value, lineno)? {
@@ -317,187 +196,8 @@ impl Config {
                 ));
             }
         }
-        cfg.validate_lockorder()?;
-        cfg.validate_topology()?;
-        cfg.validate_protocol()?;
         cfg.validate_stamps()?;
         Ok(cfg)
-    }
-
-    /// True if a thread holding `held` may acquire `want` under the
-    /// declared order — i.e. `held -> want` is in the transitive closure
-    /// of `[lockorder] order`. Same-class re-entrancy is never allowed.
-    pub fn lock_order_allows(&self, held: &str, want: &str) -> bool {
-        if held == want {
-            return false;
-        }
-        // DFS over the declared pairs; the graph is tiny (a handful of
-        // classes) and already known to be acyclic.
-        let mut stack = vec![held];
-        let mut seen = vec![held];
-        while let Some(cur) = stack.pop() {
-            for (a, b) in &self.lock_order {
-                if a == cur && !seen.contains(&b.as_str()) {
-                    if b == want {
-                        return true;
-                    }
-                    seen.push(b);
-                    stack.push(b);
-                }
-            }
-        }
-        false
-    }
-
-    fn validate_lockorder(&self) -> Result<(), String> {
-        check_unique("lockorder.classes", &self.lock_classes)?;
-        for (a, b) in &self.lock_order {
-            for c in [a, b] {
-                if !self.lock_classes.contains(c) {
-                    return Err(format!(
-                        "lint.toml: [lockorder] order names undeclared class `{c}` \
-                         (declare it in `classes`)"
-                    ));
-                }
-            }
-            if a == b {
-                return Err(format!(
-                    "lint.toml: [lockorder] order pair `{a} -> {b}` is reflexive — \
-                     same-class re-entrancy is never allowed"
-                ));
-            }
-        }
-        // The declared order must itself be a strict partial order: a
-        // cycle would make every nesting "declared" and the rule vacuous.
-        if let Some(cycle) = find_cycle(&self.lock_classes, &|a, b| {
-            self.lock_order.iter().any(|(x, y)| x == a && y == b)
-        }) {
-            return Err(format!(
-                "lint.toml: [lockorder] order contains a cycle: {}",
-                cycle.join(" -> ")
-            ));
-        }
-        Ok(())
-    }
-
-    fn validate_topology(&self) -> Result<(), String> {
-        check_unique("topology.workers", &self.topo_workers)?;
-        for e in &self.topo_edges {
-            for w in [&e.src, &e.dst] {
-                if !self.topo_workers.contains(w) {
-                    return Err(format!(
-                        "lint.toml: [topology] edges names undeclared worker `{w}` \
-                         (declare it in `workers`)"
-                    ));
-                }
-            }
-        }
-        for (i, e) in self.topo_edges.iter().enumerate() {
-            if self.topo_edges[..i]
-                .iter()
-                .any(|p| p.src == e.src && p.dst == e.dst)
-            {
-                return Err(format!(
-                    "lint.toml: [topology] edge `{} -> {}` is declared twice",
-                    e.src, e.dst
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_protocol(&self) -> Result<(), String> {
-        for (i, e) in self.proto_edges.iter().enumerate() {
-            if e.name.is_empty()
-                || e.name
-                    .contains(|c: char| c.is_whitespace() || c == '.' || c == ':')
-            {
-                return Err(format!(
-                    "lint.toml: [protocol] edge alias `{}` must be non-empty and free of \
-                     whitespace, `.`, and `:` (it is referenced by `// PROTO: <edge>.<state>` \
-                     tags)",
-                    e.name
-                ));
-            }
-            if self.proto_edges[..i].iter().any(|p| p.name == e.name) {
-                return Err(format!(
-                    "lint.toml: [protocol] edge alias `{}` is declared twice",
-                    e.name
-                ));
-            }
-            if !self
-                .topo_edges
-                .iter()
-                .any(|t| t.src == e.src && t.dst == e.dst)
-            {
-                return Err(format!(
-                    "lint.toml: [protocol] edge `{}` aliases `{} -> {}`, which is not a \
-                     declared [topology] edge",
-                    e.name, e.src, e.dst
-                ));
-            }
-        }
-        for (i, t) in self.proto_transitions.iter().enumerate() {
-            if self.proto_edge(&t.edge).is_none() {
-                return Err(format!(
-                    "lint.toml: [protocol] transition references undeclared edge `{}`",
-                    t.edge
-                ));
-            }
-            if !PROTO_SYMBOLS.contains(&t.sym.as_str()) {
-                return Err(format!(
-                    "lint.toml: [protocol] transition symbol `{}` is not in the alphabet \
-                     ({})",
-                    t.sym,
-                    PROTO_SYMBOLS.join("/")
-                ));
-            }
-            if t.sym == "heartbeat" && t.from != t.to {
-                return Err(format!(
-                    "lint.toml: [protocol] heartbeat transition `{} : {} --heartbeat--> {}` \
-                     must be a self-loop (heartbeats interleave without changing phase)",
-                    t.edge, t.from, t.to
-                ));
-            }
-            if self.proto_transitions[..i].iter().any(|p| p == t) {
-                return Err(format!(
-                    "lint.toml: [protocol] transition `{} : {} --{}--> {}` is declared twice",
-                    t.edge, t.from, t.sym, t.to
-                ));
-            }
-        }
-        for e in &self.proto_edges {
-            let trans: Vec<&ProtoTransition> = self
-                .proto_transitions
-                .iter()
-                .filter(|t| t.edge == e.name)
-                .collect();
-            if trans.is_empty() {
-                return Err(format!(
-                    "lint.toml: [protocol] edge `{}` has no transitions",
-                    e.name
-                ));
-            }
-            let finishes: Vec<&&ProtoTransition> =
-                trans.iter().filter(|t| t.sym == "finish").collect();
-            if finishes.len() != 1 {
-                return Err(format!(
-                    "lint.toml: [protocol] edge `{}` must have exactly one `finish` \
-                     transition, found {}",
-                    e.name,
-                    finishes.len()
-                ));
-            }
-            let terminal = &finishes[0].to;
-            if trans.iter().any(|t| &t.from == terminal) {
-                return Err(format!(
-                    "lint.toml: [protocol] edge `{}`: terminal state `{terminal}` must have \
-                     no outgoing transitions",
-                    e.name
-                ));
-            }
-        }
-        Ok(())
     }
 
     fn validate_stamps(&self) -> Result<(), String> {
@@ -524,192 +224,6 @@ impl Config {
         }
         Ok(())
     }
-
-    /// The declared protocol edge named `name`, if any.
-    pub fn proto_edge(&self, name: &str) -> Option<&ProtoEdge> {
-        self.proto_edges.iter().find(|e| e.name == name)
-    }
-
-    /// The start state of `edge`'s automaton: the `from` state of its
-    /// first declared transition.
-    pub fn proto_start(&self, edge: &str) -> Option<&str> {
-        self.proto_transitions
-            .iter()
-            .find(|t| t.edge == edge)
-            .map(|t| t.from.as_str())
-    }
-
-    /// The terminal state of `edge`'s automaton: the target of its
-    /// unique `finish` transition.
-    pub fn proto_terminal(&self, edge: &str) -> Option<&str> {
-        self.proto_transitions
-            .iter()
-            .find(|t| t.edge == edge && t.sym == "finish")
-            .map(|t| t.to.as_str())
-    }
-
-    /// All states of `edge`'s automaton, in declaration order.
-    pub fn proto_states(&self, edge: &str) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for t in self.proto_transitions.iter().filter(|t| t.edge == edge) {
-            for s in [t.from.as_str(), t.to.as_str()] {
-                if !out.contains(&s) {
-                    out.push(s);
-                }
-            }
-        }
-        out
-    }
-
-    /// True if `state` is reachable from `edge`'s start state.
-    pub fn proto_reachable(&self, edge: &str, state: &str) -> bool {
-        let Some(start) = self.proto_start(edge) else {
-            return false;
-        };
-        let mut seen = vec![start];
-        let mut stack = vec![start];
-        while let Some(cur) = stack.pop() {
-            if cur == state {
-                return true;
-            }
-            for t in &self.proto_transitions {
-                if t.edge == edge && t.from == cur && !seen.contains(&t.to.as_str()) {
-                    seen.push(&t.to);
-                    stack.push(&t.to);
-                }
-            }
-        }
-        false
-    }
-
-    /// True if some transition on `edge` with symbol `sym` enters `state`.
-    pub fn proto_enters(&self, edge: &str, sym: &str, state: &str) -> bool {
-        self.proto_transitions
-            .iter()
-            .any(|t| t.edge == edge && t.sym == sym && t.to == state)
-    }
-
-    /// The declared stamp pair named `name`, if any.
-    pub fn stamp_pair(&self, name: &str) -> Option<&StampPair> {
-        self.stamp_pairs.iter().find(|p| p.name == name)
-    }
-}
-
-/// A cycle (as `a -> b -> ... -> a`) in the directed graph over `nodes`
-/// with edge predicate `edge`, if one exists.
-pub fn find_cycle(nodes: &[String], edge: &dyn Fn(&str, &str) -> bool) -> Option<Vec<String>> {
-    // Colored DFS: 0 = unvisited, 1 = on the current path, 2 = done.
-    fn dfs(
-        n: usize,
-        nodes: &[String],
-        edge: &dyn Fn(&str, &str) -> bool,
-        color: &mut [u8],
-        path: &mut Vec<usize>,
-    ) -> Option<Vec<String>> {
-        color[n] = 1;
-        path.push(n);
-        for (m, to) in nodes.iter().enumerate() {
-            if !edge(&nodes[n], to) {
-                continue;
-            }
-            if color[m] == 1 {
-                let start = path.iter().position(|&p| p == m).unwrap_or(0);
-                let mut cycle: Vec<String> =
-                    path[start..].iter().map(|&p| nodes[p].clone()).collect();
-                cycle.push(nodes[m].clone());
-                return Some(cycle);
-            }
-            if color[m] == 0 {
-                if let Some(c) = dfs(m, nodes, edge, color, path) {
-                    return Some(c);
-                }
-            }
-        }
-        path.pop();
-        color[n] = 2;
-        None
-    }
-    let mut color = vec![0u8; nodes.len()];
-    let mut path = Vec::new();
-    for n in 0..nodes.len() {
-        if color[n] == 0 {
-            if let Some(c) = dfs(n, nodes, edge, &mut color, &mut path) {
-                return Some(c);
-            }
-        }
-    }
-    None
-}
-
-fn check_unique(what: &str, names: &[String]) -> Result<(), String> {
-    for (i, n) in names.iter().enumerate() {
-        if names[..i].contains(n) {
-            return Err(format!("lint.toml: [{what}] declares `{n}` twice"));
-        }
-    }
-    Ok(())
-}
-
-/// Parses `"a -> b"` into `(a, b)`.
-fn parse_order_pair(s: &str, lineno: usize) -> Result<(String, String), String> {
-    let (a, b) = s.split_once("->").ok_or_else(|| {
-        format!("lint.toml:{lineno}: expected `\"class_a -> class_b\"`, got `{s}`")
-    })?;
-    let (a, b) = (a.trim(), b.trim());
-    if a.is_empty() || b.is_empty() || b.contains("->") {
-        return Err(format!(
-            "lint.toml:{lineno}: expected `\"class_a -> class_b\"`, got `{s}`"
-        ));
-    }
-    Ok((a.to_string(), b.to_string()))
-}
-
-/// Parses `"src -> dst : bounded"` (or `: unbounded`) into a [`ChannelEdge`].
-fn parse_channel_edge(s: &str, lineno: usize) -> Result<ChannelEdge, String> {
-    let err =
-        || format!("lint.toml:{lineno}: expected `\"src -> dst : bounded|unbounded\"`, got `{s}`");
-    let (pair, kind) = s.rsplit_once(':').ok_or_else(err)?;
-    let bounded = match kind.trim() {
-        "bounded" => true,
-        "unbounded" => false,
-        _ => return Err(err()),
-    };
-    let (src, dst) = parse_order_pair(pair.trim(), lineno).map_err(|_| err())?;
-    Ok(ChannelEdge { src, dst, bounded })
-}
-
-/// Parses `"alias = src -> dst"` into a [`ProtoEdge`].
-fn parse_proto_edge(s: &str, lineno: usize) -> Result<ProtoEdge, String> {
-    let err = || format!("lint.toml:{lineno}: expected `\"alias = src -> dst\"`, got `{s}`");
-    let (name, pair) = s.split_once('=').ok_or_else(err)?;
-    let name = name.trim();
-    if name.is_empty() {
-        return Err(err());
-    }
-    let (src, dst) = parse_order_pair(pair.trim(), lineno).map_err(|_| err())?;
-    Ok(ProtoEdge {
-        name: name.to_string(),
-        src,
-        dst,
-    })
-}
-
-/// Parses `"edge : from --sym--> to"` into a [`ProtoTransition`].
-fn parse_proto_transition(s: &str, lineno: usize) -> Result<ProtoTransition, String> {
-    let err = || format!("lint.toml:{lineno}: expected `\"edge : from --sym--> to\"`, got `{s}`");
-    let (edge, rest) = s.split_once(':').ok_or_else(err)?;
-    let (from, rest) = rest.split_once("--").ok_or_else(err)?;
-    let (sym, to) = rest.split_once("-->").ok_or_else(err)?;
-    let (edge, from, sym, to) = (edge.trim(), from.trim(), sym.trim(), to.trim());
-    if edge.is_empty() || from.is_empty() || sym.is_empty() || to.is_empty() || to.contains(' ') {
-        return Err(err());
-    }
-    Ok(ProtoTransition {
-        edge: edge.to_string(),
-        from: from.to_string(),
-        sym: sym.to_string(),
-        to: to.to_string(),
-    })
 }
 
 /// Parses `"name : pre < post"` into a [`StampPair`].
@@ -785,6 +299,9 @@ files = ["a/src/sync.rs"]
 crates = ["a/src"]
 models = ["a/tests/loom.rs"]
 
+[stamps]
+pairs = ["wal-dispatch : wal-append < dispatch"]
+
 [[allow]]
 rule = "R5"
 file = "b/src/x.rs"
@@ -796,6 +313,15 @@ reason = "covered elsewhere"
         assert_eq!(cfg.scope_src, vec!["a/src", "b/src"]);
         assert_eq!(cfg.facade_files, vec!["a/src/sync.rs"]);
         assert_eq!(cfg.loom_models, vec!["a/tests/loom.rs"]);
+        assert_eq!(
+            cfg.stamp_pairs,
+            vec![StampPair {
+                name: "wal-dispatch".into(),
+                pre: "wal-append".into(),
+                post: "dispatch".into(),
+            }]
+        );
+        assert_eq!(cfg.stamp_pairs_line, 14);
         assert_eq!(cfg.allow.len(), 1);
         assert_eq!(cfg.allow[0].subject, "Foo");
     }
@@ -806,193 +332,6 @@ reason = "covered elsewhere"
         assert!(Config::parse("[scope]\nwrong = \"x\"\n").is_err());
         let e = Config::parse("[[allow]]\nrule = \"R1\"\nfile = \"f.rs\"\n").unwrap_err();
         assert!(e.contains("reason"), "{e}");
-    }
-
-    #[test]
-    fn parses_lockorder_and_topology() {
-        let cfg = Config::parse(
-            r#"
-[lockorder]
-classes = ["a", "b", "c"]
-order = ["a -> b", "b -> c"]
-
-[topology]
-workers = ["driver", "joiner", "collector"]
-edges = ["driver -> joiner : bounded", "joiner -> collector : unbounded"]
-"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.lock_classes, vec!["a", "b", "c"]);
-        assert_eq!(
-            cfg.lock_order,
-            vec![("a".into(), "b".into()), ("b".into(), "c".into())]
-        );
-        assert_eq!(cfg.topo_workers.len(), 3);
-        assert_eq!(
-            cfg.topo_edges[0],
-            ChannelEdge {
-                src: "driver".into(),
-                dst: "joiner".into(),
-                bounded: true
-            }
-        );
-        assert!(!cfg.topo_edges[1].bounded);
-        assert_eq!(cfg.topo_edges_line, 8);
-        // Transitive closure: a -> c holds, c -> a does not, a -> a never.
-        assert!(cfg.lock_order_allows("a", "c"));
-        assert!(!cfg.lock_order_allows("c", "a"));
-        assert!(!cfg.lock_order_allows("a", "a"));
-    }
-
-    #[test]
-    fn rejects_bad_lockorder_declarations() {
-        let e =
-            Config::parse("[lockorder]\nclasses = [\"a\"]\norder = [\"a -> b\"]\n").unwrap_err();
-        assert!(e.contains("undeclared class `b`"), "{e}");
-        let e = Config::parse(
-            "[lockorder]\nclasses = [\"a\", \"b\"]\norder = [\"a -> b\", \"b -> a\"]\n",
-        )
-        .unwrap_err();
-        assert!(e.contains("cycle"), "{e}");
-        let e =
-            Config::parse("[lockorder]\nclasses = [\"a\"]\norder = [\"a -> a\"]\n").unwrap_err();
-        assert!(e.contains("reflexive"), "{e}");
-        let e = Config::parse("[lockorder]\nclasses = [\"a\", \"a\"]\n").unwrap_err();
-        assert!(e.contains("twice"), "{e}");
-    }
-
-    #[test]
-    fn rejects_bad_topology_declarations() {
-        let e = Config::parse("[topology]\nworkers = [\"d\"]\nedges = [\"d -> j : bounded\"]\n")
-            .unwrap_err();
-        assert!(e.contains("undeclared worker `j`"), "{e}");
-        let e = Config::parse("[topology]\nworkers = [\"d\", \"j\"]\nedges = [\"d -> j\"]\n")
-            .unwrap_err();
-        assert!(e.contains("bounded|unbounded"), "{e}");
-        let e = Config::parse(
-            "[topology]\nworkers = [\"d\", \"j\"]\nedges = [\"d -> j : bounded\", \"d -> j : bounded\"]\n",
-        )
-        .unwrap_err();
-        assert!(e.contains("declared twice"), "{e}");
-    }
-
-    /// A topology plus protocol declaration shared by the R8/R9 tests.
-    fn proto_preamble() -> &'static str {
-        r#"
-[topology]
-workers = ["driver", "joiner"]
-edges = ["driver -> joiner : bounded"]
-
-[protocol]
-edges = ["dj = driver -> joiner"]
-"#
-    }
-
-    #[test]
-    fn parses_protocol_and_stamps() {
-        let cfg = Config::parse(
-            r#"
-[topology]
-workers = ["driver", "joiner"]
-edges = ["driver -> joiner : bounded"]
-
-[protocol]
-edges = ["dj = driver -> joiner"]
-transitions = [
-    "dj : stream --data--> stream",
-    "dj : stream --batch--> stream",
-    "dj : stream --heartbeat--> stream",
-    "dj : stream --finish--> closed",
-]
-
-[stamps]
-pairs = ["wal-dispatch : wal-append < dispatch"]
-"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.proto_edges.len(), 1);
-        assert_eq!(cfg.proto_edges[0].name, "dj");
-        assert_eq!(cfg.proto_edges_line, 7);
-        assert_eq!(cfg.proto_transitions.len(), 4);
-        assert_eq!(cfg.proto_start("dj"), Some("stream"));
-        assert_eq!(cfg.proto_terminal("dj"), Some("closed"));
-        assert_eq!(cfg.proto_states("dj"), vec!["stream", "closed"]);
-        assert!(cfg.proto_reachable("dj", "closed"));
-        assert!(!cfg.proto_reachable("dj", "nowhere"));
-        assert!(cfg.proto_enters("dj", "data", "stream"));
-        assert!(cfg.proto_enters("dj", "finish", "closed"));
-        assert!(!cfg.proto_enters("dj", "data", "closed"));
-        assert_eq!(
-            cfg.stamp_pair("wal-dispatch"),
-            Some(&StampPair {
-                name: "wal-dispatch".into(),
-                pre: "wal-append".into(),
-                post: "dispatch".into(),
-            })
-        );
-        assert_eq!(cfg.stamp_pairs_line, 16);
-    }
-
-    #[test]
-    fn rejects_bad_protocol_declarations() {
-        // Alias must point at a declared topology edge.
-        let e = Config::parse(
-            "[topology]\nworkers = [\"d\", \"j\"]\nedges = [\"d -> j : bounded\"]\n\
-             [protocol]\nedges = [\"x = j -> d\"]\ntransitions = [\"x : s --finish--> c\"]\n",
-        )
-        .unwrap_err();
-        assert!(e.contains("not a declared [topology] edge"), "{e}");
-        // Edge with no transitions.
-        let e = Config::parse(proto_preamble()).unwrap_err();
-        assert!(e.contains("no transitions"), "{e}");
-        // Exactly one finish.
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --data--> s\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("exactly one `finish`"), "{e}");
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --finish--> c\", \"dj : s --finish--> d\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("exactly one `finish`"), "{e}");
-        // Terminal state must be a sink.
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --finish--> c\", \"dj : c --data--> s\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("no outgoing transitions"), "{e}");
-        // Heartbeats are self-loops.
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --heartbeat--> t\", \"dj : s --finish--> c\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("self-loop"), "{e}");
-        // Unknown symbol.
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --nack--> s\", \"dj : s --finish--> c\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("not in the alphabet"), "{e}");
-        // Transition on an undeclared alias.
-        let e = Config::parse(&format!(
-            "{}transitions = [\"dj : s --finish--> c\", \"zz : s --finish--> c\"]\n",
-            proto_preamble()
-        ))
-        .unwrap_err();
-        assert!(e.contains("undeclared edge `zz`"), "{e}");
-        // Alias names must be tag-safe.
-        let e = Config::parse(
-            "[topology]\nworkers = [\"d\", \"j\"]\nedges = [\"d -> j : bounded\"]\n\
-             [protocol]\nedges = [\"a.b = d -> j\"]\n",
-        )
-        .unwrap_err();
-        assert!(e.contains("free of"), "{e}");
     }
 
     #[test]
@@ -1016,15 +355,6 @@ pairs = ["wal-dispatch : wal-append < dispatch"]
         let e = Config::parse("[scope]\nsrc = [\n    \"a/src\",\n").unwrap_err();
         assert!(e.contains("unterminated"), "{e}");
         assert!(e.contains(":2:"), "anchored at the key line: {e}");
-    }
-
-    #[test]
-    fn find_cycle_reports_the_path() {
-        let nodes: Vec<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
-        let edges = [("x", "y"), ("y", "z"), ("z", "x")];
-        let cycle = find_cycle(&nodes, &|a, b| edges.contains(&(a, b))).unwrap();
-        assert_eq!(cycle.first(), cycle.last());
-        assert!(find_cycle(&nodes, &|a, b| (a, b) == ("x", "y")).is_none());
     }
 
     #[test]

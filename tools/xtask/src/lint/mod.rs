@@ -12,9 +12,6 @@
 //! | R3 | `hot-path-panic` | no `unwrap`/`expect`/`panic!`/`todo!`/slice-index in `//! lint: hot_path` modules without `// PANIC-OK:` |
 //! | R4 | `hot-path-blocking` | no lock acquisition, sleeps, or blocking channel ops in `hot_path` modules without `// BLOCKING-OK:` |
 //! | R5 | `loom-coverage` | every public atomic-owning type is named in a loom model (or allowlisted as uncovered) |
-//! | R6 | `lock-order` | every lock acquisition carries `// LOCK: <class>` and lexical nesting respects the `[lockorder]` partial order |
-//! | R7 | `channel-topology` | every channel construction carries `// CHANNEL: <src> -> <dst>` naming a declared `[topology]` edge; raw sends need `// SEND-OK:`; the declared bounded subgraph is acyclic |
-//! | R8 | `message-protocol` | every `Msg`-constructing send site carries `// PROTO: <edge>.<state>` naming a reachable state of the declared `[protocol]` automaton; no same-edge sends after a `Finish` tag in a function |
 //! | R9 | `stamp-discipline` | ordering-sentinel calls (`mark_emitted`, `record_event`, tracker `observe`) carry `// STAMP: <pair>.{pre,post}` naming a declared `[stamps]` pair, with pre lexically dominating post in its function |
 //!
 //! Scope and per-rule suppressions live in `lint.toml` at the workspace
@@ -39,7 +36,7 @@ use rules::registry;
 /// allowlist entries by (rule, file, subject).
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule id (`R1`..`R9`).
+    /// Stable rule id (`R1`..`R5`, `R9`).
     pub rule: &'static str,
     /// Human-readable rule name (`ordering-justification`, ...).
     pub name: &'static str,

@@ -9,16 +9,14 @@ mod r2_facade;
 mod r3_panic;
 mod r4_blocking;
 mod r5_loom;
-mod r6_lockorder;
-mod r7_topology;
-mod r8_protocol;
 mod r9_stamps;
 
 use super::Rule;
 use crate::lexer::{find_char_from, is_ident_byte, keyword_positions, match_brace};
 
 /// All rules, in id order. `check_files` runs them in this order; ids are
-/// stable and referenced from `lint.toml`.
+/// stable and referenced from `lint.toml` (R6–R8 are retired, not reused:
+/// DESIGN.md §8 names the runtime check that covers each).
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(r1_ordering::OrderingJustification),
@@ -26,17 +24,14 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(r3_panic::HotPathPanic),
         Box::new(r4_blocking::HotPathBlocking),
         Box::new(r5_loom::LoomCoverage),
-        Box::new(r6_lockorder::LockOrder),
-        Box::new(r7_topology::ChannelTopology),
-        Box::new(r8_protocol::MessageProtocol),
         Box::new(r9_stamps::StampDiscipline),
     ]
 }
 
 /// Line spans `(first, last)` of every `fn` item body, in source order.
 /// Bodiless declarations (trait methods, extern fns) contribute nothing:
-/// the scan for the opening `{` stops at a `;`. R8's post-Finish check
-/// and R9's dominance check both reason per function.
+/// the scan for the opening `{` stops at a `;`. R9's dominance check
+/// reasons per function.
 pub(crate) fn fn_regions(masked_lines: &[String]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for (idx, mline) in masked_lines.iter().enumerate() {

@@ -18,10 +18,10 @@
 //! - a declared pair no tag names is a stale declaration, anchored at
 //!   the `[stamps] pairs` line of lint.toml.
 //!
-//! Lexical dominance is the static half only: it catches reorderings
-//! introduced by refactors within a function, while cross-thread
-//! visibility of the ordering is the runtime protocol witness's job
-//! (`oij_common::protowit`, `--cfg protowit`). The WAL callee itself
+//! Lexical dominance catches reorderings introduced by refactors within
+//! a function; what the ordering buys at run time is asserted by the
+//! tests behind each pair (the recovery crash matrix, the `sink.rs` and
+//! `driver.rs` unit tests, `tests/protocol_witness.rs`). The WAL callee itself
 //! lives in `crates/durability`, outside `[scope] src` — the ordering
 //! obligation sits at the core call sites, which is where this rule
 //! looks. `#[cfg(test)]` code is exempt.

@@ -3,12 +3,8 @@
 //! Subcommands:
 //! - `unsafe-audit` — every `unsafe` site must carry a justification
 //!   ([`xtask::audit`]).
-//! - `lint` — the concurrency-protocol rules R1–R9 over the SWMR crates
-//!   ([`xtask::lint`]); `--json` emits machine-readable diagnostics.
-//! - `lockdep-check` — verify a runtime lockdep witness log against the
-//!   declared `lint.toml [lockorder]` graph ([`xtask::lockdep`]).
-//! - `proto-check` — verify a runtime protocol witness log against the
-//!   declared `lint.toml [protocol]` grammar ([`xtask::proto`]).
+//! - `lint` — the concurrency-protocol rules R1–R5 and R9 over the SWMR
+//!   crates ([`xtask::lint`]); `--json` emits machine-readable diagnostics.
 //!
 //! Both passes share the comment/string-aware scanner in
 //! [`xtask::lexer`] and exit non-zero on any finding, so CI can gate on
@@ -21,8 +17,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("unsafe-audit") => xtask::audit::unsafe_audit(),
         Some("lint") => xtask::lint::run(&args[1..]),
-        Some("lockdep-check") => xtask::lockdep::check(&args[1..]),
-        Some("proto-check") => xtask::proto::check(&args[1..]),
         Some(other) => {
             eprintln!("xtask: unknown task `{other}`");
             usage();
@@ -39,11 +33,5 @@ fn usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!("tasks:");
     eprintln!("  unsafe-audit   check that every `unsafe` site carries a justification");
-    eprintln!("  lint           run the concurrency-protocol rules (R1-R9, see lint.toml); --json for machine output");
-    eprintln!(
-        "  lockdep-check  verify an observed lockdep witness log against lint.toml [lockorder]"
-    );
-    eprintln!(
-        "  proto-check    verify an observed protocol witness log against lint.toml [protocol]"
-    );
+    eprintln!("  lint           run the concurrency-protocol rules (R1-R5 and R9, see lint.toml); --json for machine output");
 }

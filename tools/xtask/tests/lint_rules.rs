@@ -197,132 +197,6 @@ fn r5_exempts_private_atomic_owning_backend_state() {
     assert_eq!(findings(&[f], &cfg), vec![]);
 }
 
-/// The `[lockorder]` declarations the R6 fixtures are written against.
-/// Kept separate from [`TOPOLOGY_TABLE`]: declaring topology edges in a
-/// run whose files never tag them would add stale-edge findings.
-const LOCKORDER_TABLE: &str = r#"
-[lockorder]
-classes = ["a", "b"]
-order = ["a -> b"]
-"#;
-
-/// The `[topology]` declarations the R7 fixtures are written against.
-const TOPOLOGY_TABLE: &str = r#"
-[topology]
-workers = ["driver", "joiner", "collector"]
-edges = ["driver -> joiner : bounded", "joiner -> collector : unbounded"]
-"#;
-
-#[test]
-fn r6_flags_untagged_undeclared_misordered_and_reentrant_sites() {
-    let cfg = demo_config(LOCKORDER_TABLE);
-    let f = fixture("crates/demo/src/r6_bad.rs", "r6_bad.rs");
-    assert_eq!(
-        findings(&[f], &cfg),
-        vec![("R6", 7), ("R6", 13), ("R6", 21), ("R6", 29)]
-    );
-}
-
-#[test]
-fn r6_subjects_name_what_went_wrong() {
-    let cfg = demo_config(LOCKORDER_TABLE);
-    let f = fixture("crates/demo/src/r6_bad.rs", "r6_bad.rs");
-    let subjects: Vec<String> = check_files(&[f], &cfg)
-        .diagnostics
-        .into_iter()
-        .map(|d| d.subject)
-        .collect();
-    // Untagged site, undeclared class, violating nesting pair, re-entrant
-    // class — in line order.
-    assert_eq!(subjects, vec![".lock()", "mystery", "b -> a", "a"]);
-}
-
-#[test]
-fn r6_accepts_ordered_nesting_and_every_guard_release_shape() {
-    let cfg = demo_config(LOCKORDER_TABLE);
-    let f = fixture("crates/demo/src/r6_good.rs", "r6_good.rs");
-    assert_eq!(findings(&[f], &cfg), vec![]);
-}
-
-#[test]
-fn r7_flags_untagged_unknown_mismatched_and_raw_send_sites() {
-    let cfg = demo_config(TOPOLOGY_TABLE);
-    let f = fixture("crates/demo/src/r7_bad.rs", "r7_bad.rs");
-    let out = check_files(&[f], &cfg);
-    let got: Vec<(&str, usize)> = out.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
-    // The five in-file sites, then the stale declared edge (nothing in
-    // this run realises driver -> joiner) anchored at lint.toml's
-    // `edges = [...]` line.
-    assert_eq!(
-        got,
-        vec![
-            ("R7", 9),
-            ("R7", 14),
-            ("R7", 19),
-            ("R7", 24),
-            ("R7", 28),
-            ("R7", cfg.topo_edges_line)
-        ]
-    );
-    let stale = out.diagnostics.last().unwrap();
-    assert_eq!(stale.file, "lint.toml");
-    assert_eq!(stale.subject, "driver -> joiner");
-}
-
-#[test]
-fn r7_accepts_tagged_constructions_and_guarded_sends() {
-    let cfg = demo_config(TOPOLOGY_TABLE);
-    let f = fixture("crates/demo/src/r7_good.rs", "r7_good.rs");
-    assert_eq!(findings(&[f], &cfg), vec![]);
-}
-
-#[test]
-fn r7_rejects_a_declared_bounded_cycle_at_the_lint_toml_line() {
-    let cfg = demo_config(
-        r#"
-[topology]
-workers = ["d", "j"]
-edges = ["d -> j : bounded", "j -> d : bounded"]
-"#,
-    );
-    // No source files at all: the graph checks are declaration-level.
-    let out = check_files(&[], &cfg);
-    let cycle: Vec<&xtask::lint::Diagnostic> = out
-        .diagnostics
-        .iter()
-        .filter(|d| d.message.contains("cycle"))
-        .collect();
-    assert_eq!(cycle.len(), 1);
-    assert_eq!(cycle[0].rule, "R7");
-    assert_eq!(cycle[0].file, "lint.toml");
-    assert_eq!(cycle[0].line, cfg.topo_edges_line);
-    assert_eq!(cycle[0].subject, "d -> j -> d");
-    // Both declared edges are also stale (no construction sites exist).
-    assert_eq!(out.diagnostics.len(), 3);
-}
-
-/// The `[protocol]` declarations the R8 fixtures are written against.
-/// The topology edges it aliases are required by validation but carry no
-/// `// CHANNEL:` tags in these fixtures, so R7 raises stale-edge
-/// findings — the R8/R9 tests filter to their own rule.
-const PROTOCOL_TABLE: &str = r#"
-[topology]
-workers = ["driver", "joiner", "collector"]
-edges = ["driver -> joiner : bounded", "joiner -> collector : unbounded"]
-
-[protocol]
-edges = ["dj = driver -> joiner", "jc = joiner -> collector"]
-transitions = [
-    "dj : stream --data--> stream",
-    "dj : stream --batch--> stream",
-    "dj : stream --heartbeat--> stream",
-    "dj : stream --finish--> closed",
-    "dj : island --data--> island",
-    "jc : stream --data--> stream",
-    "jc : stream --finish--> closed",
-]
-"#;
-
 /// The `[stamps]` declarations the R9 fixtures are written against.
 const STAMPS_TABLE: &str = r#"
 [stamps]
@@ -341,65 +215,6 @@ fn rule_findings(files: &[SourceFile], cfg: &Config, id: &str) -> Vec<(usize, St
         .filter(|d| d.rule == id)
         .map(|d| (d.line, d.subject))
         .collect()
-}
-
-#[test]
-fn r8_flags_untagged_undeclared_unreachable_mismatched_and_post_finish_sites() {
-    let cfg = demo_config(PROTOCOL_TABLE);
-    let f = fixture("crates/demo/src/r8_bad.rs", "r8_bad.rs");
-    let s = |t: &str| t.to_string();
-    assert_eq!(
-        rule_findings(&[f], &cfg, "R8"),
-        vec![
-            (4, s("Msg::Data")),             // untagged send site
-            (8, s("ghost.stream")),          // tag names no declared edge
-            (13, s("dj.warp")),              // tag names no state of the automaton
-            (18, s("dj.island")),            // state unreachable from the start state
-            (24, s("dj.closed")),            // Heartbeat cannot enter the terminal state
-            (30, s("dj.stream")),            // send after the same function's Finish tag
-            (35, s("stream")),               // malformed tag (no `<edge>.<state>`)
-            (cfg.proto_edges_line, s("jc")), // declared edge named by no tag here
-        ]
-    );
-}
-
-#[test]
-fn r8_post_finish_diagnostic_names_the_closing_line() {
-    let cfg = demo_config(PROTOCOL_TABLE);
-    let f = fixture("crates/demo/src/r8_bad.rs", "r8_bad.rs");
-    let out = check_files(&[f], &cfg);
-    let post = out
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "R8" && d.line == 30)
-        .expect("post-finish finding");
-    assert!(
-        post.message
-            .contains("after the `Finish` tag `dj.closed` (line 28)"),
-        "message must cite the closing tag's line: {}",
-        post.message
-    );
-}
-
-#[test]
-fn r8_accepts_tagged_sends_patterns_and_hand_tagged_edges() {
-    let cfg = demo_config(PROTOCOL_TABLE);
-    let f = fixture("crates/demo/src/r8_good.rs", "r8_good.rs");
-    assert_eq!(rule_findings(&[f], &cfg, "R8"), vec![]);
-}
-
-#[test]
-fn r8_stale_edge_is_anchored_in_lint_toml() {
-    let cfg = demo_config(PROTOCOL_TABLE);
-    let f = fixture("crates/demo/src/r8_bad.rs", "r8_bad.rs");
-    let out = check_files(&[f], &cfg);
-    let stale = out
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == "R8" && d.file == "lint.toml")
-        .expect("stale edge finding");
-    assert_eq!(stale.line, cfg.proto_edges_line);
-    assert_eq!(stale.subject, "jc");
 }
 
 #[test]
@@ -485,23 +300,23 @@ fn json_output_pins_the_schema_and_byte_spans() {
     // findings (anchored in lint.toml, which is not a parsed source file)
     // render `"span": null`. Treat a change here as a breaking change to
     // `cargo xtask lint --json` consumers.
-    let cfg = demo_config(PROTOCOL_TABLE);
-    let files = [fixture("crates/demo/src/r8_bad.rs", "r8_bad.rs")];
+    let cfg = demo_config(STAMPS_TABLE);
+    let files = [fixture("crates/demo/src/r9_bad.rs", "r9_bad.rs")];
     let out = check_files(&files, &cfg);
     let json = xtask::lint::render_json(&out, &cfg, &files);
     assert!(
         json.contains(
-            "{\"rule\": \"R8\", \"name\": \"message-protocol\", \
-             \"file\": \"crates/demo/src/r8_bad.rs\", \"line\": 4, \
-             \"span\": {\"byte_start\": 106, \"byte_end\": 132}, \
-             \"subject\": \"Msg::Data\""
+            "{\"rule\": \"R9\", \"name\": \"stamp-discipline\", \
+             \"file\": \"crates/demo/src/r9_bad.rs\", \"line\": 5, \
+             \"span\": {\"byte_start\": 128, \"byte_end\": 152}, \
+             \"subject\": \"record_event\""
         ),
-        "span of r8_bad.rs:4 drifted:\n{json}"
+        "span of r9_bad.rs:5 drifted:\n{json}"
     );
-    // The stale-edge finding is anchored at lint.toml, which has no span.
+    // The stale-pair finding is anchored at lint.toml, which has no span.
     let stale = format!(
-        "\"file\": \"lint.toml\", \"line\": {}, \"span\": null, \"subject\": \"jc\"",
-        cfg.proto_edges_line
+        "\"file\": \"lint.toml\", \"line\": {}, \"span\": null, \"subject\": \"stamp-observe\"",
+        cfg.stamp_pairs_line
     );
     assert!(
         json.contains(&stale),
@@ -570,9 +385,6 @@ fn rules_do_not_bleed_across_fixtures_in_a_joint_run() {
         fixture("crates/demo/src/r3_good.rs", "r3_good.rs"),
         fixture("crates/demo/src/r4_bad.rs", "r4_bad.rs"),
         fixture("crates/demo/src/r4_good.rs", "r4_good.rs"),
-        fixture("crates/demo/src/r6_bad.rs", "r6_bad.rs"),
-        fixture("crates/demo/src/r7_bad.rs", "r7_bad.rs"),
-        fixture("crates/demo/src/r8_bad.rs", "r8_bad.rs"),
         fixture("crates/demo/src/r9_bad.rs", "r9_bad.rs"),
         fixture("crates/demo/loomed/r5_src.rs", "r5_src.rs"),
         fixture("crates/demo/tests/loom.rs", "r5_models.rs"),
@@ -584,11 +396,8 @@ fn rules_do_not_bleed_across_fixtures_in_a_joint_run() {
     assert_eq!(per_rule("R3"), 5);
     assert_eq!(per_rule("R4"), 5);
     assert_eq!(per_rule("R5"), 1);
-    // With no [lockorder]/[topology]/[protocol]/[stamps] declared, R6-R9
-    // stay inert even over their own bait fixtures.
-    assert_eq!(per_rule("R6"), 0);
-    assert_eq!(per_rule("R7"), 0);
-    assert_eq!(per_rule("R8"), 0);
+    // With no [stamps] declared, R9 stays inert even over its own bait
+    // fixture.
     assert_eq!(per_rule("R9"), 0);
     assert_eq!(out.diagnostics.len(), 19);
 }
