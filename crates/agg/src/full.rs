@@ -45,6 +45,20 @@ impl FullWindowAgg {
         }
     }
 
+    /// Folds a run of in-window values, in order: bit-identical to calling
+    /// [`add`](Self::add) on each, with the aggregate matched once outside
+    /// the loop (`count` reads no value at all).
+    #[inline]
+    pub fn extend(&mut self, vals: &[f64]) {
+        self.count += vals.len() as u64;
+        match self.spec {
+            AggSpec::Sum | AggSpec::Avg => self.sum = vals.iter().fold(self.sum, |s, &v| s + v),
+            AggSpec::Count => {}
+            AggSpec::Min => self.extreme = vals.iter().fold(self.extreme, |e, &v| e.min(v)),
+            AggSpec::Max => self.extreme = vals.iter().fold(self.extreme, |e, &v| e.max(v)),
+        }
+    }
+
     /// Number of values folded so far.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -110,6 +124,50 @@ mod tests {
         assert_eq!(run(AggSpec::Avg, &[]), None);
         assert_eq!(run(AggSpec::Min, &[]), None);
         assert_eq!(run(AggSpec::Max, &[]), None);
+    }
+
+    #[test]
+    fn extend_is_bit_identical_to_repeated_add() {
+        const SPECS: [AggSpec; 5] = [
+            AggSpec::Sum,
+            AggSpec::Count,
+            AggSpec::Avg,
+            AggSpec::Min,
+            AggSpec::Max,
+        ];
+        let inputs: [&[f64]; 9] = [
+            &[],
+            &[2.5],
+            &[0.0, -0.0],
+            &[-0.0, 0.0],
+            &[1.0, f64::NAN, 3.0],
+            &[f64::NAN],
+            &[f64::INFINITY, 1.0, f64::NEG_INFINITY],
+            &[f64::NEG_INFINITY, f64::MAX, f64::MAX],
+            // Not representable: the sum depends on the fold order.
+            &[0.1, 0.2, 0.3, 1e16, -1e16, 0.7],
+        ];
+        for spec in SPECS {
+            for vals in inputs {
+                // Whole, and split at every point: a second `extend`
+                // continues the first.
+                for cut in 0..=vals.len() {
+                    let mut folded = FullWindowAgg::new(spec);
+                    folded.extend(&vals[..cut]);
+                    folded.extend(&vals[cut..]);
+                    let mut added = FullWindowAgg::new(spec);
+                    for &v in vals {
+                        added.add(v);
+                    }
+                    assert_eq!(folded.count(), added.count(), "{spec:?} {vals:?}");
+                    assert_eq!(
+                        folded.finish().map(f64::to_bits),
+                        added.finish().map(f64::to_bits),
+                        "{spec:?} {vals:?} cut {cut}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum LatePolicy {
 
 /// What to measure during a run. Everything defaults to **off**: the hot
 /// path then contains no timing calls and no simulator feeds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Instrumentation {
     /// Record per-result latency histograms.
     pub latency: bool,

@@ -1,5 +1,5 @@
 //! Driver → joiner channel messages, generic over the payload: the four
-//! engines carry [`DataMsg`], the serving runtime its own base-tuple
+//! engines carry [`DataMsg`], the serving runtime its own scan-group
 //! message (DESIGN.md "Engine shell").
 
 use std::time::Instant;
@@ -21,6 +21,14 @@ pub trait Payload: Send + 'static {
     fn tuple(&self) -> &Tuple;
     /// Global arrival sequence number.
     fn seq(&self) -> u64;
+    /// Whether this is an in-band control payload rather than a tuple:
+    /// the worker loop hands it to [`Joiner::control`](crate::shell::Joiner::control)
+    /// in channel order and applies none of the per-tuple step to it. The
+    /// engines' payload never is one, so their loop loses the branch.
+    #[inline]
+    fn is_control(&self) -> bool {
+        false
+    }
 }
 
 /// One unit of work handed to a joiner.

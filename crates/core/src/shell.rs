@@ -3,7 +3,7 @@
 //! shell"), so it exists exactly once:
 //!
 //! * [`WorkerPool`] — the driver→joiner edge, generic over the payload
-//!   (the engines' `DataMsg`, the serving runtime's base-tuple message):
+//!   (the engines' `DataMsg`, the serving runtime's scan-group message):
 //!   channels, batcher, guarded send, heartbeat cadence, supervision and
 //!   bounded teardown.
 //! * `EngineShell` — `Driver` + pool + routing policy + optional auxiliary
@@ -124,6 +124,14 @@ pub trait Joiner<T: Payload>: Sized {
     /// One expiry sweep at watermark `wm`; returns the tuples evicted.
     fn evict(&mut self, _wm: Timestamp) -> u64 {
         0
+    }
+
+    /// Takes an in-band control payload ([`Payload::is_control`]), in
+    /// channel order with the data around it. It is no tuple: it is not
+    /// counted, addresses no fault ordinal, and publishes and sweeps
+    /// nothing. `inst` is the loop's own bundle.
+    fn control(&mut self, _inst: &mut JoinerInstruments, _msg: T) {
+        unreachable!("this joiner's payload carries no control messages");
     }
 
     /// Clean end of input — the terminal `Flush`, or a disconnect at
@@ -360,10 +368,14 @@ fn run_worker<T: Payload, J: Joiner<T>>(
             }
             Msg::Data(data) => {
                 step.inst.proto.data(data.watermark());
-                if exits() {
-                    return step.inst;
+                if data.is_control() {
+                    joiner.control(&mut step.inst, *data);
+                } else {
+                    if exits() {
+                        return step.inst;
+                    }
+                    step.data(&mut joiner, *data);
                 }
-                step.data(&mut joiner, *data);
             }
             Msg::Batch(mut batch) => {
                 step.inst.record_batch(batch.msgs.len());
@@ -449,7 +461,7 @@ impl<T: Payload> WorkerPool<T> {
         let mut handles = Vec::with_capacity(joiners.len());
         for (id, joiner) in joiners.into_iter().enumerate() {
             // One bounded queue per worker; the serving runtime's ingest
-            // thread is the driver of each plan's pool.
+            // thread is the driver of each scan group's pool.
             let (tx, rx) = bounded::<Msg<T>>(cfg.channel_capacity);
             let faults = cfg.faults.for_worker(id, engine, id, &sup.failures);
             let (wsup, wrecycle, step) =
@@ -600,15 +612,41 @@ impl<T: Payload> WorkerPool<T> {
         Ok(())
     }
 
-    /// End of input: hands over every partially filled lane, then sends
-    /// each worker its terminal `Flush`.
-    pub fn drain(
+    /// Hands over every partially filled lane.
+    fn flush_lanes(
         &mut self,
         mut deliver: impl FnMut(&mut Self, usize, Msg<T>) -> Result<()>,
     ) -> Result<()> {
         while let Some((lane, out)) = self.batcher.pop_any() {
             deliver(self, lane, out)?;
         }
+        Ok(())
+    }
+
+    /// Sends every worker its own in-band control payload
+    /// ([`Payload::is_control`]), after handing over every parked lane so
+    /// that it keeps its place in arrival order. Control never coalesces
+    /// and always takes the guarded send, whatever `deliver` does with
+    /// data.
+    pub fn control(
+        &mut self,
+        deliver: impl FnMut(&mut Self, usize, Msg<T>) -> Result<()>,
+        mut payload: impl FnMut(usize) -> T,
+    ) -> Result<()> {
+        self.flush_lanes(deliver)?;
+        for j in 0..self.senders.len() {
+            self.route(j, Msg::Data(Box::new(payload(j))))?;
+        }
+        Ok(())
+    }
+
+    /// End of input: hands over every partially filled lane, then sends
+    /// each worker its terminal `Flush`.
+    pub fn drain(
+        &mut self,
+        deliver: impl FnMut(&mut Self, usize, Msg<T>) -> Result<()>,
+    ) -> Result<()> {
+        self.flush_lanes(deliver)?;
         for j in 0..self.senders.len() {
             self.route(j, Msg::Flush)?;
         }

@@ -7,32 +7,39 @@
 //! §13):
 //!
 //! * **Shared single-writer ingest.** The runtime owns one SWMR index
-//!   writer for the probe side of the stream; every registered query's
-//!   workers scan it through cloned readers. A probe tuple is inserted
-//!   exactly *once* no matter how many queries are active — the paper's
+//!   writer for the probe side of the stream; every scan group's workers
+//!   scan it through cloned readers. A probe tuple is inserted exactly
+//!   *once* no matter how many queries are active — the paper's
 //!   shared-store insight, applied across plans instead of across
 //!   joiners.
+//! * **Shared scan.** Plans whose configurations differ only in window
+//!   bounds and aggregate form one *scan group*: one worker team, one
+//!   message per base tuple and one index scan over the union window,
+//!   from which every member's aggregate is folded. A plan that matches
+//!   no group founds one, so a plan running alone is a group of one.
+//!   Membership changes travel in band with the base messages.
 //! * **Bit-identical serving.** Each base message carries the writer's
 //!   probe-insert count at dispatch as a visibility bound; workers
-//!   filter their `(ts, seq)`-ordered window scans to `seq < bound`
-//!   (dense sequence numbers are an index-contract invariant), so every
+//!   filter their `(ts, seq)`-ordered scans to `seq < bound` (dense
+//!   sequence numbers are an index-contract invariant) and fold each
+//!   member over the contiguous sub-range its own window covers, so every
 //!   query's output — multiset, order, and `f64` accumulation — is
 //!   exactly what a solo run over the same events would produce.
 //! * **Admission control.** [`ServeRuntime::register`] enforces budgets
 //!   (concurrent queries, total joiner threads, per-query channel
 //!   memory) and rejects with a reasoned [`Error::Admission`] instead of
 //!   degrading everyone.
-//! * **Backpressure and shedding.** Every plan's fan-out is an engine
+//! * **Backpressure and shedding.** Every group's fan-out is an engine
 //!   [`WorkerPool`] (bounded channels, shared batcher and flush
-//!   deadline, guarded sends). In the default lossless mode a stalled query blocks
-//!   ingest at most `send_timeout` before it alone is poisoned; with
-//!   [`ServeConfig::shed_when_full`] the runtime drops that query's base
-//!   messages instead, counting them in
+//!   deadline, guarded sends). In the default lossless mode a stalled
+//!   group blocks ingest at most `send_timeout` before it alone is
+//!   poisoned; with [`ServeConfig::shed_when_full`] the runtime drops that
+//!   group's base messages instead, counting them in every member's
 //!   [`RunStats::shed_events`](oij_core::RunStats::shed_events).
-//! * **Fault isolation.** Every query gets its own pool: supervised
-//!   workers, failure cell, and kill flag. A panic, wedge, or slow sink in query
-//!   A surfaces as A's [`Error::WorkerFailed`]; query B's output is
-//!   untouched.
+//! * **Fault isolation.** Every group gets its own pool: supervised
+//!   workers, failure cell, and kill flag. A panic, wedge, or slow sink in
+//!   group A surfaces as [`Error::WorkerFailed`] from each of A's members;
+//!   group B's output is untouched.
 
 #![warn(missing_docs)]
 
@@ -40,20 +47,22 @@ mod sync;
 mod worker;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use oij_common::{
-    EmitMode, Error, Event, EventKind, Result, Side, Timestamp, Tuple, WatermarkTracker,
+    Duration, EmitMode, Error, Event, EventKind, Result, Side, Timestamp, Tuple, WatermarkTracker,
 };
+use oij_core::instrument::{JoinerInstruments, JoinerReport};
+use oij_core::message::Msg;
 use oij_core::shell::{Supervision, WorkerPool};
 use oij_core::sink::worker_sink_stack;
 use oij_core::{hash_key, EngineConfig, RunStats, Sink};
 use oij_index::{BackendWriter, IndexBackend, OijIndexWriter};
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use crate::sync::Mutex;
-use crate::worker::{BaseMsg, QueryWorker};
+use crate::worker::{BaseMsg, GroupMsg, GroupWorker, Member, Membership};
 
 /// Worker-failure attribution label for this runtime.
 const ENGINE: &str = "serve";
@@ -99,10 +108,10 @@ pub struct ServeConfig {
     /// index.
     pub expire_every: usize,
     /// Overload policy: `false` (default) applies backpressure — a full
-    /// query channel blocks ingest up to the query's `send_timeout`,
-    /// then poisons *that query only*. `true` sheds instead: the base
-    /// message is dropped for the full query and counted in its
-    /// [`RunStats::shed_events`](oij_core::RunStats::shed_events),
+    /// group channel blocks ingest up to the group's `send_timeout`,
+    /// then poisons *that group only*. `true` sheds instead: the base
+    /// message is dropped for the full group and counted in every
+    /// member's [`RunStats::shed_events`](oij_core::RunStats::shed_events),
     /// and ingest never blocks.
     pub shed_when_full: bool,
 }
@@ -184,12 +193,15 @@ pub struct QueryStats {
     pub name: Option<String>,
     /// Joiner threads the query holds from the admission budget.
     pub joiners: usize,
+    /// The scan group the query is a member of: queries with the same
+    /// index share one worker team and one scan per base tuple.
+    pub group: usize,
     /// Events this query has ingested (probes and bases).
     pub pushed: u64,
     /// Base messages shed under overload (lossy mode only).
     pub shed: u64,
-    /// Whether the query is poisoned (a worker failed or stalled); the
-    /// cause is returned by [`cancel`](ServeRuntime::cancel).
+    /// Whether the query's group is poisoned (a worker failed or
+    /// stalled); the cause is returned by [`cancel`](ServeRuntime::cancel).
     pub failed: bool,
 }
 
@@ -198,6 +210,11 @@ pub struct QueryStats {
 pub struct ServeSnapshot {
     /// Currently registered queries.
     pub active_queries: usize,
+    /// Scan groups the registered queries form.
+    pub groups: usize,
+    /// Worker threads running: the groups' joiners, where the admission
+    /// budget counts every query's.
+    pub worker_threads: usize,
     /// Events ingested since start.
     pub events: u64,
     /// Probe tuples inserted into the shared index (each exactly once).
@@ -265,31 +282,168 @@ impl Ledger {
     }
 }
 
-/// One registered query's runtime state on the ingest side: the ingest
-/// thread is the driver of the plan's own [`WorkerPool`].
-struct Query {
-    name: Option<String>,
-    cfg: EngineConfig,
-    tracker: WatermarkTracker,
-    /// The plan's workers behind the shared engine fabric. A failure
-    /// poisons this pool only: the query stops receiving, neighbours are
-    /// untouched.
-    pool: WorkerPool<BaseMsg>,
-    /// Per-worker acknowledged watermarks feeding the central evictor.
-    acks: Vec<Arc<AtomicI64>>,
+/// Whether two plans can share a scan group: their configurations differ
+/// in nothing the group's one pool, tracker, batcher and worker loop read
+/// — only in window bounds and aggregate, which the group worker applies
+/// per member. A fault plan addresses one plan's workers and message
+/// ordinals, so a plan that carries one always runs alone.
+fn shares_scan(a: &EngineConfig, b: &EngineConfig) -> bool {
+    a.faults.is_empty()
+        && b.faults.is_empty()
+        && a.query.window.lateness == b.query.window.lateness
+        && a.query.emit == b.query.emit
+        && a.joiners == b.joiners
+        && a.batch_size == b.batch_size
+        && a.channel_capacity == b.channel_capacity
+        && a.send_timeout == b.send_timeout
+        && a.flush_deadline == b.flush_deadline
+        && a.heartbeat_every == b.heartbeat_every
+        && a.expire_every == b.expire_every
+        && a.late_policy == b.late_policy
+        && a.sink_retry == b.sink_retry
+        && a.instrument == b.instrument
+}
+
+/// What a group counts once for all its members. A member's own numbers
+/// are the difference to the snapshot taken when it joined.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
+    /// Events ingested (probes and bases).
     pushed: u64,
+    /// Base messages shed under overload (lossy mode only).
     shed: u64,
-    /// Probe-side lateness violations (base-side ones are counted by
-    /// the workers; the sum matches a solo run's accounting).
+    /// Probe-side lateness violations (base-side ones are counted per
+    /// member by the workers; the sum matches a solo run's accounting).
     probe_late: u64,
+}
+
+impl Counters {
+    fn since(self, joined: Counters) -> Counters {
+        Counters {
+            pushed: self.pushed - joined.pushed,
+            shed: self.shed - joined.shed,
+            probe_late: self.probe_late - joined.probe_late,
+        }
+    }
+}
+
+/// One registered plan on the ingest side: a member of exactly one
+/// [`Group`].
+struct Plan {
+    name: Option<String>,
+    /// Joiner threads reserved from the admission budget.
+    joiners: usize,
+    /// The plan's window length `PRE + FOL`.
+    width: Duration,
+    group: usize,
+    /// The group's counters when the plan joined it.
+    joined: Counters,
+    /// Retries of this plan's own sink stacks.
+    retries: Arc<AtomicU64>,
+    /// Arrival of the first event after the plan joined.
     started: Option<Instant>,
 }
 
-impl Query {
-    /// Ends the query: flushes, joins every worker, and merges its
-    /// reports — or returns the first failure (the poison, if already
-    /// set). Workers are always joined, even on the failure path.
-    fn shutdown(&mut self) -> Result<RunStats> {
+/// A scan group: the plans that share one [`WorkerPool`], one watermark
+/// tracker, one batcher and one message per base tuple. The ingest thread
+/// is the pool's driver. A plan that matches no group founds one, so a
+/// plan running alone is a group of one.
+struct Group {
+    /// What every member shares: the founder's configuration, of which
+    /// the window bounds and the aggregate are the founder's alone.
+    cfg: EngineConfig,
+    tracker: WatermarkTracker,
+    /// The group's workers behind the shared engine fabric. A failure
+    /// poisons this pool only: its members stop receiving, other groups
+    /// are untouched.
+    pool: WorkerPool<GroupMsg>,
+    /// Per-worker acknowledged watermarks feeding the central evictor.
+    acks: Vec<Arc<AtomicI64>>,
+    counters: Counters,
+    /// Member plan ids, in join order.
+    members: Vec<u64>,
+    /// The widest member window: what the central evictor must retain
+    /// behind the workers' acknowledged progress.
+    widest: Duration,
+    /// Some member has not seen its first event yet.
+    fresh: bool,
+}
+
+/// Hands one flushed lane of a group to its workers. Lossless mode is the
+/// pool's guarded send (blocks up to `send_timeout`, then poisons the
+/// group); lossy mode sheds what a full queue hands back, charged once to
+/// every member. Control traffic never comes through here: the pool sends
+/// it losslessly itself.
+fn deliver(
+    lossy: bool,
+    shed: &mut u64,
+) -> impl FnMut(&mut WorkerPool<GroupMsg>, usize, Msg<GroupMsg>) -> Result<()> + '_ {
+    move |pool, worker, out| {
+        if !lossy {
+            return pool.route(worker, out);
+        }
+        if let Some(dropped) = pool.try_route(worker, out)? {
+            *shed += dropped.tuples() as u64;
+        }
+        Ok(())
+    }
+}
+
+impl Group {
+    /// Sends every worker one membership change, in band: FIFO with the
+    /// base messages dispatched before and after it.
+    fn change(&mut self, lossy: bool, mut change: impl FnMut(usize) -> Membership) -> Result<()> {
+        let (arrival, watermark) = (Instant::now(), self.tracker.current().time());
+        self.pool
+            .control(deliver(lossy, &mut self.counters.shed), |worker| {
+                GroupMsg::Control {
+                    arrival,
+                    watermark,
+                    change: change(worker),
+                }
+            })
+    }
+
+    /// Takes plan `id` out of every worker behind the bases dispatched so
+    /// far and collects its per-worker reports, in worker order. A worker
+    /// that died with the request queued, or does not get to it within the
+    /// send deadline, loses the whole group: the pool is joined (which
+    /// attributes the failure) and stays poisoned for every member.
+    fn leave(&mut self, id: u64, lossy: bool) -> Result<Vec<JoinerReport>> {
+        self.pool.check()?;
+        let workers = self.acks.len();
+        let (reply, replies) = mpsc::channel();
+        self.change(lossy, |_| Membership::Leave {
+            id,
+            reply: reply.clone(),
+        })?;
+        drop(reply);
+        let waited = self.cfg.send_timeout;
+        let mut reports: Vec<(usize, JoinerReport)> = Vec::with_capacity(workers);
+        while reports.len() < workers {
+            let Ok(report) = replies.recv_timeout(waited) else {
+                let silent = |w: &usize| reports.iter().all(|(replied, _)| replied != w);
+                let worker = (0..workers).find(silent).unwrap_or(0);
+                self.pool.supervision().raise_kill();
+                let joined = self.pool.join_workers();
+                let cause = joined.err().unwrap_or(Error::WorkerStalled {
+                    engine: ENGINE,
+                    worker,
+                    waited,
+                });
+                self.pool.poison(&cause);
+                return Err(cause);
+            };
+            reports.push(report);
+        }
+        reports.sort_by_key(|(worker, _)| *worker);
+        Ok(reports.into_iter().map(|(_, report)| report).collect())
+    }
+
+    /// Ends the group behind its last member: flushes, joins every worker
+    /// and returns the first failure (the poison, if already set). Workers
+    /// are always joined, even on the failure path.
+    fn shutdown(mut self) -> Result<()> {
         if self.pool.check().is_ok() {
             // Terminal flush; a failure here poisons and falls through to
             // the joins below so no thread leaks.
@@ -299,15 +453,7 @@ impl Query {
             self.pool.supervision().raise_kill();
         }
         let _ = self.pool.join_workers(); // recorded as the poison unless one is set
-        self.pool.check()?;
-        let elapsed = self
-            .started
-            .map(|s| s.elapsed())
-            .unwrap_or_else(|| std::time::Duration::from_nanos(1));
-        let mut stats = self.pool.stats(self.pushed, elapsed);
-        stats.late_violations += self.probe_late;
-        stats.shed_events = self.shed;
-        Ok(stats)
+        self.pool.check()
     }
 }
 
@@ -322,11 +468,10 @@ pub struct ServeRuntime {
     cfg: ServeConfig,
     writer: BackendWriter,
     probe_inserts: u64,
-    queries: BTreeMap<u64, Query>,
-    /// Final stats of cleanly cancelled queries (observability after
-    /// cancel, e.g. the CLI's `STATS`).
-    retired: BTreeMap<u64, RunStats>,
+    plans: BTreeMap<u64, Plan>,
+    groups: BTreeMap<usize, Group>,
     next_id: u64,
+    next_group: usize,
     ledger: Mutex<Ledger>,
     /// Debug tripwire for the single-writer invariant (only read under
     /// `debug_assertions`; release builds keep the ingest path free).
@@ -346,9 +491,10 @@ impl ServeRuntime {
             writer,
             cfg,
             probe_inserts: 0,
-            queries: BTreeMap::new(),
-            retired: BTreeMap::new(),
+            plans: BTreeMap::new(),
+            groups: BTreeMap::new(),
             next_id: 0,
+            next_group: 0,
             ledger: Mutex::new("serve_admission", Ledger::default()),
             write_busy: AtomicBool::new(false),
             events: 0,
@@ -393,8 +539,9 @@ impl ServeRuntime {
 
     /// Registers a query with an explicit engine configuration —
     /// joiners, channel capacity, batching, fault plan (tests) — and an
-    /// optional unique name. Runs the admission checks and spawns the
-    /// query's supervised workers; ingest is **not** paused.
+    /// optional unique name. Runs the admission checks, then joins the
+    /// scan group the plan can share or founds one (spawning its
+    /// supervised workers); ingest is **not** paused.
     pub fn register(
         &mut self,
         cfg: EngineConfig,
@@ -422,12 +569,12 @@ impl ServeRuntime {
         }
         let id = self.next_id;
         // Reserve budget before spawning anything; `cfg` moves into the
-        // query, so remember what to hand back if the spawn fails.
+        // plan, so remember what to hand back if the admission fails.
         let joiners = cfg.joiners;
         self.ledger
             .lock()
             .reserve(&self.cfg, id, joiners, name.as_deref())?;
-        match self.spawn_query(id, cfg, sink, name.clone()) {
+        match self.admit(id, cfg, sink, name.clone()) {
             Ok(()) => {
                 self.next_id += 1;
                 Ok(QueryId(id))
@@ -440,75 +587,144 @@ impl ServeRuntime {
         }
     }
 
-    fn spawn_query(
+    /// Makes plan `id` a member of the healthy group it can share a scan
+    /// with, or the founder of a new one.
+    fn admit(
         &mut self,
         id: u64,
         mut cfg: EngineConfig,
         sink: Sink,
         name: Option<String>,
     ) -> Result<()> {
-        // All queries scan the shared store; the runtime's backend wins.
+        // All plans scan the shared store; the runtime's backend wins.
         cfg.index_backend = self.cfg.index_backend;
-        let sup = Supervision::default();
-        let acks: Vec<_> = (0..cfg.joiners)
-            .map(|_| Arc::new(AtomicI64::new(i64::MIN)))
-            .collect();
-        let workers = acks
-            .iter()
-            .enumerate()
-            .map(|(w, ack)| {
-                let sink = worker_sink_stack(&cfg, w, sink.clone(), &None, &sup);
-                let (cfg, reader, ack) = (cfg.clone(), self.writer.reader(), Arc::clone(ack));
-                QueryWorker {
-                    cfg,
-                    sink,
-                    reader,
-                    ack,
-                }
-            })
-            .collect();
-        let prefix = format!("oij-serve-q{id}-w");
-        // Unicast lanes, heartbeats on: served plans route like Key-OIJ.
-        let pool = WorkerPool::spawn(ENGINE, &prefix, &cfg, cfg.joiners, true, sup, workers)?;
-        self.queries.insert(
+        let shared = self
+            .groups
+            .iter_mut()
+            .find(|(_, g)| g.pool.check().is_ok() && shares_scan(&g.cfg, &cfg));
+        let retries = Arc::new(AtomicU64::new(0));
+        // A member's sink stacks count their own retries and fail into
+        // their group's supervision.
+        let sup = Supervision {
+            retries: Arc::clone(&retries),
+            ..shared
+                .as_ref()
+                .map(|(_, g)| g.pool.supervision().clone())
+                .unwrap_or_default()
+        };
+        let (joiners, width) = (cfg.joiners, cfg.query.window.length());
+        let origin = Instant::now();
+        let member = |worker: usize| Member {
             id,
-            Query {
+            window: cfg.query.window,
+            agg: cfg.query.agg,
+            sink: worker_sink_stack(&cfg, worker, sink.clone(), &None, &sup),
+            inst: JoinerInstruments::new(&cfg.instrument, origin),
+        };
+        let (group, joined) = match shared {
+            Some((&gid, g)) => {
+                g.change(self.cfg.shed_when_full, |w| {
+                    Membership::Join(Box::new(member(w)))
+                })?;
+                g.members.push(id);
+                g.widest = g.widest.max(width);
+                g.fresh = true;
+                (gid, g.counters)
+            }
+            None => {
+                let gid = self.next_group;
+                let acks: Vec<_> = (0..cfg.joiners)
+                    .map(|_| Arc::new(AtomicI64::new(i64::MIN)))
+                    .collect();
+                let workers = acks
+                    .iter()
+                    .enumerate()
+                    .map(|(w, ack)| {
+                        GroupWorker::new(w, self.writer.reader(), Arc::clone(ack), member(w))
+                    })
+                    .collect();
+                let prefix = format!("oij-serve-g{gid}-w");
+                // Unicast lanes, heartbeats on: a group routes like Key-OIJ.
+                let pool =
+                    WorkerPool::spawn(ENGINE, &prefix, &cfg, cfg.joiners, true, sup, workers)?;
+                self.next_group += 1;
+                self.groups.insert(
+                    gid,
+                    Group {
+                        tracker: WatermarkTracker::new(cfg.query.window.lateness),
+                        pool,
+                        acks,
+                        counters: Counters::default(),
+                        members: vec![id],
+                        widest: width,
+                        fresh: true,
+                        cfg,
+                    },
+                );
+                (gid, Counters::default())
+            }
+        };
+        self.plans.insert(
+            id,
+            Plan {
                 name,
-                tracker: WatermarkTracker::new(cfg.query.window.lateness),
-                pool,
-                acks,
-                pushed: 0,
-                shed: 0,
-                probe_late: 0,
+                joiners,
+                width,
+                group,
+                joined,
+                retries,
                 started: None,
-                cfg,
             },
         );
         Ok(())
     }
 
-    /// Deregisters a query without draining shared ingest: flushes its
-    /// workers, joins them, frees its admission budget, and returns its
-    /// final [`RunStats`] — or the failure that poisoned it
-    /// ([`Error::WorkerFailed`]/[`Error::WorkerStalled`], attributable
-    /// to this query alone).
+    /// Deregisters a query without draining shared ingest: takes it out of
+    /// its group's workers behind the bases dispatched so far (the last
+    /// member's cancel also flushes and joins them), frees its admission
+    /// budget, and returns its final [`RunStats`] — or the failure that
+    /// poisoned its group ([`Error::WorkerFailed`]/[`Error::WorkerStalled`],
+    /// the same from every member's cancel).
     pub fn cancel(&mut self, id: QueryId) -> Result<RunStats> {
-        let mut q = self
-            .queries
+        let plan = self
+            .plans
             .remove(&id.0)
             .ok_or_else(|| Error::InvalidState(format!("unknown query {id}")))?;
-        self.ledger.lock().release(q.cfg.joiners, q.name.as_deref());
-        let result = q.shutdown();
-        if let Ok(stats) = &result {
-            self.retired.insert(id.0, stats.clone());
-        }
-        result
+        self.ledger
+            .lock()
+            .release(plan.joiners, plan.name.as_deref());
+        let group = self
+            .groups
+            .get_mut(&plan.group)
+            .expect("a group outlives its members");
+        let reports = group.leave(id.0, self.cfg.shed_when_full);
+        let counted = group.counters.since(plan.joined);
+        group.members.retain(|&m| m != id.0);
+        let widths = group.members.iter().map(|m| self.plans[m].width);
+        group.widest = widths.max().unwrap_or(Duration::ZERO);
+        let ended = if group.members.is_empty() {
+            self.groups.remove(&plan.group).map(Group::shutdown)
+        } else {
+            None
+        };
+        let reports = reports?;
+        ended.transpose()?;
+        let elapsed = plan
+            .started
+            .map(|s| s.elapsed())
+            .unwrap_or_else(|| std::time::Duration::from_nanos(1));
+        let mut stats = RunStats::from_reports(counted.pushed, elapsed, reports, 0);
+        stats.late_violations += counted.probe_late;
+        stats.shed_events = counted.shed;
+        // ORDERING: Relaxed — statistics counter; read after the plan's sink stacks left every worker.
+        stats.sink_retries = plan.retries.load(Ordering::Relaxed);
+        Ok(stats)
     }
 
     /// Cancels every remaining query (shutdown path); per-query results
     /// in registration order.
     pub fn finish(&mut self) -> Vec<(QueryId, Result<RunStats>)> {
-        let ids: Vec<u64> = self.queries.keys().copied().collect();
+        let ids: Vec<u64> = self.plans.keys().copied().collect();
         ids.into_iter()
             .map(|id| (QueryId(id), self.cancel(QueryId(id))))
             .collect()
@@ -521,28 +737,33 @@ impl ServeRuntime {
 
     /// Live per-query counters, in registration order.
     pub fn stats(&self) -> Vec<QueryStats> {
-        self.queries
+        self.plans
             .iter()
-            .map(|(&id, q)| QueryStats {
-                id: QueryId(id),
-                name: q.name.clone(),
-                joiners: q.cfg.joiners,
-                pushed: q.pushed,
-                shed: q.shed,
-                failed: q.pool.check().is_err(),
+            .map(|(&id, plan)| {
+                let group = self
+                    .groups
+                    .get(&plan.group)
+                    .expect("a group outlives its members");
+                let counted = group.counters.since(plan.joined);
+                QueryStats {
+                    id: QueryId(id),
+                    name: plan.name.clone(),
+                    joiners: plan.joiners,
+                    group: plan.group,
+                    pushed: counted.pushed,
+                    shed: counted.shed,
+                    failed: group.pool.check().is_err(),
+                }
             })
             .collect()
-    }
-
-    /// Final stats of a cleanly cancelled query, if retained.
-    pub fn retired_stats(&self, id: QueryId) -> Option<&RunStats> {
-        self.retired.get(&id.0)
     }
 
     /// Runtime-wide counters.
     pub fn snapshot(&self) -> ServeSnapshot {
         ServeSnapshot {
-            active_queries: self.queries.len(),
+            active_queries: self.plans.len(),
+            groups: self.groups.len(),
+            worker_threads: self.groups.values().map(|g| g.acks.len()).sum(),
             events: self.events,
             probe_inserts: self.probe_inserts,
             retained: self.writer.len(),
@@ -550,10 +771,10 @@ impl ServeRuntime {
         }
     }
 
-    /// Feeds one event to every registered query. Probes are indexed
-    /// once in the shared store; bases fan out with a visibility bound.
-    /// Per-query failures are contained (the failing query is poisoned
-    /// and skipped; see [`stats`](Self::stats) and
+    /// Feeds one event to every scan group. Probes are indexed once in
+    /// the shared store; a base goes out once per group, with a visibility
+    /// bound. Per-group failures are contained (the failing group is
+    /// poisoned and skipped; see [`stats`](Self::stats) and
     /// [`cancel`](Self::cancel)) — `push` itself only fails on runtime-
     /// level misuse.
     pub fn push(&mut self, event: Event) -> Result<()> {
@@ -588,53 +809,45 @@ impl ServeRuntime {
         }
         let bound = self.probe_inserts;
         let lossy = self.cfg.shed_when_full;
-        for q in self.queries.values_mut() {
-            if q.pool.check().is_err() {
+        for g in self.groups.values_mut() {
+            if g.pool.check().is_err() {
                 continue;
             }
-            if q.started.is_none() {
-                q.started = Some(now);
+            if g.fresh {
+                g.fresh = false;
+                for member in &g.members {
+                    if let Some(plan) = self.plans.get_mut(member) {
+                        plan.started.get_or_insert(now);
+                    }
+                }
             }
             // Pre-observation stamp, exactly as the engine drivers do.
             // STAMP: stamp-observe.pre
-            let watermark = q.tracker.current().time();
+            let watermark = g.tracker.current().time();
             // STAMP: stamp-observe.post
-            q.tracker.observe(tuple.ts);
-            q.pushed += 1;
-            // Lossless mode is the pool's guarded send (blocks up to
-            // `send_timeout`, then poisons the query); lossy mode sheds
-            // what a full queue hands back. Control traffic never comes
-            // through here: the pool sends it losslessly itself.
-            let shed = &mut q.shed;
-            let deliver = |pool: &mut WorkerPool<BaseMsg>, j, out| {
-                if !lossy {
-                    return pool.route(j, out);
-                }
-                if let Some(dropped) = pool.try_route(j, out)? {
-                    *shed += dropped.tuples() as u64;
-                }
-                Ok(())
-            };
-            // Isolation: a failed route poisons q's pool only. Probes
-            // send nothing on this edge but still advance the plan's driver
+            g.tracker.observe(tuple.ts);
+            g.counters.pushed += 1;
+            let hand_over = deliver(lossy, &mut g.counters.shed);
+            // Isolation: a failed route poisons g's pool only. Probes
+            // send nothing on this edge but still advance the group's driver
             // time: flush deadlines and heartbeats keep their cadence.
             let _ = match side {
                 Side::Probe => {
                     if tuple.ts < watermark {
-                        q.probe_late += 1;
+                        g.counters.probe_late += 1;
                     }
-                    q.pool.tick(now, watermark, deliver)
+                    g.pool.tick(now, watermark, hand_over)
                 }
                 Side::Base => {
-                    let j = (hash_key(tuple.key) % q.cfg.joiners as u64) as usize;
-                    let msg = BaseMsg {
+                    let j = (hash_key(tuple.key) % g.cfg.joiners as u64) as usize;
+                    let msg = GroupMsg::Base(BaseMsg {
                         tuple: tuple.clone(),
                         seq,
                         arrival: now,
                         watermark,
                         bound,
-                    };
-                    q.pool.dispatch(j, msg, deliver)
+                    });
+                    g.pool.dispatch(j, msg, hand_over)
                 }
             };
         }
@@ -646,31 +859,31 @@ impl ServeRuntime {
     }
 
     /// Central eviction of the shared index: conservative over every
-    /// query's *acknowledged* progress, so a backlogged worker's pending
-    /// scans never lose probes. (A per-query engine evicts at its own
+    /// group's *acknowledged* progress, so a backlogged worker's pending
+    /// scans never lose probes. (A solo engine evicts at its own
     /// `last_wm − window length`; the shared store must take the
-    /// minimum, and only over watermarks the workers have actually
-    /// caught up to.)
+    /// minimum, over watermarks the workers have actually caught up to,
+    /// less each group's widest member window.)
     fn expire(&mut self) {
         let mut bound: Option<Timestamp> = None;
-        for q in self.queries.values() {
-            if q.pool.check().is_err() {
-                // A poisoned query's workers may be gone and will never
+        for g in self.groups.values() {
+            if g.pool.check().is_err() {
+                // A poisoned group's workers may be gone and will never
                 // acknowledge again; its output is already void, so it
                 // no longer pins retention.
                 continue;
             }
-            let mut q_min = i64::MAX;
-            for ack in &q.acks {
+            let mut g_min = i64::MAX;
+            for ack in &g.acks {
                 // ORDERING: Acquire — pairs with the workers' Release fetch_max publications, so acknowledged scans are complete before we trust the watermark.
-                q_min = q_min.min(ack.load(Ordering::Acquire));
+                g_min = g_min.min(ack.load(Ordering::Acquire));
             }
-            if q_min == i64::MIN {
+            if g_min == i64::MIN {
                 // Some worker has not acknowledged anything yet
-                // (registered mid-stream or idle slice): retain all.
+                // (group founded mid-stream or idle slice): retain all.
                 return;
             }
-            let cand = Timestamp::from_micros(q_min).saturating_sub(q.cfg.query.window.length());
+            let cand = Timestamp::from_micros(g_min).saturating_sub(g.widest);
             bound = Some(match bound {
                 None => cand,
                 Some(b) => b.min(cand),
@@ -839,9 +1052,9 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].name.as_deref(), Some("spend"));
-        rt.cancel(id).unwrap();
+        assert_eq!(rt.cancel(id).unwrap().results, 0);
         assert_eq!(rt.lookup("spend"), None);
-        assert!(rt.retired_stats(id).is_some());
+        assert!(rt.stats().is_empty());
     }
 
     #[test]
@@ -887,25 +1100,138 @@ mod tests {
             ..ServeConfig::new()
         })
         .unwrap();
-        let mut cfg = EngineConfig::new(query(50, 10), 1).unwrap();
-        cfg.heartbeat_every = 64;
-        let id = rt.register(cfg, Sink::null(), None).unwrap();
-        for i in 0..20_000u64 {
+        // Nested windows, one group: 50 µs inside 4 000 µs. The short
+        // channel makes ingest wait for the worker, so its acknowledgements
+        // trail by at most some twenty bases and retention is bounded by
+        // arithmetic, not by timing.
+        let cfg = |pre| {
+            let mut cfg = EngineConfig::new(query(pre, 10), 1).unwrap();
+            cfg.heartbeat_every = 64;
+            cfg.channel_capacity = 16;
+            cfg
+        };
+        let narrow = rt.register(cfg(50), Sink::null(), None).unwrap();
+        let wide = rt.register(cfg(4_000), Sink::null(), None).unwrap();
+        assert_eq!(rt.snapshot().groups, 1);
+        // One tuple per µs, seven probes in eight.
+        let mut feed = (0..40_000u64).map(|i| {
             let side = if i % 8 == 0 { Side::Base } else { Side::Probe };
-            rt.push(Event::data(
+            Event::data(
                 i,
                 side,
                 Tuple::new(Timestamp::from_micros(i as i64), i % 3, 1.0),
-            ))
-            .unwrap();
+            )
+        });
+        for ev in feed.by_ref().take(20_000) {
+            rt.push(ev).unwrap();
         }
         let snap = rt.snapshot();
         assert!(snap.evicted > 0, "central eviction must have fired");
         assert!(
-            snap.retained < 5_000,
-            "retention must track the window, not the stream: {} tuples live",
+            (3_500..4_500).contains(&snap.retained),
+            "retention must track the widest member's window, not the stream and not the \
+             narrowest member: {} tuples live",
             snap.retained
         );
-        rt.cancel(id).unwrap();
+        // Behind the widest member's cancel, retention follows the
+        // remaining one.
+        assert_eq!(rt.cancel(wide).unwrap().input_tuples, 20_000);
+        for ev in feed {
+            rt.push(ev).unwrap();
+        }
+        let retained = rt.snapshot().retained;
+        assert!(
+            retained < 1_000,
+            "retention must shrink to the remaining member's window: {retained} tuples live"
+        );
+        rt.cancel(narrow).unwrap();
+    }
+
+    #[test]
+    fn members_keep_their_solo_effectiveness() {
+        // In-order timestamps and no following offset: every index node a
+        // member's own window scan visits is visible, so each member's
+        // effectiveness is exactly 1 — alone or in a group. Charging a
+        // member the union scan's visits would dilute the narrow one to
+        // about 40 / 400.
+        let mut rt = ServeRuntime::new(ServeConfig::new()).unwrap();
+        let cfg = |pre| {
+            EngineConfig::new(query(pre, 0), 1)
+                .unwrap()
+                .with_instrument(oij_core::Instrumentation::full())
+        };
+        let alone = rt.register(cfg(40), Sink::null(), None).unwrap();
+        // Latency histograms only: another instrumentation, another group.
+        let other = cfg(40).with_instrument(oij_core::Instrumentation::latency());
+        let apart = rt.register(other, Sink::null(), None).unwrap();
+        let wide = rt.register(cfg(400), Sink::null(), None).unwrap();
+        let groups: Vec<usize> = rt.stats().iter().map(|q| q.group).collect();
+        assert_eq!(groups, vec![0, 1, 0]);
+        for i in 0..4_000u64 {
+            let side = if i % 4 == 0 { Side::Base } else { Side::Probe };
+            let tuple = Tuple::new(Timestamp::from_micros(i as i64), i % 2, 1.0);
+            rt.push(Event::data(i, side, tuple)).unwrap();
+        }
+        for id in [alone, wide] {
+            let stats = rt.cancel(id).unwrap();
+            assert_eq!(stats.results, 1_000);
+            assert_eq!(stats.effectiveness, Some(1.0), "{id}");
+        }
+        assert_eq!(rt.cancel(apart).unwrap().effectiveness, None);
+    }
+
+    /// A user sink that fails (`stall: false`) or stalls from its fifth
+    /// row on; the returned flag releases a stalled one.
+    fn bad_sink(stall: bool) -> (Sink, Arc<AtomicBool>) {
+        let release = Arc::new(AtomicBool::new(false));
+        let plan = if stall {
+            FaultPlan::none().sink_stall_from(0, 5, std::time::Duration::from_secs(30))
+        } else {
+            FaultPlan::none().sink_fail_at(0, 5)
+        };
+        (
+            plan.wrap_sink(0, Sink::null(), Arc::clone(&release)),
+            release,
+        )
+    }
+
+    #[test]
+    fn a_group_failure_reaches_every_member() {
+        for stall in [false, true] {
+            let mut rt = ServeRuntime::new(ServeConfig::new()).unwrap();
+            let cfg = |pre| {
+                let mut cfg = EngineConfig::new(query(pre, 20), 1).unwrap();
+                cfg.send_timeout = std::time::Duration::from_millis(50);
+                cfg
+            };
+            // The fault sits in one member's own sink; its plan is empty,
+            // so the three plans share a group.
+            let (sink, release) = bad_sink(stall);
+            let ids = [
+                rt.register(cfg(40), Sink::null(), None).unwrap(),
+                rt.register(cfg(60), sink, None).unwrap(),
+                rt.register(cfg(80), Sink::null(), None).unwrap(),
+            ];
+            assert_eq!(rt.snapshot().groups, 1);
+            for ev in events(400) {
+                rt.push(ev).unwrap();
+            }
+            let errs: Vec<Error> = ids.map(|id| rt.cancel(id).unwrap_err()).into();
+            // ORDERING: Release — pairs with the stalled sink's Acquire poll.
+            release.store(true, Ordering::Release);
+            match &errs[0] {
+                Error::WorkerStalled { engine, .. } if stall => assert_eq!(*engine, "serve"),
+                Error::WorkerFailed { engine, cause, .. } if !stall => {
+                    assert_eq!(*engine, "serve");
+                    assert!(cause.contains("injected sink failure"), "{cause}");
+                }
+                other => panic!("stall = {stall}: got {other:?}"),
+            }
+            assert!(
+                errs.iter().all(|e| e.to_string() == errs[0].to_string()),
+                "every member must report the group's one failure: {errs:?}"
+            );
+            assert_eq!(rt.snapshot().groups, 0);
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! lock-order witness under `RUSTFLAGS="--cfg lockdep"`.
 
 pub(crate) mod atomic {
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+    pub(crate) use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 }
 
 pub(crate) use oij_common::lockdep::Mutex;

@@ -323,8 +323,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             ("STATS", _) => {
                 let snap = runtime.snapshot();
                 println!(
-                    "active={} events={} probes={} retained={} evicted={}",
+                    "active={} groups={} threads={} events={} probes={} retained={} evicted={}",
                     snap.active_queries,
+                    snap.groups,
+                    snap.worker_threads,
                     snap.events,
                     snap.probe_inserts,
                     snap.retained,
@@ -332,10 +334,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 );
                 for q in runtime.stats() {
                     println!(
-                        "  {} name={} joiners={} pushed={} shed={} {}",
+                        "  {} name={} joiners={} group={} pushed={} shed={} {}",
                         q.id,
                         q.name.as_deref().unwrap_or("-"),
                         q.joiners,
+                        q.group,
                         q.pushed,
                         q.shed,
                         if q.failed { "FAILED" } else { "ok" }

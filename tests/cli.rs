@@ -181,9 +181,12 @@ fn serve_line_protocol_registers_feeds_and_cancels() {
               (UNION probe PARTITION BY key ORDER BY ts ROWS_RANGE BETWEEN 100 PRECEDING \
               AND CURRENT ROW)\n\
               REGISTER nonsense query text\n\
+              REGISTER SELECT MAX(value) OVER w FROM base WINDOW w AS (UNION probe \
+              PARTITION BY key ORDER BY ts ROWS_RANGE BETWEEN 300 PRECEDING AND CURRENT ROW)\n\
               FEED 1000\n\
               STATS\n\
               CANCEL spend\n\
+              STATS\n\
               QUIT\n",
         )
         .unwrap();
@@ -197,10 +200,17 @@ fn serve_line_protocol_registers_feeds_and_cancels() {
     assert!(text.contains("registered q0 (spend)"), "{text}");
     assert!(text.contains("rejected: SQL parse error"), "{text}");
     assert!(text.contains("fed 1000 events"), "{text}");
-    assert!(text.contains("active=1 events=1000 probes="), "{text}");
-    assert!(text.contains("name=spend joiners=2 pushed=1000"), "{text}");
-    // 1000 alternating events = 500 base rows answered by the query.
+    // Both plans reserved two joiners; differing in window and aggregate
+    // only, they run as one group on two threads.
+    let shared = "active=2 groups=1 threads=2 events=1000 probes=";
+    assert!(text.contains(shared), "{text}");
+    let spend = "name=spend joiners=2 group=0 pushed=1000";
+    assert!(text.contains(spend), "{text}");
+    assert!(text.contains("q1 name=- joiners=2 group=0"), "{text}");
+    // 1000 alternating events = 500 base rows answered by each query.
     assert!(text.contains("cancelled q0: results=500 shed=0"), "{text}");
+    assert!(text.contains("active=1 groups=1 threads=2"), "{text}");
+    assert!(text.contains("finished q1: results=500 shed=0"), "{text}");
 }
 
 #[test]

@@ -1,25 +1,35 @@
-//! Serving-runtime differential suite: N concurrently served queries
-//! must be **bit-identical** to N solo engine runs.
+//! Serving-runtime differential suite: N concurrently served queries,
+//! answered from **shared scans**, must be **bit-identical** to N solo
+//! engine runs.
 //!
 //! The serving runtime (DESIGN.md §13) shares one single-writer probe
-//! index across every registered plan. Its correctness argument is that
-//! each base message carries the writer's probe-insert count at dispatch
-//! as a visibility `bound`, and workers scan their cloned readers in
-//! `(ts, seq)` order filtered to `seq < bound` — recovering exactly the
-//! probe prefix (and the `f64` accumulation order) a solo run would
-//! have used. This suite checks that claim end to end:
+//! index across every registered plan, and one worker team and one scan
+//! per base tuple across the plans of a scan group. Its correctness
+//! argument is that each base message carries the writer's probe-insert
+//! count at dispatch as a visibility `bound`, and workers scan the union
+//! of their members' windows in `(ts, seq)` order filtered to
+//! `seq < bound`, folding each member over the contiguous sub-range its
+//! own window covers — recovering exactly the probe prefix (and the `f64`
+//! accumulation order) a solo run would have used. This suite checks
+//! that claim end to end:
 //!
 //! - **16 concurrent queries** with distinct windows, aggregates and
-//!   joiner counts, across backends {skip list, Jiffy-lite} × batch
-//!   sizes {1, 64}: every query's rows equal its solo Key-OIJ run's
-//!   rows, `assert_eq` on the full [`FeatureRow`] including float bits;
+//!   joiner counts — two scan groups — across backends {skip list,
+//!   Jiffy-lite} × batch sizes {1, 64}: every query's rows equal its solo
+//!   Key-OIJ run's rows, `assert_eq` on the full [`FeatureRow`] including
+//!   float bits;
 //! - **mid-stream registration**: a query admitted halfway through the
-//!   feed — ingest never drains — answers exactly the solo rows from
-//!   its admission point on (the shared index already holds the earlier
-//!   probes);
+//!   feed — ingest never drains — into an existing group or founding its
+//!   own answers exactly the solo rows from its admission point on (the
+//!   shared index already holds the earlier probes);
+//! - **mid-stream cancellation** of a group's widest and of a middle
+//!   member: the cancelled plans return exactly their rows so far, the
+//!   remaining members stay bit-identical;
 //! - **fault isolation at scale**: one plan with an injected worker
 //!   panic among 16 healthy neighbours; the panic is attributed to that
-//!   plan alone and every neighbour stays bit-identical.
+//!   plan alone and every neighbour stays bit-identical;
+//! - **shedding**: a base message shed under overload is charged once to
+//!   every member of the group that lost it.
 //!
 //! Debug builds additionally arm the runtime's single-writer tripwire,
 //! so any concurrent access to the shared writer fails these tests.
@@ -98,6 +108,14 @@ fn served_match_solo(backend: IndexBackend, batch: usize) {
             .unwrap();
         served.push((slot, id, cfg, rows));
     }
+    // The slots differ in window, aggregate and joiner count (1 or 2);
+    // only the last splits them: two groups, three worker threads for
+    // plans that reserved twenty-four.
+    let snap = rt.snapshot();
+    assert_eq!((snap.active_queries, snap.groups), (QUERIES, 2));
+    assert_eq!(snap.worker_threads, 1 + 2);
+    let reserved: usize = rt.stats().iter().map(|q| q.joiners).sum();
+    assert_eq!(reserved, QUERIES + QUERIES / 2);
     for ev in &events {
         rt.push(ev.clone()).unwrap();
     }
@@ -121,7 +139,10 @@ fn served_match_solo(backend: IndexBackend, batch: usize) {
         );
     }
     let snap = rt.snapshot();
-    assert_eq!(snap.active_queries, 0);
+    assert_eq!(
+        (snap.active_queries, snap.groups, snap.worker_threads),
+        (0, 0, 0)
+    );
     assert_eq!(
         snap.probe_inserts as usize,
         events.len() - snap_bases(&events)
@@ -155,8 +176,9 @@ fn sixteen_served_queries_match_solo_runs_jiffy_batched() {
     served_match_solo(IndexBackend::JiffyLite, 64);
 }
 
-#[test]
-fn mid_stream_registration_joins_without_draining_ingest() {
+/// Registers slot `late_slot` halfway through the feed, next to slot 0
+/// running from the start.
+fn mid_stream_registration(late_slot: usize, groups: usize) {
     let events = feed(4000);
     let cut = events.len() / 2;
     let mut rt = ServeRuntime::new(ServeConfig::new()).unwrap();
@@ -170,9 +192,10 @@ fn mid_stream_registration_joins_without_draining_ingest() {
         rt.push(ev.clone()).unwrap();
     }
     // Admission happens while ingest is live — no drain, no barrier.
-    let late_cfg = cfg_for(3, 1, IndexBackend::SkipList);
+    let late_cfg = cfg_for(late_slot, 1, IndexBackend::SkipList);
     let (late_sink, late_rows) = Sink::collect();
     let late = rt.register(late_cfg.clone(), late_sink, None).unwrap();
+    assert_eq!(rt.snapshot().groups, groups);
     for ev in &events[cut..] {
         rt.push(ev.clone()).unwrap();
     }
@@ -190,10 +213,113 @@ fn mid_stream_registration_joins_without_draining_ingest() {
     // ground truth.
     let (full, _) = solo_rows(late_cfg, &events);
     let want_late: Vec<FeatureRow> = full.into_iter().filter(|r| r.seq >= cut as u64).collect();
-    rt.cancel(late).unwrap();
+    let stats = rt.cancel(late).unwrap();
+    assert_eq!(stats.input_tuples as usize, events.len() - cut);
     let mut got = late_rows.lock().clone();
     got.sort_by_key(|r| r.seq);
     assert_eq!(got, want_late, "late-registered query rows");
+}
+
+#[test]
+fn mid_stream_registration_joins_without_draining_ingest() {
+    // Slot 3 runs two joiners: it founds a group of its own.
+    mid_stream_registration(3, 2);
+}
+
+#[test]
+fn mid_stream_registration_into_a_live_group() {
+    // Slot 2 differs from slot 0 in window and aggregate only: it joins
+    // slot 0's group, whose union window widens under way.
+    mid_stream_registration(2, 1);
+}
+
+#[test]
+fn cancelling_the_widest_then_a_middle_member_leaves_the_rest_identical() {
+    let events = feed(4500);
+    let (first_cut, second_cut) = (1500, 3000);
+    let mut rt = ServeRuntime::new(ServeConfig::new()).unwrap();
+    // The one-joiner slots: one group, windows 50 to 450 µs.
+    let mut members = Vec::new();
+    for slot in (0..10).step_by(2) {
+        let cfg = cfg_for(slot, 1, IndexBackend::SkipList);
+        let (sink, rows) = Sink::collect();
+        let id = rt.register(cfg.clone(), sink, None).unwrap();
+        members.push((slot, id, cfg, rows));
+    }
+    assert_eq!(rt.snapshot().groups, 1);
+
+    let mut fed = 0;
+    // Slot 8 has the widest window, slot 4 a middle one.
+    for (cut, slot) in [(first_cut, 8), (second_cut, 4), (events.len(), usize::MAX)] {
+        for ev in &events[fed..cut] {
+            rt.push(ev.clone()).unwrap();
+        }
+        fed = cut;
+        let Some(at) = members.iter().position(|m| m.0 == slot) else {
+            break;
+        };
+        let (_, id, cfg, rows) = members.remove(at);
+        let stats = rt.cancel(id).unwrap();
+        let (full, _) = solo_rows(cfg, &events);
+        let want: Vec<FeatureRow> = full.into_iter().filter(|r| r.seq < cut as u64).collect();
+        assert_eq!(stats.input_tuples as usize, cut, "slot {slot}");
+        assert_eq!(stats.results as usize, want.len(), "slot {slot}");
+        let mut got = rows.lock().clone();
+        got.sort_by_key(|r| r.seq);
+        assert_eq!(
+            got, want,
+            "cancelled slot {slot}: its rows up to the cancel"
+        );
+        assert_eq!(rt.snapshot().groups, 1);
+    }
+
+    for (slot, id, cfg, rows) in members {
+        let (want, _) = solo_rows(cfg, &events);
+        rt.cancel(id).unwrap();
+        let mut got = rows.lock().clone();
+        got.sort_by_key(|r| r.seq);
+        assert_eq!(got, want, "slot {slot} diverged after its group mates left");
+    }
+}
+
+#[test]
+fn a_shed_base_is_charged_once_to_every_member() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let events = feed(3000);
+    let bases = snap_bases(&events) as u64;
+    let mut rt = ServeRuntime::new(ServeConfig::new().with_shedding()).unwrap();
+    // One member's sink takes 2 ms per row: the group's worker stays
+    // alive (heartbeats get through) but far behind ingest, so the
+    // four-message queue overflows and ingest sheds.
+    let stalling = FaultPlan::none()
+        .sink_stall_from(0, 0, std::time::Duration::from_millis(2))
+        .wrap_sink(0, Sink::null(), Arc::new(AtomicBool::new(false)));
+    let mut ids = Vec::new();
+    for (slot, sink) in [(0, Sink::null()), (2, stalling), (4, Sink::null())] {
+        let mut cfg = cfg_for(slot, 1, IndexBackend::SkipList);
+        cfg.channel_capacity = 4;
+        ids.push(rt.register(cfg, sink, None).unwrap());
+    }
+    assert_eq!(rt.snapshot().groups, 1);
+    for ev in &events {
+        rt.push(ev.clone()).unwrap();
+    }
+    let live: Vec<u64> = rt.stats().iter().map(|q| q.shed).collect();
+
+    let shed: Vec<u64> = ids
+        .into_iter()
+        .map(|id| {
+            let stats = rt.cancel(id).unwrap();
+            // Every base was answered or shed, for this member: once.
+            assert_eq!(stats.results + stats.shed_events, bases, "{id}");
+            stats.shed_events
+        })
+        .collect();
+    assert!(shed[0] > 0, "the stalled group must have shed");
+    assert_eq!(shed, vec![shed[0]; 3], "one charge per member");
+    assert_eq!(live, shed, "the live counters agree");
 }
 
 #[test]
