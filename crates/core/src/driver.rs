@@ -210,6 +210,43 @@ mod tests {
         assert!(d.finish().is_err());
     }
 
+    /// The recovery re-seed: a driver over a recovered log starts from the
+    /// log's maximum event time *before* anything is replayed. Replay alone
+    /// does not restore it — a checkpoint drops emitted base tuples whatever
+    /// their event time, so the tuple that set the maximum may not be among
+    /// the replayed ones, and the first live stamp would regress below
+    /// stamps already handed out. (`tests/protocol_witness.rs` cannot see
+    /// this at any heartbeat cadence: its crash lands before a checkpoint
+    /// has compacted anything.)
+    #[test]
+    fn recovery_reseeds_the_tracker_from_the_log() {
+        use oij_durability::DurabilityConfig;
+        let dir = std::env::temp_dir().join(format!("oij-driver-reseed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurabilityConfig::new(dir.clone());
+        let spec = RetentionSpec {
+            extent: Duration::from_micros(100),
+            lateness: Duration::from_micros(10),
+            side_output: false,
+        };
+        let crashed = DurabilityRuntime::open(&cfg, spec).unwrap();
+        crashed
+            .record_event(LoggedEvent {
+                seq: 0,
+                side: Side::Probe,
+                ts: 500,
+                key: 1,
+                value: 0.0,
+                stamp: i64::MIN,
+            })
+            .unwrap();
+        drop(crashed);
+        let recovered = Arc::new(DurabilityRuntime::open(&cfg, spec).unwrap());
+        let d = Driver::with_durability(Duration::from_micros(10), Some(recovered));
+        assert_eq!(d.watermark(), Timestamp::from_micros(490));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stamped_replay_keeps_the_logged_watermark() {
         let mut d = Driver::with_durability(Duration::from_micros(10), None);

@@ -144,6 +144,14 @@ pub struct RunStats {
     /// runs.
     #[serde(default)]
     pub shed_events: u64,
+    /// Index nodes visited while answering base tuples, summed over the
+    /// joiners (Scale-OIJ only).
+    #[serde(default)]
+    pub nodes_visited: u64,
+    /// Window-summary cells merged in place of node visits (Scale-OIJ
+    /// only; zero when the query builds no summary).
+    #[serde(default)]
+    pub cells_merged: u64,
 }
 
 impl RunStats {
@@ -166,9 +174,12 @@ impl RunStats {
         let mut late_violations = 0;
         let mut late_side_outputs = 0;
         let mut batch_occupancy = BatchOccupancy::new();
+        let (mut nodes_visited, mut cells_merged) = (0, 0);
 
         for inst in reports {
             results += inst.results;
+            nodes_visited += inst.nodes_visited;
+            cells_merged += inst.cells_merged;
             joiner_loads.push(inst.processed);
             evicted += inst.evicted;
             late_violations += inst.late_violations;
@@ -230,6 +241,8 @@ impl RunStats {
             rows_deduped_on_recovery: 0,
             sink_retries: 0,
             shed_events: 0,
+            nodes_visited,
+            cells_merged,
         }
     }
 

@@ -61,10 +61,10 @@ impl ProtoProbe {
         self.max_data = Some(self.max_data.map_or(watermark, |m| m.max(watermark)));
     }
 
-    /// Observes one `Batch` of `len` messages (per-message watermarks go
-    /// through [`data`](Self::data)).
+    /// Observes one `Batch` (its messages' watermarks go through
+    /// [`data`](Self::data)).
     #[inline]
-    pub fn batch(&mut self, _len: usize) {
+    pub fn batch(&mut self) {
         self.check_open("batch");
     }
 
@@ -126,6 +126,11 @@ pub struct JoinerInstruments {
     pub evicted: u64,
     /// Feature rows this joiner emitted.
     pub results: u64,
+    /// Index nodes Scale-OIJ's `answer` visited (always on: one add per
+    /// team scan).
+    pub nodes_visited: u64,
+    /// Window-summary cells `answer` merged in place of node visits.
+    pub cells_merged: u64,
     /// Fill levels of the `Msg::Batch`es this joiner received (always on:
     /// two adds per *batch*, nothing per tuple; empty when unbatched).
     pub batch_occupancy: BatchOccupancy,
@@ -152,6 +157,8 @@ impl JoinerInstruments {
             late_side_outputs: 0,
             evicted: 0,
             results: 0,
+            nodes_visited: 0,
+            cells_merged: 0,
             batch_occupancy: BatchOccupancy::new(),
             proto: ProtoProbe::new("driver-joiner"),
         }

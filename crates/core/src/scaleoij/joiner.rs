@@ -1,19 +1,24 @@
 //! The Scale-OIJ joiner thread: owns one time-travel index, reads its
-//!
-//! lint: hot_path
 //! virtual team's indexes, maintains incremental window aggregates.
 //!
-//! ## Watermark-settled incremental aggregation
+//! lint: hot_path
 //!
-//! The incremental state per (joiner, key) covers only the **settled**
-//! window prefix `[start, settled_end]` with `settled_end` strictly below
-//! the watermark. The lateness contract guarantees nothing below the
-//! watermark can still arrive, so the settled region is immutable: the
-//! Subtract-on-Evict deltas against it are always complete and **no
-//! invalidation tracking is needed**. The *unsettled* suffix
-//! `(settled_end, window_end]` — bounded by the lateness plus the stream's
-//! watermark lag, i.e. a small constant amount of data — is rescanned
-//! fresh for every base tuple and merged into the emitted value.
+//! ## What answers a window
+//!
+//! * **Settled prefix — Subtract-on-Evict.** The incremental state per
+//!   (joiner, key) covers only the window prefix `[start, settled_end]`
+//!   with `settled_end` strictly below the watermark. The lateness
+//!   contract guarantees nothing below the watermark can still arrive, so
+//!   the settled region is immutable: the Subtract-on-Evict deltas against
+//!   it are always complete and **no invalidation tracking is needed**.
+//! * **Every other range — bucket cells + edges.** The unsettled suffix
+//!   `(settled_end, window_end]`, the suffix leg of an out-of-order base,
+//!   and a window with no settled prefix worth keeping are answered by
+//!   [`TeamIndexes::fold`]: whole buckets from the team's window summaries
+//!   ([`super::summary`]), the partial bucket at each end from the index.
+//! * **Fallback — index scan.** A bucket whose cell misses, and every range
+//!   of a query whose lateness builds no summary, is scanned tuple by
+//!   tuple; `fold` without cells *is* that scan.
 //!
 //! Tuples that violate the lateness contract (timestamp below the
 //! watermark at arrival) may land inside a settled region; they are
@@ -39,6 +44,7 @@ use crate::shell::{emit, insert_probe, Joiner, Supervision};
 use crate::sink::Sink;
 
 use super::schedule::Schedule;
+use super::summary::{CellRead, SummaryReader, SummaryWriter};
 
 /// Incremental join state for one key on one joiner (paper §V-C). See the
 /// [module docs](self) for the settled/unsettled split.
@@ -132,6 +138,9 @@ pub(crate) struct ScaleJoiner {
     cfg: EngineConfig,
     sink: Sink,
     writer: BackendWriter,
+    /// This joiner's window summary, folded into beside every index
+    /// insert; `None` when the query builds none.
+    summary: Option<SummaryWriter>,
     indexes: TeamIndexes,
     schedule: Arc<RcuCell<Schedule>>,
     part_mask: u64,
@@ -175,7 +184,12 @@ impl Joiner<DataMsg> for ScaleJoiner {
         true
     }
 
+    /// Cell and index both change before the step's `publish`, so
+    /// published progress still implies both are visible.
     fn store(&mut self, inst: &mut JoinerInstruments, probe: DataMsg) {
+        if let Some(summary) = &mut self.summary {
+            summary.record(&probe.tuple);
+        }
         insert_probe(&mut self.writer, inst, probe.tuple);
     }
 
@@ -253,6 +267,18 @@ impl Joiner<DataMsg> for ScaleJoiner {
     }
 }
 
+/// Effectiveness (paper Eq. 1) is matched / visited over index nodes. The
+/// incremental paths visit only nodes that are (or were) in-window — the
+/// time-travel property — while cells and running state stand in for the
+/// rest, so their ratio is 1 **by construction**, not by measurement: it
+/// is recorded as such so the meter counts every base tuple. What these
+/// paths do measure is `nodes_visited` and `cells_merged`; the measured
+/// ratio is the `without_incremental` ablation's.
+#[inline]
+fn record_time_travel_effectiveness(inst: &mut JoinerInstruments, matched: u64) {
+    inst.record_effectiveness(matched, matched);
+}
+
 /// The minimum over one cross-joiner frontier array (Acquire loads; the
 /// call sites name the Release stores they pair with).
 fn min_slot(slots: &[AtomicI64]) -> i64 {
@@ -267,40 +293,182 @@ fn min_slot(slots: &[AtomicI64]) -> i64 {
 
 /// Every joiner's time-travel index, readable by all (virtual-team
 /// visibility).
-struct TeamIndexes {
+struct TeamReaders {
     readers: Vec<BackendReader>,
     node_bytes: usize,
 }
 
+impl TeamReaders {
+    /// Visits `key`'s tuples with `lo ≤ ts ≤ hi` in member `m`'s index
+    /// (none when `hi < lo`), feeding each node touch to the LLC model.
+    /// Returns the tuples visited.
+    #[inline]
+    fn scan_member(
+        &self,
+        inst: &mut JoinerInstruments,
+        m: usize,
+        key: Key,
+        (lo, hi): (i64, i64),
+        mut visit: impl FnMut(i64, f64),
+    ) -> u64 {
+        let (lo, hi) = (Timestamp::from_micros(lo), Timestamp::from_micros(hi));
+        // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
+        self.readers[m].scan_ts_range_addr(key, lo, hi, |t, addr| {
+            if let Some(c) = inst.cache.as_mut() {
+                c.access(addr, self.node_bytes);
+            }
+            visit(t.ts.as_micros(), t.value);
+        }) as u64
+    }
+}
+
+/// One teammate's closed buckets as `(bucket id, partial)`, in a ring of
+/// the summary's own length (bucket `b` in slot `b mod len`).
+type ClosedBuckets = Box<[(i64, PartialAgg)]>;
+
+/// What a joiner reads to answer a window: the team's indexes, the team's
+/// window summaries, and its own notes on buckets a summary has recycled.
+struct TeamIndexes {
+    index: TeamReaders,
+    /// One per joiner, like the readers; empty when the query builds no
+    /// summary.
+    summaries: Vec<SummaryReader>,
+    /// Per (member, key): partials of closed buckets whose cell the
+    /// member's ring has recycled, scanned once from its index and kept in
+    /// a ring of the same shape. A joiner running behind a teammate —
+    /// whose ring then sits a whole queue of event time ahead — would
+    /// otherwise rescan that teammate's half of every window.
+    recycled: HashMap<(usize, Key), ClosedBuckets>,
+}
+
 impl TeamIndexes {
-    /// The one team scan: visits `key`'s tuples with `lo ≤ ts ≤ hi` in
-    /// every team member's index, feeding each `(ts µs, value)` to `visit`
-    /// and each node touch to the LLC model; the elapsed time is Fig 6
-    /// lookup time. Returns the tuples visited.
+    /// Whether the summaries' rings span `PRE + FOL + lateness`
+    /// ([`SummaryShape::spans_window`](super::summary::SummaryShape::spans_window)):
+    /// cells then answer whole windows and no settled state is kept.
+    fn cells_span_window(&self) -> bool {
+        self.summaries
+            .first()
+            .is_some_and(|s| s.shape().spans_window())
+    }
+
+    /// The per-tuple team scan: `key`'s tuples in `range` from every team
+    /// member's index go to `visit` as `(ts µs, value)`; the elapsed time
+    /// is Fig 6 lookup time. Returns the tuples visited.
     fn scan(
         &self,
         inst: &mut JoinerInstruments,
         team: &[usize],
         key: Key,
-        (lo, hi): (i64, i64),
+        range: (i64, i64),
         mut visit: impl FnMut(i64, f64),
     ) -> u64 {
         let lookup_t0 = inst.wants_breakdown().then(Instant::now);
-        let (lo, hi) = (Timestamp::from_micros(lo), Timestamp::from_micros(hi));
         let mut visited = 0;
         for &m in team {
-            // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
-            visited += self.readers[m].scan_ts_range_addr(key, lo, hi, |t, addr| {
-                if let Some(c) = inst.cache.as_mut() {
-                    c.access(addr, self.node_bytes);
-                }
-                visit(t.ts.as_micros(), t.value);
-            }) as u64;
+            visited += self.index.scan_member(inst, m, key, range, &mut visit);
         }
+        inst.nodes_visited += visited;
         if let Some(t0) = lookup_t0 {
             inst.add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
         }
         visited
+    }
+
+    /// The one answer to a range outside the settled state: the partial
+    /// over `key`'s tuples in `[lo, hi]` across the team, as `Σ whole-bucket
+    /// cells + index scans` of whatever no cell answered — the partial
+    /// bucket at each end, buckets whose read was torn, and the whole range
+    /// for a query without a summary. Adjacent unanswered stretches share
+    /// one scan. A bucket the owner's ring has recycled is closed: it is
+    /// scanned on its own, once, and remembered.
+    ///
+    /// `split` hands the scanned tuples at or below it to `settled`
+    /// instead of the partial (the newly settled delta rides the lower
+    /// edge's scan); cells are taken only for buckets wholly above it.
+    /// `intact_from` is the team's retention bound: every eviction so far
+    /// used a bound at or below it, so a bucket starting there has lost
+    /// nothing its cell still counts. The elapsed time is Fig 6 lookup
+    /// time.
+    fn fold(
+        &mut self,
+        inst: &mut JoinerInstruments,
+        team: &[usize],
+        key: Key,
+        (lo, hi): (i64, i64),
+        (split, intact_from): (i64, i64),
+        mut settled: impl FnMut(i64, f64),
+    ) -> PartialAgg {
+        let lookup_t0 = inst.wants_breakdown().then(Instant::now);
+        let TeamIndexes {
+            index,
+            summaries,
+            recycled,
+        } = self;
+        let (mut scanned, mut summed) = (PartialAgg::empty(), PartialAgg::empty());
+        let mut visit = |ts: i64, v: f64| {
+            if ts <= split {
+                settled(ts, v);
+            } else {
+                scanned.add(v);
+            }
+        };
+        let cells_from = lo.max(split.saturating_add(1)).max(intact_from);
+        let (mut nodes, mut cells) = (0, 0);
+        for &m in team {
+            let Some(summary) = summaries.get(m) else {
+                nodes += index.scan_member(inst, m, key, (lo, hi), &mut visit);
+                continue;
+            };
+            let shape = summary.shape();
+            let (first, last) = shape.whole_buckets(cells_from, hi);
+            // No ring: `m` has stored no probe of `key`, so its index has
+            // nothing to scan either (`store` records before it inserts).
+            summary.with_ring(key, |ring| {
+                // Start of what no cell has answered yet.
+                let mut pending = lo;
+                // This member's notes, out of the map while in use.
+                let mut notes = None;
+                for bucket in first..=last {
+                    let (start, end) = (shape.start_of(bucket), shape.end_of(bucket));
+                    let cell = match ring.read(bucket) {
+                        CellRead::Hit(cell) => cell,
+                        CellRead::Torn => continue,
+                        CellRead::Recycled => {
+                            let notes = notes.get_or_insert_with(|| {
+                                recycled.remove(&(m, key)).unwrap_or_else(|| {
+                                    vec![(i64::MIN, PartialAgg::empty()); shape.cells()].into()
+                                })
+                            });
+                            // PANIC-OK: the index is reduced modulo the slice's own length.
+                            let note = &mut notes[bucket.rem_euclid(shape.cells() as i64) as usize];
+                            if note.0 != bucket {
+                                let mut closed = PartialAgg::empty();
+                                nodes += index
+                                    .scan_member(inst, m, key, (start, end), |_, v| closed.add(v));
+                                *note = (bucket, closed);
+                            }
+                            note.1
+                        }
+                    };
+                    let below = (pending, start.saturating_sub(1));
+                    nodes += index.scan_member(inst, m, key, below, &mut visit);
+                    summed.merge(&cell);
+                    cells += 1;
+                    pending = end.saturating_add(1);
+                }
+                nodes += index.scan_member(inst, m, key, (pending, hi), &mut visit);
+                if let Some(notes) = notes {
+                    recycled.insert((m, key), notes);
+                }
+            });
+        }
+        inst.nodes_visited += nodes;
+        inst.cells_merged += cells;
+        if let Some(t0) = lookup_t0 {
+            inst.add_breakdown(t0.elapsed().as_nanos() as u64, 0, 0);
+        }
+        scanned.merge(&summed);
+        scanned
     }
 }
 
@@ -310,8 +478,8 @@ impl ScaleJoiner {
         id: usize,
         cfg: &EngineConfig,
         sink: Sink,
-        writer: BackendWriter,
-        readers: Vec<BackendReader>,
+        (writer, summary): (BackendWriter, Option<SummaryWriter>),
+        (readers, summaries): (Vec<BackendReader>, Vec<SummaryReader>),
         schedule: Arc<RcuCell<Schedule>>,
         progress: Arc<Vec<AtomicI64>>,
         hold: Arc<Vec<AtomicI64>>,
@@ -325,9 +493,14 @@ impl ScaleJoiner {
             cfg: cfg.clone(),
             sink,
             writer,
+            summary,
             indexes: TeamIndexes {
-                readers,
-                node_bytes,
+                index: TeamReaders {
+                    readers,
+                    node_bytes,
+                },
+                summaries,
+                recycled: HashMap::new(),
             },
             schedule,
             part_mask: (cfg.partitions - 1) as u64,
@@ -376,6 +549,8 @@ impl ScaleJoiner {
             return self.plain_rescan(inst, key, a, b, team);
         }
 
+        let agg = self.cfg.query.agg;
+        let retention = self.retention_bound();
         // Settled frontier: everything strictly below the watermark is
         // immutable. (`wm == MIN` before any observation ⇒ nothing settled.)
         let settled_hi = if watermark == Timestamp::MIN {
@@ -383,80 +558,64 @@ impl ScaleJoiner {
         } else {
             b.min(watermark.as_micros() - 1)
         };
-        if settled_hi < a {
-            // The whole window is still unsettled (startup, or lateness ≫
-            // window as in Workload C): fresh scan, no state to keep.
+        if settled_hi < a || self.indexes.cells_span_window() {
+            // No settled prefix worth keeping: the whole window is still
+            // unsettled (startup, or lateness ≫ window), or it is short
+            // enough that its bucket cells answer it outright (lateness ≈
+            // window, as in Workload C — under disorder the state would
+            // cover a sliver and every base would fold around it).
             self.inc.remove(&key);
-            return self.plain_rescan(inst, key, a, b, team);
+            let unsplit = (i64::MIN, retention);
+            let fresh = self
+                .indexes
+                .fold(inst, team, key, (a, b), unsplit, |_, _| {});
+            record_time_travel_effectiveness(inst, fresh.count);
+            return (fresh.finish(agg), fresh.count);
         }
 
         // ORDERING: Acquire — pairs with the Release `inc_floor` stores; see the eviction bound in `evict`.
-        let evict_bound = self.retention_bound().min(min_slot(&self.inc_floor));
+        let evict_bound = retention.min(min_slot(&self.inc_floor));
         let fresh = match self.inc.get(&key) {
             Some(st) if st.start < evict_bound || st.settled_end > settled_hi => {
-                self.rebuild_settled(inst, key, a, settled_hi, b, team)
+                self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team)
             }
             // Slide the state forward (in-order base).
             Some(st) if st.start <= a && st.settled_end >= a - 1 => {
-                self.advance_settled(inst, key, a, settled_hi, b, team)
+                self.advance_settled(inst, key, (a, settled_hi, b), retention, team)
             }
             // Out-of-order base: the state still covers a suffix of this
-            // window — serve it read-only with two small boundary scans
-            // instead of throwing the state away (jitter is bounded by the
-            // lateness, so the prefix `[a, st.start)` is tiny).
+            // window — serve it read-only with two boundary legs instead
+            // of throwing the state away. The prefix `[a, st.start)` is
+            // bounded by the jitter and lies a window behind the ring, so
+            // it is scanned; the suffix folds.
             Some(st) if a < st.start && a >= evict_bound && st.settled_end < b => {
                 let (st_start, st_end) = (st.start, st.settled_end);
-                let mut fresh = PartialAgg::empty();
-                let mut add = |_: i64, v: f64| fresh.add(v);
-                let indexes = &self.indexes;
-                indexes.scan(inst, team, key, (a, st_start - 1), &mut add);
-                indexes.scan(inst, team, key, (st_end + 1, b), &mut add);
+                let (suffix, unsplit) = ((st_end + 1, b), (i64::MIN, retention));
+                let mut fresh = self
+                    .indexes
+                    .fold(inst, team, key, suffix, unsplit, |_, _| {});
+                self.indexes
+                    .scan(inst, team, key, (a, st_start - 1), |_, v| fresh.add(v));
                 fresh
             }
-            _ => self.rebuild_settled(inst, key, a, settled_hi, b, team),
+            _ => self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team),
         };
         // PANIC-OK: every arm above found, advanced or rebuilt this key's entry.
         let st = self.inc.get(&key).expect("state kept above");
-        let (value, matched) = st.agg.emit_with(self.cfg.query.agg, &fresh);
-        // The time-travel property holds for the delta scans too: every
-        // visited tuple is (or was) in-window.
-        inst.record_effectiveness(matched, matched);
+        let (value, matched) = st.agg.emit_with(agg, &fresh);
+        record_time_travel_effectiveness(inst, matched);
         (value, matched)
     }
 
-    /// One merged team scan of `[lo, hi]`: tuples at or below `settled_hi`
-    /// land in `scratch_pairs` (for the settled state), the rest in the
-    /// returned unsettled partial — adjacent ranges share one index seek.
-    fn scan_split(
-        &mut self,
-        inst: &mut JoinerInstruments,
-        key: Key,
-        range: (i64, i64),
-        settled_hi: i64,
-        team: &[usize],
-    ) -> PartialAgg {
-        let mut fresh = PartialAgg::empty();
-        self.scratch_pairs.clear();
-        self.indexes.scan(inst, team, key, range, |ts, v| {
-            if ts <= settled_hi {
-                self.scratch_pairs.push((ts, v));
-            } else {
-                fresh.add(v);
-            }
-        });
-        fresh
-    }
-
-    /// Subtract `[st.start, a)`, then [`scan_split`](Self::scan_split)
-    /// `(st.settled_end, b]` into the settled state and the returned
-    /// unsettled partial.
+    /// Subtract `[st.start, a)`, then one [`fold`](TeamIndexes::fold) of
+    /// `(st.settled_end, b]`: what it scans up to `settled_hi` joins the
+    /// settled state, the rest is the returned unsettled partial.
     fn advance_settled(
         &mut self,
         inst: &mut JoinerInstruments,
         key: Key,
-        a: i64,
-        settled_hi: i64,
-        b: i64,
+        (a, settled_hi, b): (i64, i64, i64),
+        retention: i64,
         team: &[usize],
     ) -> PartialAgg {
         let (old_start, old_end) = {
@@ -469,7 +628,15 @@ impl ScaleJoiner {
             .scan(inst, team, key, (old_start, a - 1), |_, v| {
                 self.scratch.push(v)
             });
-        let fresh = self.scan_split(inst, key, (old_end + 1, b), settled_hi, team);
+        self.scratch_pairs.clear();
+        let fresh = self.indexes.fold(
+            inst,
+            team,
+            key,
+            (old_end + 1, b),
+            (settled_hi, retention),
+            |ts, v| self.scratch_pairs.push((ts, v)),
+        );
 
         let match_t0 = inst.wants_breakdown().then(Instant::now);
         // PANIC-OK: the caller verified this key has incremental state.
@@ -477,7 +644,7 @@ impl ScaleJoiner {
         if self.scratch.len() as u64 > st.agg.count() {
             // Only possible when lateness-violating tuples landed in the
             // settled region; rebuild rather than underflow.
-            return self.rebuild_settled(inst, key, a, settled_hi, b, team);
+            return self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team);
         }
         match &mut st.agg {
             IncAggState::Run(run) => self.scratch.iter().for_each(|&v| run.evict(v)),
@@ -500,21 +667,39 @@ impl ScaleJoiner {
     }
 
     /// Builds a fresh settled state over `[a, settled_hi]` with one
-    /// [`scan_split`](Self::scan_split) of `[a, b]`, returning the
-    /// unsettled partial.
+    /// [`fold`](TeamIndexes::fold) of `[a, b]`, returning the unsettled
+    /// partial.
     fn rebuild_settled(
         &mut self,
         inst: &mut JoinerInstruments,
         key: Key,
-        a: i64,
-        settled_hi: i64,
-        b: i64,
+        (a, settled_hi, b): (i64, i64, i64),
+        retention: i64,
         team: &[usize],
     ) -> PartialAgg {
-        let fresh = self.scan_split(inst, key, (a, b), settled_hi, team);
+        self.scratch_pairs.clear();
+        let fresh = self
+            .indexes
+            .fold(inst, team, key, (a, b), (settled_hi, retention), |ts, v| {
+                self.scratch_pairs.push((ts, v))
+            });
         let match_t0 = inst.wants_breakdown().then(Instant::now);
         let mut agg = IncAggState::fresh(self.cfg.query.agg);
         agg.absorb(&mut self.scratch_pairs);
+        // A state that starts below the floor this joiner last published
+        // (`evict` found none, or only later ones) is announced at once.
+        // While this base is being answered it still holds the team's
+        // retention bound at or below `a`; the floor store precedes the
+        // step's next `publish`, so a teammate that sees the hold rise
+        // past the window also sees the floor that keeps `[a, ..]` from
+        // eviction until the subtract-delta has read it.
+        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        let floor = &self.inc_floor[self.id];
+        // ORDERING: Relaxed — this joiner's own slot; it is the only writer.
+        if a < floor.load(Ordering::Relaxed) {
+            // ORDERING: Release — pairs with the Acquire `inc_floor` loads in `evict`, like the store there.
+            floor.store(a, Ordering::Release);
+        }
         self.inc.insert(
             key,
             IncState {

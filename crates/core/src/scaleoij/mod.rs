@@ -12,20 +12,25 @@
 //!    publishes the new schedule through an RCU cell. Tuples of a shared
 //!    partition are spread round-robin over the virtual team.
 //! 3. **Incremental window aggregation** (§V-C): per (joiner, key) running
-//!    aggregates advance by `⊖ evicted ⊕ added` delta scans instead of
-//!    full window scans; a per-key late-insert counter invalidates the
-//!    running state when a tuple lands inside the already-covered region.
+//!    aggregates over the watermark-settled window prefix advance by
+//!    `⊖ evicted ⊕ added` delta scans instead of full window scans; the
+//!    settled region is immutable, so the state needs no invalidation.
+//!    What is not settled is answered from per-bucket partials kept beside
+//!    each index ([`summary`]) plus two edge scans.
 //!
 //! ## Cross-joiner safety
 //!
 //! Joiners publish their processed watermark (`progress`); expiration uses
 //! `min(progress) − (PRE + FOL)` so that no tuple still reachable by a
 //! queued base tuple is evicted, and watermark-mode emission uses
-//! `min(progress)` as the completeness frontier. Incremental states fall
-//! back to a full rescan whenever their covered region dips below the
-//! eviction bound or a team member absorbed a late insert.
+//! `min(progress)` as the completeness frontier. An incremental state is
+//! rebuilt from the index when its covered region dips below the eviction
+//! bound or a base tuple arrives below its settled end; bucket cells are
+//! taken only at or above the retention bound (eviction is the one thing
+//! a cell cannot see).
 
 pub mod schedule;
+pub mod summary;
 
 mod joiner;
 
@@ -45,6 +50,7 @@ use crate::shell::{forward_engine, AuxRole, AuxThread, EngineShell, Routing, Sup
 use crate::sink::{worker_sink_stack, Sink};
 
 use schedule::{rebalance, PartitionStats, Schedule};
+use summary::{SummaryShape, SummaryWriter};
 
 /// The Scale-OIJ engine. See the [module docs](self).
 ///
@@ -113,20 +119,38 @@ impl ScaleOij {
     /// reader to every joiner (virtual-team visibility), and starts the
     /// scheduler thread if the dynamic schedule is enabled.
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
+        let shape = SummaryShape::for_window(&cfg.query.window);
+        Self::spawn_summarised(cfg, sink, shape)
+    }
+
+    /// [`spawn`](Self::spawn) with the window summaries' shape given
+    /// rather than derived from the query (`None`: no summary) — the
+    /// before/after lever of the tests that count index nodes visited.
+    pub(crate) fn spawn_summarised(
+        cfg: EngineConfig,
+        sink: Sink,
+        shape: Option<SummaryShape>,
+    ) -> Result<Self> {
         cfg.validate()?;
         let joiners = cfg.joiners;
 
         // One SWMR index per joiner (backend chosen by the config;
         // `IndexBackend::SkipList` reproduces the original layout
         // bit-for-bit); readers shared with everyone.
+        // Beside each index, its window summary — backend-agnostic, and
+        // only where something reads it (the per-tuple ablation does not).
+        let shape = shape.filter(|_| cfg.incremental);
         let mut writers = Vec::with_capacity(joiners);
         let mut readers = Vec::with_capacity(joiners);
+        let mut summaries = Vec::new();
         for j in 0..joiners {
             let (w, r) = cfg
                 .index_backend
                 .build_with_seed((0x5CA1E0 ^ ((j as u64) << 7)) | 1);
-            writers.push(w);
+            let (sw, sr) = shape.map(SummaryWriter::new).unzip();
+            writers.push((w, sw));
             readers.push(r);
+            summaries.extend(sr);
         }
 
         let schedule = Arc::new(RcuCell::new(Schedule::initial(cfg.partitions, joiners)));
@@ -151,7 +175,7 @@ impl ScaleOij {
                     &cfg,
                     worker_sink_stack(&cfg, id, sink.clone(), &durable, &sup),
                     writer,
-                    readers.clone(),
+                    (readers.clone(), summaries.clone()),
                     Arc::clone(&schedule),
                     Arc::clone(&progress),
                     Arc::clone(&hold),
@@ -382,6 +406,45 @@ mod tests {
     }
 
     #[test]
+    fn bucket_cells_cut_the_nodes_visited_under_disorder() {
+        // `skew.late`'s shape: window = lateness, arrival jitter 0.4 × the
+        // window, eager emission — at most the jitter's worth of a window
+        // is ever settled. One joiner, so every count is deterministic.
+        let q = query(2_000, 2_000, EmitMode::Eager);
+        let events = disordered_events(30_000, 4, 800);
+        let run = |shape| {
+            let (sink, rows) = Sink::collect();
+            let cfg = EngineConfig::new(q.clone(), 1).unwrap();
+            let mut engine = ScaleOij::spawn_summarised(cfg, sink, shape).unwrap();
+            for e in &events {
+                engine.push(e.clone()).unwrap();
+            }
+            let stats = engine.finish().unwrap();
+            let got = rows.lock().clone();
+            (stats, got)
+        };
+        let shape = SummaryShape::for_window(&q.window);
+        assert!(shape.is_some_and(|s| s.spans_window()), "{shape:?}");
+        let (with, with_rows) = run(shape);
+        let (without, without_rows) = run(None);
+        assert_rows_equal(&with_rows, &without_rows);
+        assert_eq!(without.cells_merged, 0);
+        assert!(with.cells_merged > 0);
+        assert!(
+            with.nodes_visited * 3 <= without.nodes_visited,
+            "nodes visited per base: {:.1} with cells, {:.1} without",
+            with.nodes_visited as f64 / with.results as f64,
+            without.nodes_visited as f64 / without.results as f64,
+        );
+        // The counters are counts, not timings: they repeat exactly.
+        let (again, _) = run(shape);
+        assert_eq!(
+            (again.nodes_visited, again.cells_merged),
+            (with.nodes_visited, with.cells_merged)
+        );
+    }
+
+    #[test]
     fn dynamic_schedule_balances_few_keys() {
         // 2 keys on 4 joiners: Key-OIJ leaves ≥2 joiners idle; Scale-OIJ's
         // replication spreads the load.
@@ -471,6 +534,31 @@ mod tests {
                 &events,
             );
             assert_rows_equal(&without, &want);
+        }
+    }
+
+    #[test]
+    fn eviction_never_outruns_a_freshly_built_state() {
+        // Two hot keys, a scheduler that replicates them at once and a
+        // sweep every third message: teammates evict all the time while
+        // states are built for keys they share. A state built after its
+        // joiner's last sweep (which published "no state", or only later
+        // ones) must still be covered by the incremental floor — else a
+        // teammate evicts tuples the state counts, the subtract-delta
+        // comes up short and rows over-count. The race needs the schedule
+        // change to land mid-stream, hence the repeats.
+        let mut q = query(1_500, 160, EmitMode::Watermark);
+        q.agg = AggSpec::Max;
+        let events = disordered_events(6_000, 2, 1);
+        let mut want = Oracle::new(q.clone()).run(&events);
+        want.sort_by_key(|r| r.seq);
+        for _ in 0..40 {
+            let mut cfg = EngineConfig::new(q.clone(), 2).unwrap();
+            cfg.expire_every = 3;
+            cfg.heartbeat_every = 16;
+            cfg.schedule_interval = std::time::Duration::from_micros(200);
+            let (_, got) = run_scale(cfg, &events);
+            assert_rows_equal(&got, &want);
         }
     }
 

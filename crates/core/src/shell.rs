@@ -379,7 +379,7 @@ fn run_worker<T: Payload, J: Joiner<T>>(
             }
             Msg::Batch(mut batch) => {
                 step.inst.record_batch(batch.msgs.len());
-                step.inst.proto.batch(batch.msgs.len());
+                step.inst.proto.batch();
                 for m in &batch.msgs {
                     step.inst.proto.data(m.watermark());
                 }

@@ -23,12 +23,14 @@
 
 #[cfg(not(loom))]
 pub(crate) mod atomic {
-    pub(crate) use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+    pub(crate) use std::sync::atomic::{
+        fence, AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering,
+    };
 }
 
 #[cfg(loom)]
 pub(crate) mod atomic {
-    pub(crate) use loom::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize};
+    pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, AtomicUsize};
     pub(crate) use std::sync::atomic::Ordering;
 }
 

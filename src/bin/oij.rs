@@ -431,6 +431,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("unbalancedness  : {:.4}", stats.unbalancedness);
     println!("evicted tuples  : {}", stats.evicted);
     println!("late violations : {}", stats.late_violations);
+    println!("nodes visited   : {}", stats.nodes_visited);
+    println!("cells merged    : {}", stats.cells_merged);
     if stats.schedule_changes > 0 {
         println!("schedule changes: {}", stats.schedule_changes);
     }

@@ -51,6 +51,7 @@ pub mod engine {
     pub use oij_core::engine::{EngineKind, OijEngine, RunStats};
     pub use oij_core::faults::{FailureCell, FaultPlan, WorkerFailure, SCHEDULER};
     pub use oij_core::scaleoij::schedule::{rebalance, PartitionStats, Schedule};
+    pub use oij_core::scaleoij::summary::SummaryShape;
     pub use oij_core::sink::Sink;
     pub use oij_core::{KeyOij, OpenMldbBaseline, Oracle, ScaleOij, SplitJoin};
 }

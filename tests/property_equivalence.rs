@@ -151,6 +151,118 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Disorder axis: the window summary's bucket cells against both oracles
+// ---------------------------------------------------------------------------
+
+/// Runs Scale-OIJ over `events`; rows sorted by base sequence.
+fn run_scale(cfg: EngineConfig, events: &[Event]) -> (Vec<FeatureRow>, RunStats) {
+    let (sink, rows) = Sink::collect();
+    let mut engine = ScaleOij::spawn(cfg, sink).expect("spawn");
+    for e in events {
+        engine.push(e.clone()).expect("push");
+    }
+    let stats = engine.finish().expect("finish");
+    let mut got = rows.lock().clone();
+    got.sort_by_key(|r| r.seq);
+    (got, stats)
+}
+
+fn assert_rows_agree(got: &[FeatureRow], want: &[FeatureRow], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: row count");
+    for (g, o) in got.iter().zip(want) {
+        assert_eq!(g.seq, o.seq, "{what}");
+        assert_eq!(g.matched, o.matched, "{what}: seq {}", g.seq);
+        assert!(
+            g.agg_approx_eq(o, 1e-9),
+            "{what}: seq {}: {:?} vs {:?}",
+            g.seq,
+            g.agg,
+            o.agg
+        );
+    }
+}
+
+/// Disorder ∈ {0, < window, ≥ window} × all five aggregates × every index
+/// backend, with lateness wide enough that the summary is really built
+/// (asserted through `cells_merged`, so the path cannot be bypassed
+/// silently): watermark mode must equal the oracle, and eager emission on
+/// one joiner must equal the per-tuple `without_incremental()` ablation.
+///
+/// The 1 500 µs window over 8–64 µs buckets covers both regimes — lateness
+/// ≪ window keeps a settled prefix and folds cells only into the suffix,
+/// lateness ≥ window answers whole windows from cells — and 6 000 µs of
+/// stream is many times the 64-cell ring, so every cell is recycled over
+/// and over. Mid-stream one probe arrives far below the watermark, for a
+/// bucket its slot has long moved past: it must leave the newer bucket's
+/// cell alone (no window reaches it, so both oracles ignore it).
+#[test]
+fn scale_oij_survives_disorder_on_bucket_cells() {
+    const PRE: i64 = 1_500;
+    const AGGS: [AggSpec; 5] = [
+        AggSpec::Sum,
+        AggSpec::Count,
+        AggSpec::Avg,
+        AggSpec::Min,
+        AggSpec::Max,
+    ];
+    for (disorder, seed) in [(0, 11), (400, 12), (1_600, 13)] {
+        let lateness = disorder.max(160);
+        let mut events = workload(6_000, 5, disorder, 0.6, seed);
+        let straggler = Tuple::new(Timestamp::from_micros(-100_000), 2, 1e6);
+        events.insert(3_000, Event::data(0, Side::Probe, straggler));
+        let events: Vec<Event> = events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, e)| {
+                let (side, tuple) = e.as_data().expect("data event");
+                Event::data(seq as u64, side, tuple.clone())
+            })
+            .collect();
+        for agg in AGGS {
+            for backend in IndexBackend::ALL {
+                let what = format!("disorder {disorder} {agg:?} {}", backend.label());
+                let query = |emit| {
+                    OijQuery::builder()
+                        .preceding(Duration::from_micros(PRE))
+                        .lateness(Duration::from_micros(lateness))
+                        .agg(agg)
+                        .emit(emit)
+                        .build()
+                        .unwrap()
+                };
+                let cfg = |emit, joiners| {
+                    EngineConfig::new(query(emit), joiners)
+                        .unwrap()
+                        .with_index_backend(backend)
+                };
+                let shape = oij::engine::SummaryShape::for_window(&query(EmitMode::Eager).window)
+                    .expect("lateness ≥ 128 µs builds a summary");
+                assert_eq!(shape.spans_window(), disorder >= PRE, "{what}");
+
+                // (a) watermark mode ≡ the oracle.
+                let mut want = Oracle::new(query(EmitMode::Watermark)).run(&events);
+                want.sort_by_key(|r| r.seq);
+                let (got, stats) = run_scale(cfg(EmitMode::Watermark, 2), &events);
+                assert_rows_agree(&got, &want, &format!("{what} watermark"));
+                assert_eq!(stats.late_violations, 1, "{what}: the straggler");
+                // Deferred bases are settled by the time they are answered:
+                // only whole-window folds read cells then.
+                assert_eq!(stats.cells_merged > 0, shape.spans_window(), "{what}");
+
+                // (b) eager, one joiner: incremental ≡ per-tuple ablation.
+                let (inc, stats) = run_scale(cfg(EmitMode::Eager, 1), &events);
+                let (plain, plain_stats) =
+                    run_scale(cfg(EmitMode::Eager, 1).without_incremental(), &events);
+                assert_rows_agree(&inc, &plain, &format!("{what} eager"));
+                assert!(stats.cells_merged > 0, "{what}: no cell was ever merged");
+                assert!(stats.nodes_visited < plain_stats.nodes_visited, "{what}");
+                assert_eq!(plain_stats.cells_merged, 0, "{what}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Differential batching suite: batch_size must be invisible in the results
 // ---------------------------------------------------------------------------
 

@@ -31,6 +31,17 @@ use proptest::prelude::*;
 /// flushing, ragged partials, and the bench default.
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 
+/// Heartbeat cadence of every run here, far below the default 512: at 512
+/// a 1 500-event run carries two heartbeats per joiner, and a heartbeat
+/// stamped with event time instead of the watermark went unseen — it runs
+/// backwards only when two heartbeats fall inside one disorder span. Not
+/// 1: every heartbeat flushes the batcher first, and the batch-size axis
+/// would never fill a batch. (The other regression once listed beside it,
+/// a recovery that forgets to re-seed the watermark tracker, is invisible
+/// here at any cadence — replay re-observes every retained tuple — and is
+/// pinned by `driver::tests::recovery_reseeds_the_tracker_from_the_log`.)
+const HEARTBEAT_EVERY: usize = 5;
+
 fn disordered(tuples: usize, keys: u64, disorder_us: i64, seed: u64) -> Vec<Event> {
     SyntheticConfig {
         tuples,
@@ -86,9 +97,10 @@ proptest! {
                 .build()
                 .unwrap();
             for batch in BATCH_SIZES {
-                let cfg = EngineConfig::new(query.clone(), joiners)
+                let mut cfg = EngineConfig::new(query.clone(), joiners)
                     .unwrap()
                     .with_batch_size(batch);
+                cfg.heartbeat_every = HEARTBEAT_EVERY;
                 let (sink, _rows) = Sink::collect();
                 let mut engine = spawn_kind(kind, cfg, sink);
                 for e in &events {
@@ -151,7 +163,7 @@ fn probe_rejects_traffic_after_the_terminal_flush() {
 fn probe_accepts_a_monotone_stream() {
     let mut p = ProtoProbe::new("driver-joiner");
     p.data(Timestamp::from_micros(10));
-    p.batch(3);
+    p.batch();
     p.data(Timestamp::from_micros(20));
     p.heartbeat(Timestamp::from_micros(20));
     p.heartbeat(Timestamp::from_micros(20)); // equal is fine: monotone, not strict
@@ -199,6 +211,7 @@ fn stamped_recovery_replay_preserves_the_heartbeat_bound() {
                 .with_batch_size(7)
                 .with_durability(durable.clone());
             c.faults = FaultPlan::none().crash_at(0, 113);
+            c.heartbeat_every = HEARTBEAT_EVERY;
             c
         };
         let (sink, pre_rows) = Sink::collect();
@@ -221,6 +234,7 @@ fn stamped_recovery_replay_preserves_the_heartbeat_bound() {
             .unwrap()
             .with_batch_size(7);
         resume_cfg.durability = Some(durable);
+        resume_cfg.heartbeat_every = HEARTBEAT_EVERY;
         let (sink, post_rows) = Sink::collect();
         let (mut engine, report) = oij::durability::recover(kind, resume_cfg, sink).unwrap();
         assert!(report.replayed > 0, "{kind:?}: recovery must replay");
