@@ -424,12 +424,15 @@ mod tests {
         use crate::config::Instrumentation;
         use oij_cachesim::CacheConfig;
         let q = query(500, 0, EmitMode::Eager);
-        let cfg = EngineConfig::new(q, 1)
+        let mut cfg = EngineConfig::new(q, 1)
             .unwrap()
             .with_instrument(Instrumentation {
                 cache: Some(CacheConfig::tiny()),
                 ..Instrumentation::none()
             });
+        // The simulated LLC makes every insert and scan slow; on a loaded
+        // host the default 1 s send deadline would fail a healthy run.
+        cfg.send_timeout = std::time::Duration::from_secs(30);
         let (sink, _) = Sink::collect();
         let mut engine = KeyOij::spawn(cfg, sink).unwrap();
         for i in 0..4000u64 {

@@ -97,7 +97,7 @@ pub(crate) struct DataMsg {
     /// it for expiration and, in watermark emission mode, for deciding when
     /// pending base tuples are complete. Pre-observation semantics make
     /// `tuple.ts > watermark + lateness` the exact "this tuple advances the
-    /// maximum" test (see Scale-OIJ's late-insert hint).
+    /// maximum" test.
     pub watermark: Timestamp,
 }
 

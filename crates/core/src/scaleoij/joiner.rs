@@ -9,8 +9,11 @@
 //!   (joiner, key) covers only the window prefix `[start, settled_end]`
 //!   with `settled_end` strictly below the watermark. The lateness
 //!   contract guarantees nothing below the watermark can still arrive, so
-//!   the settled region is immutable: the Subtract-on-Evict deltas against
-//!   it are always complete and **no invalidation tracking is needed**.
+//!   the settled region is immutable and **no invalidation tracking is
+//!   needed**. The state keeps the tuples it absorbed in a timestamp-ordered
+//!   FIFO, so what leaves the window is subtracted from the state's own
+//!   copy: no index read ever reaches below the window being answered, and
+//!   eviction needs nothing from the state.
 //! * **Every other range — bucket cells + edges.** The unsettled suffix
 //!   `(settled_end, window_end]`, the suffix leg of an out-of-order base,
 //!   and a window with no settled prefix worth keeping are answered by
@@ -26,7 +29,7 @@
 //! guarantee, exactly like every other engine treats them best-effort.
 
 use crate::sync::atomic::{AtomicI64, Ordering};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,7 +55,10 @@ struct IncState {
     /// Settled coverage `[start, settled_end]` in µs (inclusive).
     start: i64,
     settled_end: i64,
-    /// The running aggregate over the settled region.
+    /// The settled region's tuples as `(ts µs, value)`, in timestamp
+    /// order: exactly what `agg` has absorbed and not yet evicted.
+    settled: VecDeque<(i64, f64)>,
+    /// The running aggregate over `settled`.
     agg: IncAggState,
 }
 
@@ -60,10 +66,7 @@ struct IncState {
 ///
 /// Invertible aggregates use Subtract-on-Evict (paper §V-C). Non-invertible
 /// `min`/`max` — which the paper defers to future work — use the two-stack
-/// FIFO aggregator: the settled region's tuples are kept in timestamp
-/// order, advancing evicts exactly the `[old_start, new_start)` count from
-/// the front and pushes the `(old_settled_end, new_settled_end]` delta
-/// (sorted by timestamp) at the back.
+/// FIFO aggregator, pushed and evicted in step with [`IncState`]'s FIFO.
 enum IncAggState {
     Run(RunningAgg),
     Stack(TwoStackAgg),
@@ -79,30 +82,80 @@ impl IncAggState {
         }
     }
 
-    fn count(&self) -> u64 {
+    fn add(&mut self, v: f64) {
         match self {
-            IncAggState::Run(a) => a.count(),
-            IncAggState::Stack(a) => a.len() as u64,
+            IncAggState::Run(run) => run.add(v),
+            IncAggState::Stack(stack) => stack.push(v),
         }
     }
 
-    /// Takes in the newly settled `(ts µs, value)` pairs (the two-stack
-    /// FIFO needs them in timestamp order).
-    fn absorb(&mut self, pairs: &mut Vec<(i64, f64)>) {
+    /// Evicts `v`, the oldest value still held.
+    fn evict(&mut self, v: f64) {
         match self {
-            IncAggState::Run(run) => pairs.drain(..).for_each(|(_, v)| run.add(v)),
+            IncAggState::Run(run) => run.evict(v),
+            // The stack holds exactly the FIFO's values, so it is not
+            // empty while the FIFO handed over `v`.
             IncAggState::Stack(stack) => {
-                pairs.sort_unstable_by_key(|(t, _)| *t);
-                pairs.drain(..).for_each(|(_, v)| stack.push(v));
+                let _ = stack.evict();
             }
         }
     }
+}
 
-    /// Merges the settled aggregate with the freshly scanned unsettled
-    /// suffix into the emitted `(value, matched)` pair.
+impl IncState {
+    /// An empty state; [`rebuild`](Self::rebuild) gives it its region.
+    fn new(spec: AggSpec) -> Self {
+        IncState {
+            start: i64::MIN,
+            settled_end: i64::MIN,
+            settled: VecDeque::new(),
+            agg: IncAggState::fresh(spec),
+        }
+    }
+
+    /// Makes this the state over `[start, settled_end]` holding the
+    /// `(ts µs, value)` pairs found there. The FIFO keeps its allocation:
+    /// a short window rebuilds on nearly every base.
+    fn rebuild(
+        &mut self,
+        spec: AggSpec,
+        (start, settled_end): (i64, i64),
+        pairs: &mut Vec<(i64, f64)>,
+    ) {
+        self.start = start;
+        self.settled_end = settled_end;
+        self.settled.clear();
+        self.agg = IncAggState::fresh(spec);
+        self.absorb(pairs);
+    }
+
+    /// Subtract-on-Evict: drops every settled tuple below `a` from the
+    /// front of the FIFO and from the aggregate.
+    fn evict_before(&mut self, a: i64) {
+        while let Some(&(ts, v)) = self.settled.front() {
+            if ts >= a {
+                break;
+            }
+            self.settled.pop_front();
+            self.agg.evict(v);
+        }
+    }
+
+    /// Takes in newly settled `(ts µs, value)` pairs, all above what the
+    /// FIFO already holds, in timestamp order.
+    fn absorb(&mut self, pairs: &mut Vec<(i64, f64)>) {
+        pairs.sort_unstable_by_key(|(t, _)| *t);
+        for (ts, v) in pairs.drain(..) {
+            self.agg.add(v);
+            self.settled.push_back((ts, v));
+        }
+    }
+
+    /// Merges the settled aggregate with the freshly folded unsettled
+    /// partial into the emitted `(value, matched)` pair.
     fn emit_with(&self, spec: AggSpec, fresh: &PartialAgg) -> (Option<f64>, u64) {
-        let matched = self.count() + fresh.count;
-        let value = match (self, spec) {
+        let matched = self.settled.len() as u64 + fresh.count;
+        let value = match (&self.agg, spec) {
             (IncAggState::Run(run), AggSpec::Sum) => Some(run.sum() + fresh.sum),
             (IncAggState::Run(_), AggSpec::Count) => Some(matched as f64),
             (IncAggState::Run(run), AggSpec::Avg) => {
@@ -151,12 +204,6 @@ pub(crate) struct ScaleJoiner {
     /// teammate's deferred base tuple still needs the window below its
     /// emit timestamp even after everyone's watermark has moved past it.
     hold: Arc<Vec<AtomicI64>>,
-    /// Per-joiner *incremental floor*: the smallest `start` of this
-    /// joiner's live incremental states (`i64::MAX` when none). Eviction
-    /// also respects `min(inc_floor)` so subtract-deltas never race
-    /// expiration; a janitor drops states older than one extra
-    /// window+lateness so the floor cannot pin memory indefinitely.
-    inc_floor: Arc<Vec<AtomicI64>>,
     barrier: Arc<DrainBarrier>,
     /// Shared failure report + engine kill flag: the end-of-input barrier
     /// falls through on either (degraded drain instead of deadlock).
@@ -224,34 +271,20 @@ impl Joiner<DataMsg> for ScaleJoiner {
         Timestamp::from_micros(min_slot(&self.progress))
     }
 
+    /// Evicts this joiner's index below the retention bound. Settled
+    /// states own their tuples, so the bound needs nothing from them.
     fn evict(&mut self, _wm: Timestamp) -> u64 {
-        let retention_bound = self.retention_bound();
-        if retention_bound == i64::MIN {
+        let retention = self.retention_bound();
+        if retention == i64::MIN {
             return 0; // no joiner has published a hold yet
         }
-
-        // Janitor: drop incremental states more than one extra
-        // window+lateness behind (idle keys — they rebuild cheaply on their
-        // next base tuple), then publish this joiner's floor.
-        let slack =
-            self.cfg.query.window.length().as_micros() + self.cfg.query.window.lateness.as_micros();
-        let stale_cut = retention_bound.saturating_sub(slack);
-        self.inc.retain(|_, st| st.start >= stale_cut);
-        let floor = self
-            .inc
-            .values()
-            .map(|st| st.start)
-            .min()
-            .unwrap_or(i64::MAX);
-        // ORDERING: Release — publishes the incremental states behind the floor before teammates' Acquire floor loads allow eviction.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        self.inc_floor[self.id].store(floor, Ordering::Release);
-
-        // Evict below min(retention, every joiner's incremental floor):
-        // subtract-deltas then never read evicted data.
-        // ORDERING: Acquire — pairs with each joiner's Release `inc_floor` store above, so eviction never outruns a teammate's incremental state.
-        let bound = retention_bound.min(min_slot(&self.inc_floor));
-        self.writer.evict_below(Timestamp::from_micros(bound)) as u64
+        // Memory hygiene: a state whose settled region ends before
+        // `retention − 1` can never advance again (a base that is not late
+        // has its window start at or above the bound), so its idle key
+        // rebuilds on its next base tuple instead.
+        self.inc
+            .retain(|_, st| st.settled_end >= retention.saturating_sub(1));
+        self.writer.evict_below(Timestamp::from_micros(retention)) as u64
     }
 
     /// End of input (infinite progress is already published): wait for
@@ -483,7 +516,6 @@ impl ScaleJoiner {
         schedule: Arc<RcuCell<Schedule>>,
         progress: Arc<Vec<AtomicI64>>,
         hold: Arc<Vec<AtomicI64>>,
-        inc_floor: Arc<Vec<AtomicI64>>,
         barrier: Arc<DrainBarrier>,
         sup: &Supervision,
     ) -> Self {
@@ -507,7 +539,6 @@ impl ScaleJoiner {
             inc: HashMap::new(),
             progress,
             hold,
-            inc_floor,
             barrier,
             sup: sup.clone(),
             scratch: Vec::new(),
@@ -517,7 +548,10 @@ impl ScaleJoiner {
 
     /// `min_j hold_j − window`: no probe below this event time is needed
     /// by an un-emitted base tuple anywhere in the team (`i64::MIN` until
-    /// every joiner has published a hold).
+    /// every joiner has published a hold). A base that is not late has its
+    /// window start at or above it: the answering joiner's own hold is at
+    /// most the base's timestamp (its emit timestamp, if deferred) until
+    /// the row is out.
     fn retention_bound(&self) -> i64 {
         // ORDERING: Acquire — pairs with each joiner's Release store in `publish`.
         Timestamp::from_micros(min_slot(&self.hold))
@@ -563,8 +597,10 @@ impl ScaleJoiner {
             // unsettled (startup, or lateness ≫ window), or it is short
             // enough that its bucket cells answer it outright (lateness ≈
             // window, as in Workload C — under disorder the state would
-            // cover a sliver and every base would fold around it).
-            self.inc.remove(&key);
+            // cover a sliver and every base would fold around it). A state
+            // this key already has stays: it owns its tuples, so it is still
+            // exact for its region, and the janitor frees it once no base
+            // can use it.
             let unsplit = (i64::MIN, retention);
             let fresh = self
                 .indexes
@@ -573,10 +609,8 @@ impl ScaleJoiner {
             return (fresh.finish(agg), fresh.count);
         }
 
-        // ORDERING: Acquire — pairs with the Release `inc_floor` stores; see the eviction bound in `evict`.
-        let evict_bound = retention.min(min_slot(&self.inc_floor));
         let fresh = match self.inc.get(&key) {
-            Some(st) if st.start < evict_bound || st.settled_end > settled_hi => {
+            Some(st) if st.settled_end > settled_hi => {
                 self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team)
             }
             // Slide the state forward (in-order base).
@@ -585,10 +619,12 @@ impl ScaleJoiner {
             }
             // Out-of-order base: the state still covers a suffix of this
             // window — serve it read-only with two boundary legs instead
-            // of throwing the state away. The prefix `[a, st.start)` is
-            // bounded by the jitter and lies a window behind the ring, so
-            // it is scanned; the suffix folds.
-            Some(st) if a < st.start && a >= evict_bound && st.settled_end < b => {
+            // of throwing the state away. The prefix `[a, st.start)` has
+            // left the state; it is bounded by the jitter and lies a
+            // window behind the ring, so it is scanned from the index,
+            // which holds it while `a` is at or above the retention bound.
+            // The suffix folds.
+            Some(st) if a < st.start && a >= retention && st.settled_end < b => {
                 let (st_start, st_end) = (st.start, st.settled_end);
                 let (suffix, unsplit) = ((st_end + 1, b), (i64::MIN, retention));
                 let mut fresh = self
@@ -602,14 +638,15 @@ impl ScaleJoiner {
         };
         // PANIC-OK: every arm above found, advanced or rebuilt this key's entry.
         let st = self.inc.get(&key).expect("state kept above");
-        let (value, matched) = st.agg.emit_with(agg, &fresh);
+        let (value, matched) = st.emit_with(agg, &fresh);
         record_time_travel_effectiveness(inst, matched);
         (value, matched)
     }
 
-    /// Subtract `[st.start, a)`, then one [`fold`](TeamIndexes::fold) of
-    /// `(st.settled_end, b]`: what it scans up to `settled_hi` joins the
-    /// settled state, the rest is the returned unsettled partial.
+    /// Evicts the state's tuples below `a`, then one
+    /// [`fold`](TeamIndexes::fold) of `(st.settled_end, b]`: what it scans
+    /// up to `settled_hi` joins the settled state, the rest is the
+    /// returned unsettled partial.
     fn advance_settled(
         &mut self,
         inst: &mut JoinerInstruments,
@@ -618,46 +655,20 @@ impl ScaleJoiner {
         retention: i64,
         team: &[usize],
     ) -> PartialAgg {
-        let (old_start, old_end) = {
-            // PANIC-OK: the caller verified this key has incremental state.
-            let st = self.inc.get(&key).expect("caller checked");
-            (st.start, st.settled_end)
-        };
-        self.scratch.clear();
-        self.indexes
-            .scan(inst, team, key, (old_start, a - 1), |_, v| {
-                self.scratch.push(v)
-            });
+        // PANIC-OK: the caller matched this key's state.
+        let st = self.inc.get_mut(&key).expect("caller checked");
         self.scratch_pairs.clear();
         let fresh = self.indexes.fold(
             inst,
             team,
             key,
-            (old_end + 1, b),
+            (st.settled_end + 1, b),
             (settled_hi, retention),
             |ts, v| self.scratch_pairs.push((ts, v)),
         );
-
         let match_t0 = inst.wants_breakdown().then(Instant::now);
-        // PANIC-OK: the caller verified this key has incremental state.
-        let st = self.inc.get_mut(&key).expect("caller checked");
-        if self.scratch.len() as u64 > st.agg.count() {
-            // Only possible when lateness-violating tuples landed in the
-            // settled region; rebuild rather than underflow.
-            return self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team);
-        }
-        match &mut st.agg {
-            IncAggState::Run(run) => self.scratch.iter().for_each(|&v| run.evict(v)),
-            IncAggState::Stack(stack) => {
-                // FIFO fronts are the oldest timestamps — exactly the
-                // subtract range, because pushes are ts-sorted.
-                for _ in 0..self.scratch.len() {
-                    // PANIC-OK: the loop bound is `scratch.len()`, which counted exactly the evictable fronts.
-                    stack.evict().expect("guarded by count check");
-                }
-            }
-        }
-        st.agg.absorb(&mut self.scratch_pairs);
+        st.evict_before(a);
+        st.absorb(&mut self.scratch_pairs);
         st.start = a;
         st.settled_end = settled_hi;
         if let Some(t0) = match_t0 {
@@ -684,30 +695,11 @@ impl ScaleJoiner {
                 self.scratch_pairs.push((ts, v))
             });
         let match_t0 = inst.wants_breakdown().then(Instant::now);
-        let mut agg = IncAggState::fresh(self.cfg.query.agg);
-        agg.absorb(&mut self.scratch_pairs);
-        // A state that starts below the floor this joiner last published
-        // (`evict` found none, or only later ones) is announced at once.
-        // While this base is being answered it still holds the team's
-        // retention bound at or below `a`; the floor store precedes the
-        // step's next `publish`, so a teammate that sees the hold rise
-        // past the window also sees the floor that keeps `[a, ..]` from
-        // eviction until the subtract-delta has read it.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
-        let floor = &self.inc_floor[self.id];
-        // ORDERING: Relaxed — this joiner's own slot; it is the only writer.
-        if a < floor.load(Ordering::Relaxed) {
-            // ORDERING: Release — pairs with the Acquire `inc_floor` loads in `evict`, like the store there.
-            floor.store(a, Ordering::Release);
-        }
-        self.inc.insert(
-            key,
-            IncState {
-                start: a,
-                settled_end: settled_hi,
-                agg,
-            },
-        );
+        let spec = self.cfg.query.agg;
+        self.inc
+            .entry(key)
+            .or_insert_with(|| IncState::new(spec))
+            .rebuild(spec, (a, settled_hi), &mut self.scratch_pairs);
         if let Some(t0) = match_t0 {
             inst.add_breakdown(0, t0.elapsed().as_nanos() as u64, 0);
         }
@@ -736,5 +728,154 @@ impl ScaleJoiner {
         // The time-travel property: visited == matched.
         inst.record_effectiveness(full.count(), visited);
         (full.finish(), full.count())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Instrumentation;
+    use crate::sync::Mutex;
+    use oij_common::{Duration, EmitMode, OijQuery, Side, Tuple};
+
+    type Rows = Arc<Mutex<Vec<FeatureRow>>>;
+
+    /// A team of one with no window summary over a 10 µs preceding
+    /// window, driven directly through its [`Joiner`] hooks.
+    fn solo(agg: AggSpec) -> (ScaleJoiner, JoinerInstruments, Rows) {
+        let query = OijQuery::builder()
+            .preceding(Duration::from_micros(10))
+            .agg(agg)
+            .emit(EmitMode::Eager)
+            .build()
+            .unwrap();
+        let cfg = EngineConfig::new(query, 1).unwrap();
+        let (writer, reader) = cfg.index_backend.build();
+        let (sink, rows) = Sink::collect();
+        let joiner = ScaleJoiner::new(
+            0,
+            &cfg,
+            sink,
+            (writer, None),
+            (vec![reader], Vec::new()),
+            Arc::new(RcuCell::new(Schedule::initial(cfg.partitions, 1))),
+            Arc::new(vec![AtomicI64::new(i64::MIN)]),
+            Arc::new(vec![AtomicI64::new(i64::MIN)]),
+            Arc::new(DrainBarrier::new(1)),
+            &Supervision::default(),
+        );
+        let inst = JoinerInstruments::new(&Instrumentation::none(), Instant::now());
+        (joiner, inst, rows)
+    }
+
+    fn msg(side: Side, key: Key, ts: i64, value: f64) -> DataMsg {
+        DataMsg {
+            side,
+            tuple: Tuple::new(Timestamp::from_micros(ts), key, value),
+            seq: 0,
+            arrival: Instant::now(),
+            watermark: Timestamp::MIN,
+        }
+    }
+
+    /// Stores one probe of key 7 per µs in `ts`.
+    fn store(j: &mut ScaleJoiner, inst: &mut JoinerInstruments, ts: impl Iterator<Item = i64>) {
+        for t in ts {
+            let value = if t == 6 { 100.0 } else { 1.0 };
+            j.store(inst, msg(Side::Probe, 7, t, value));
+        }
+    }
+
+    /// Answers a base of `key` at `ts` under watermark `wm`: the row's
+    /// `(agg, matched)`.
+    fn answer(
+        j: &mut ScaleJoiner,
+        inst: &mut JoinerInstruments,
+        rows: &Rows,
+        (key, ts, wm): (Key, i64, i64),
+    ) -> (Option<f64>, u64) {
+        j.answer(
+            inst,
+            &msg(Side::Base, key, ts, 0.0),
+            Timestamp::from_micros(wm),
+        );
+        let row = rows.lock().pop().unwrap();
+        (row.agg, row.matched)
+    }
+
+    fn settled_ts(j: &ScaleJoiner, key: Key) -> Vec<i64> {
+        j.inc[&key].settled.iter().map(|(t, _)| *t).collect()
+    }
+
+    #[test]
+    fn advance_evicts_exactly_what_the_state_absorbed() {
+        // Window [5, 15] settles whole, including the spike at 6. The
+        // index then loses everything below 8 — a teammate's sweep — and
+        // the next window [8, 18] must still drop exactly [5, 8) from the
+        // state: the state subtracts its own copies, not an index read.
+        for (agg, first, second) in [(AggSpec::Sum, 110.0, 11.0), (AggSpec::Max, 100.0, 1.0)] {
+            let (mut j, mut inst, rows) = solo(agg);
+            store(&mut j, &mut inst, 0..=30);
+            assert_eq!(
+                answer(&mut j, &mut inst, &rows, (7, 15, 16)),
+                (Some(first), 11)
+            );
+            assert_eq!(settled_ts(&j, 7), (5..=15).collect::<Vec<_>>());
+            j.writer.evict_below(Timestamp::from_micros(8));
+            assert_eq!(
+                answer(&mut j, &mut inst, &rows, (7, 18, 19)),
+                (Some(second), 11)
+            );
+            assert_eq!(settled_ts(&j, 7), (8..=18).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn out_of_order_base_reads_its_prefix_from_the_index() {
+        let (mut j, mut inst, rows) = solo(AggSpec::Count);
+        store(&mut j, &mut inst, 0..=30);
+        // Window [8, 18] under watermark 12: the state covers [8, 11].
+        assert_eq!(
+            answer(&mut j, &mut inst, &rows, (7, 18, 12)),
+            (Some(11.0), 11)
+        );
+        assert_eq!(settled_ts(&j, 7), (8..=11).collect::<Vec<_>>());
+        // Window [6, 16] starts below the state: the prefix [6, 7] and the
+        // suffix (11, 16] come from the index — 7 nodes, not the 11 a
+        // rebuild would visit — and the state is left as it was.
+        let before = inst.nodes_visited;
+        assert_eq!(
+            answer(&mut j, &mut inst, &rows, (7, 16, 13)),
+            (Some(11.0), 11)
+        );
+        assert_eq!(inst.nodes_visited - before, 7);
+        let st = &j.inc[&7];
+        assert_eq!((st.start, st.settled_end), (8, 11));
+        assert_eq!(settled_ts(&j, 7), (8..=11).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_state_below_the_retention_bound_is_dropped_and_rebuilt() {
+        let (mut j, mut inst, rows) = solo(AggSpec::Sum);
+        store(&mut j, &mut inst, 0..=30);
+        answer(&mut j, &mut inst, &rows, (7, 18, 19)); // state [8, 18]
+                                                       // Key 9's state ends at 49: a base at 60 could still advance it.
+        answer(&mut j, &mut inst, &rows, (9, 59, 50));
+        assert_eq!(j.inc[&9].settled_end, 49);
+        // Hold 60 puts the retention bound at 50: key 7's state can never
+        // advance again and goes; key 9's stays.
+        j.publish(Timestamp::from_micros(60), None);
+        assert_eq!(j.evict(Timestamp::from_micros(60)), 31);
+        assert!(!j.inc.contains_key(&7));
+        assert!(j.inc.contains_key(&9));
+        // Key 7's next base rebuilds from the index.
+        for t in 50..=70 {
+            j.store(&mut inst, msg(Side::Probe, 7, t, 2.0));
+        }
+        assert_eq!(
+            answer(&mut j, &mut inst, &rows, (7, 65, 66)),
+            (Some(22.0), 11)
+        );
+        assert_eq!(settled_ts(&j, 7), (55..=65).collect::<Vec<_>>());
     }
 }

@@ -13,21 +13,25 @@
 //!    partition are spread round-robin over the virtual team.
 //! 3. **Incremental window aggregation** (§V-C): per (joiner, key) running
 //!    aggregates over the watermark-settled window prefix advance by
-//!    `⊖ evicted ⊕ added` delta scans instead of full window scans; the
-//!    settled region is immutable, so the state needs no invalidation.
+//!    `⊖ evicted ⊕ added` instead of full window scans. The settled region
+//!    is immutable, so the state needs no invalidation, and the state keeps
+//!    the tuples it absorbed, so `⊖` reads its own copy, not the index.
 //!    What is not settled is answered from per-bucket partials kept beside
 //!    each index ([`summary`]) plus two edge scans.
 //!
 //! ## Cross-joiner safety
 //!
-//! Joiners publish their processed watermark (`progress`); expiration uses
-//! `min(progress) − (PRE + FOL)` so that no tuple still reachable by a
-//! queued base tuple is evicted, and watermark-mode emission uses
-//! `min(progress)` as the completeness frontier. An incremental state is
-//! rebuilt from the index when its covered region dips below the eviction
-//! bound or a base tuple arrives below its settled end; bucket cells are
-//! taken only at or above the retention bound (eviction is the one thing
-//! a cell cannot see).
+//! Joiners publish their processed watermark (`progress`) and their *hold*
+//! (`progress`, or the emit timestamp of their oldest deferred base if
+//! lower). Watermark-mode emission uses `min(progress)` as the completeness
+//! frontier; expiration evicts below `min(hold) − (PRE + FOL)`, the
+//! retention bound. A base that is not late starts its window at or above
+//! that bound, and every index range a join reads lies inside the window,
+//! so no read races an eviction. A settled state owns its tuples, so
+//! eviction needs nothing from it; a state is rebuilt only when a base
+//! arrives below its settled end or outside the range it can serve. Bucket
+//! cells are taken only at or above the retention bound (eviction is the
+//! one thing a cell cannot see).
 
 pub mod schedule;
 pub mod summary;
@@ -158,8 +162,7 @@ impl ScaleOij {
         let frontier = |init: i64| -> Arc<Vec<AtomicI64>> {
             Arc::new((0..joiners).map(|_| AtomicI64::new(init)).collect())
         };
-        let (progress, hold, inc_floor) =
-            (frontier(i64::MIN), frontier(i64::MIN), frontier(i64::MAX));
+        let (progress, hold) = (frontier(i64::MIN), frontier(i64::MIN));
         let barrier = Arc::new(DrainBarrier::new(joiners));
         let sup = Supervision::default();
         // Late tuples become side-output markers only under that policy;
@@ -179,7 +182,6 @@ impl ScaleOij {
                     Arc::clone(&schedule),
                     Arc::clone(&progress),
                     Arc::clone(&hold),
-                    Arc::clone(&inc_floor),
                     Arc::clone(&barrier),
                     &sup,
                 )
@@ -541,11 +543,9 @@ mod tests {
     fn eviction_never_outruns_a_freshly_built_state() {
         // Two hot keys, a scheduler that replicates them at once and a
         // sweep every third message: teammates evict all the time while
-        // states are built for keys they share. A state built after its
-        // joiner's last sweep (which published "no state", or only later
-        // ones) must still be covered by the incremental floor — else a
-        // teammate evicts tuples the state counts, the subtract-delta
-        // comes up short and rows over-count. The race needs the schedule
+        // states are built for keys they share. A teammate's sweep may
+        // evict tuples a state still counts; the state must then subtract
+        // its own copies, or rows over-count. The race needs the schedule
         // change to land mid-stream, hence the repeats.
         let mut q = query(1_500, 160, EmitMode::Watermark);
         q.agg = AggSpec::Max;

@@ -156,7 +156,7 @@ pub fn emit(sink: &Sink, inst: &mut JoinerInstruments, row: FeatureRow, arrival:
 #[inline]
 pub(crate) fn insert_probe(writer: &mut BackendWriter, inst: &mut JoinerInstruments, tuple: Tuple) {
     if inst.cache.is_some() {
-        let addr = writer.insert_hinted_traced(tuple, false);
+        let addr = writer.insert_traced(tuple);
         inst.record_access(addr, writer.node_footprint());
     } else {
         writer.insert(tuple);

@@ -18,9 +18,7 @@
 //! honestly in DESIGN.md.
 //!
 //! Snapshots are published through an [`RcuCell`] (one swap per insert,
-//! or per touched key for a whole `insert_batch` run), with the same
-//! stamp discipline as the other backends: run data first, then
-//! `max_ts`/`late_inserts` (`Release` paired with readers' `Acquire`).
+//! or per touched key for a whole `insert_batch` run).
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -29,7 +27,6 @@ use std::sync::Arc;
 use oij_common::{Key, Timestamp, Tuple, Window};
 use oij_skiplist::{RcuCell, Reader, SwmrSkipList, Writer};
 
-use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::{OijIndex, OijIndexReader, OijIndexWriter};
 
 /// Second-layer key: event timestamp plus the per-index dense sequence
@@ -67,13 +64,7 @@ struct HintSnapshot {
 }
 
 /// Per-key state published through layer 1.
-struct HintShared {
-    snap: RcuCell<HintSnapshot>,
-    late_inserts: AtomicU64,
-    /// Largest inserted timestamp (µs; `i64::MIN` when empty); published
-    /// by the writer after the snapshot that contains it.
-    max_ts: AtomicI64,
-}
+type HintShared = RcuCell<HintSnapshot>;
 
 /// Factory for the HINT-lite index.
 pub struct HintIndex;
@@ -117,29 +108,23 @@ struct HintSeries {
     shared: Arc<HintShared>,
     buckets: BTreeMap<i64, Bucket>,
     live: usize,
-    max_ts: Timestamp,
-    staged_late: u64,
     dirty: bool,
 }
 
 impl HintSeries {
     /// Inserts one entry into its leaf bucket, keeping the bucket
     /// sorted; does NOT publish.
-    fn stage(&mut self, entry: Entry, late: bool) {
+    fn stage(&mut self, entry: Entry) {
         let id = bucket_id(entry.0 .0);
         let bucket = self.buckets.entry(id).or_default();
         let bucket = Arc::make_mut(bucket);
         let pos = bucket.partition_point(|e| e.0 <= entry.0);
         bucket.insert(pos, entry);
         self.live += 1;
-        if late {
-            self.staged_late += 1;
-        }
         self.dirty = true;
     }
 
-    /// Publishes the hierarchy, then the stamps (data before stamp, as
-    /// everywhere).
+    /// Publishes the hierarchy with one swap.
     fn publish(&mut self) {
         if !self.dirty {
             return;
@@ -161,24 +146,11 @@ impl HintSeries {
                 }),
             }
         }
-        self.shared.snap.replace(HintSnapshot {
+        self.shared.replace(HintSnapshot {
             leaves,
             groups,
             live: self.live,
         });
-        if self.max_ts != Timestamp::MIN {
-            // ORDERING: Release — pairs with the Acquire loads in `series_stamp` / `max_ts`: observing the new stamp implies the snapshot holding the tuple is published.
-            self.shared
-                .max_ts
-                .store(self.max_ts.as_micros(), Ordering::Release);
-        }
-        if self.staged_late > 0 {
-            // ORDERING: Release — pairs with the Acquire counter load in `series_stamp` / `late_inserts`; ordered after the snapshot publication above.
-            self.shared
-                .late_inserts
-                .fetch_add(self.staged_late, Ordering::Release);
-            self.staged_late = 0;
-        }
         self.dirty = false;
     }
 }
@@ -193,36 +165,26 @@ pub struct HintWriter {
 }
 
 impl HintWriter {
-    fn stage_inner(&mut self, tuple: Tuple, late_hint: bool) -> Key {
+    fn stage_inner(&mut self, tuple: Tuple) -> Key {
         let key = tuple.key;
         let ts = tuple.ts;
         let seq = self.next_seq;
         self.next_seq += 1;
         let state = self.series.entry(key).or_insert_with(|| {
-            let shared = Arc::new(HintShared {
-                snap: RcuCell::new(HintSnapshot {
-                    leaves: Vec::new(),
-                    groups: Vec::new(),
-                    live: 0,
-                }),
-                late_inserts: AtomicU64::new(0),
-                max_ts: AtomicI64::new(i64::MIN),
-            });
+            let shared = Arc::new(RcuCell::new(HintSnapshot {
+                leaves: Vec::new(),
+                groups: Vec::new(),
+                live: 0,
+            }));
             self.keys.insert(key, Arc::clone(&shared));
             HintSeries {
                 shared,
                 buckets: BTreeMap::new(),
                 live: 0,
-                max_ts: Timestamp::MIN,
-                staged_late: 0,
                 dirty: false,
             }
         });
-        let locally_late = state.max_ts != Timestamp::MIN && ts <= state.max_ts;
-        if ts > state.max_ts || state.max_ts == Timestamp::MIN {
-            state.max_ts = ts;
-        }
-        state.stage(((ts, seq), tuple), late_hint || locally_late);
+        state.stage(((ts, seq), tuple));
         self.len += 1;
         key
     }
@@ -243,15 +205,15 @@ impl OijIndexWriter for HintWriter {
         std::mem::size_of::<Entry>()
     }
 
-    fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool) {
-        let key = self.stage_inner(tuple, globally_late);
+    fn insert(&mut self, tuple: Tuple) {
+        let key = self.stage_inner(tuple);
         self.publish_key(key);
     }
 
-    fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize {
+    fn insert_traced(&mut self, tuple: Tuple) -> usize {
         let ts = tuple.ts;
         let seq = self.next_seq;
-        let key = self.stage_inner(tuple, globally_late);
+        let key = self.stage_inner(tuple);
         self.publish_key(key);
         self.series
             .get(&key)
@@ -263,8 +225,8 @@ impl OijIndexWriter for HintWriter {
 
     fn insert_batch(&mut self, run: Vec<(Tuple, bool)>) {
         let mut touched: Vec<Key> = Vec::with_capacity(4);
-        for (tuple, late) in run {
-            let key = self.stage_inner(tuple, late);
+        for (tuple, _) in run {
+            let key = self.stage_inner(tuple);
             if !touched.contains(&key) {
                 touched.push(key);
             }
@@ -360,7 +322,7 @@ impl HintReader {
         let hi_key: TsKey = (hi, u64::MAX);
         self.keys
             .get_with(&key, |shared| {
-                let snap = shared.snap.load();
+                let snap = shared.load();
                 let mut visited = 0usize;
                 // Descend: prune whole summary groups, then walk only
                 // the overlapping leaves.
@@ -421,33 +383,8 @@ impl OijIndexReader for HintReader {
 
     fn key_len(&self, key: Key) -> usize {
         self.keys
-            .get_with(&key, |shared| shared.snap.load().live)
+            .get_with(&key, |shared| shared.load().live)
             .unwrap_or(0)
-    }
-
-    fn late_inserts(&self, key: Key) -> u64 {
-        // ORDERING: Acquire — pairs with the Release `fetch_add` in `publish`, so the count covers every published late entry.
-        self.keys
-            .get_with(&key, |shared| shared.late_inserts.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    fn series_stamp(&self, key: Key) -> (u64, i64) {
-        self.keys
-            .get_with(&key, |shared| {
-                // Counter first (conservative stamp; see the reference
-                // backend's rationale).
-                // ORDERING: Acquire — counter first; pairs with the Release `fetch_add` in `publish`.
-                let late = shared.late_inserts.load(Ordering::Acquire);
-                // ORDERING: Acquire — pairs with the Release `max_ts` store in `publish`: the new stamp implies the snapshot is visible.
-                let max = shared.max_ts.load(Ordering::Acquire);
-                (late, max)
-            })
-            .unwrap_or((0, i64::MIN))
-    }
-
-    fn has_key(&self, key: Key) -> bool {
-        self.keys.contains(&key)
     }
 
     fn key_count(&self) -> usize {

@@ -17,11 +17,6 @@
 //! Eviction compacts: survivors of `evict_below` are merged into a
 //! single fresh run, so run count stays proportional to the live window
 //! rather than the stream length.
-//!
-//! The SWMR/stamp contract is identical to the time-travel index: run
-//! sets are published *before* the `max_ts`/`late_inserts` stamps
-//! (`Release` stores paired with readers' `Acquire` loads), so a stamp
-//! observation implies the tuple that caused it is findable.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,7 +24,6 @@ use std::sync::Arc;
 use oij_common::{Key, Timestamp, Tuple, Window};
 use oij_skiplist::{RcuCell, Reader, SwmrSkipList, Writer};
 
-use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use crate::{OijIndex, OijIndexReader, OijIndexWriter};
 
 /// Second-layer key: event timestamp plus the per-index dense sequence
@@ -51,13 +45,7 @@ struct RunSet {
 }
 
 /// Per-key state published through layer 1.
-struct JiffyShared {
-    runs: RcuCell<RunSet>,
-    late_inserts: AtomicU64,
-    /// Largest inserted timestamp (µs; `i64::MIN` when empty); published
-    /// by the writer after the run set that contains it.
-    max_ts: AtomicI64,
-}
+type JiffyShared = RcuCell<RunSet>;
 
 /// Factory for the Jiffy-lite index.
 pub struct JiffyIndex;
@@ -101,17 +89,14 @@ struct JiffySeries {
     shared: Arc<JiffyShared>,
     runs: Vec<Run>,
     live: usize,
-    max_ts: Timestamp,
-    /// Late inserts staged since the last publication.
-    staged_late: u64,
-    /// Whether `runs`/`max_ts` moved since the last publication.
+    /// Whether `runs` moved since the last publication.
     dirty: bool,
 }
 
 impl JiffySeries {
     /// Appends one entry into the (copy-on-write) tail run, keeping the
     /// run sorted; does NOT publish.
-    fn stage(&mut self, entry: Entry, late: bool) {
+    fn stage(&mut self, entry: Entry) {
         match self.runs.last_mut().filter(|r| r.len() < RUN_SEAL) {
             Some(tail) => {
                 let tail = Arc::make_mut(tail);
@@ -121,36 +106,18 @@ impl JiffySeries {
             None => self.runs.push(Arc::new(vec![entry])),
         }
         self.live += 1;
-        if late {
-            self.staged_late += 1;
-        }
         self.dirty = true;
     }
 
-    /// Publishes the staged run set, then the stamps. Order matters: the
-    /// run set swap precedes the stamp stores, so a reader that observes
-    /// a new stamp can find the tuples behind it.
+    /// Publishes the staged run set with one swap.
     fn publish(&mut self) {
         if !self.dirty {
             return;
         }
-        self.shared.runs.replace(RunSet {
+        self.shared.replace(RunSet {
             runs: self.runs.clone(),
             live: self.live,
         });
-        if self.max_ts != Timestamp::MIN {
-            // ORDERING: Release — pairs with the Acquire loads in `series_stamp` / `max_ts`: observing the new stamp implies the run set holding the tuple is published.
-            self.shared
-                .max_ts
-                .store(self.max_ts.as_micros(), Ordering::Release);
-        }
-        if self.staged_late > 0 {
-            // ORDERING: Release — pairs with the Acquire counter load in `series_stamp` / `late_inserts`; ordered after the run-set publication above.
-            self.shared
-                .late_inserts
-                .fetch_add(self.staged_late, Ordering::Release);
-            self.staged_late = 0;
-        }
         self.dirty = false;
     }
 }
@@ -166,22 +133,17 @@ pub struct JiffyWriter {
 
 impl JiffyWriter {
     /// Stages one tuple into its series (creating it on first sight) and
-    /// returns `(key, entry address hint)`. Publication is the caller's
-    /// responsibility.
-    fn stage_inner(&mut self, tuple: Tuple, late_hint: bool) -> Key {
+    /// returns its key. Publication is the caller's responsibility.
+    fn stage_inner(&mut self, tuple: Tuple) -> Key {
         let key = tuple.key;
         let ts = tuple.ts;
         let seq = self.next_seq;
         self.next_seq += 1;
         let state = self.series.entry(key).or_insert_with(|| {
-            let shared = Arc::new(JiffyShared {
-                runs: RcuCell::new(RunSet {
-                    runs: Vec::new(),
-                    live: 0,
-                }),
-                late_inserts: AtomicU64::new(0),
-                max_ts: AtomicI64::new(i64::MIN),
-            });
+            let shared = Arc::new(RcuCell::new(RunSet {
+                runs: Vec::new(),
+                live: 0,
+            }));
             // Publish the shared state through layer 1 so readers can
             // find the series.
             self.keys.insert(key, Arc::clone(&shared));
@@ -189,18 +151,10 @@ impl JiffyWriter {
                 shared,
                 runs: Vec::new(),
                 live: 0,
-                max_ts: Timestamp::MIN,
-                staged_late: 0,
                 dirty: false,
             }
         });
-        // Same lateness rule as the reference backend: a tuple that does
-        // not STRICTLY advance the key's maximum counts as late.
-        let locally_late = state.max_ts != Timestamp::MIN && ts <= state.max_ts;
-        if ts > state.max_ts || state.max_ts == Timestamp::MIN {
-            state.max_ts = ts;
-        }
-        state.stage(((ts, seq), tuple), late_hint || locally_late);
+        state.stage(((ts, seq), tuple));
         self.len += 1;
         key
     }
@@ -222,15 +176,15 @@ impl OijIndexWriter for JiffyWriter {
         std::mem::size_of::<Entry>()
     }
 
-    fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool) {
-        let key = self.stage_inner(tuple, globally_late);
+    fn insert(&mut self, tuple: Tuple) {
+        let key = self.stage_inner(tuple);
         self.publish_key(key);
     }
 
-    fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize {
+    fn insert_traced(&mut self, tuple: Tuple) -> usize {
         let ts = tuple.ts;
         let seq = self.next_seq;
-        let key = self.stage_inner(tuple, globally_late);
+        let key = self.stage_inner(tuple);
         self.publish_key(key);
         // Report the published entry's address for cache simulation. A
         // staged entry always lands in the tail (last) run.
@@ -244,11 +198,11 @@ impl OijIndexWriter for JiffyWriter {
 
     fn insert_batch(&mut self, run: Vec<(Tuple, bool)>) {
         // The Jiffy move: stage the whole coalesced run, then ONE
-        // publication per touched key. Sequence numbers and lateness are
-        // assigned in arrival order, identical to one-at-a-time inserts.
+        // publication per touched key. Sequence numbers are assigned in
+        // arrival order, identical to one-at-a-time inserts.
         let mut touched: Vec<Key> = Vec::with_capacity(4);
-        for (tuple, late) in run {
-            let key = self.stage_inner(tuple, late);
+        for (tuple, _) in run {
+            let key = self.stage_inner(tuple);
             if !touched.contains(&key) {
                 touched.push(key);
             }
@@ -342,7 +296,7 @@ impl OijIndexReader for JiffyReader {
                 // O(1) snapshot; the Arc keeps every run alive for the
                 // duration of the merge regardless of concurrent
                 // publications.
-                let snap = shared.runs.load();
+                let snap = shared.load();
                 merge_in_range(&snap.runs, (lo, 0u64), (hi, u64::MAX), |e: &Entry| {
                     f(&e.1, e as *const Entry as usize)
                 })
@@ -356,7 +310,7 @@ impl OijIndexReader for JiffyReader {
         }
         self.keys
             .get_with(&key, |shared| {
-                let snap = shared.runs.load();
+                let snap = shared.load();
                 merge_in_range(
                     &snap.runs,
                     (window.start, 0u64),
@@ -369,34 +323,8 @@ impl OijIndexReader for JiffyReader {
 
     fn key_len(&self, key: Key) -> usize {
         self.keys
-            .get_with(&key, |shared| shared.runs.load().live)
+            .get_with(&key, |shared| shared.load().live)
             .unwrap_or(0)
-    }
-
-    fn late_inserts(&self, key: Key) -> u64 {
-        // ORDERING: Acquire — pairs with the Release `fetch_add` in `publish`, so the count covers every published late entry.
-        self.keys
-            .get_with(&key, |shared| shared.late_inserts.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    fn series_stamp(&self, key: Key) -> (u64, i64) {
-        self.keys
-            .get_with(&key, |shared| {
-                // Counter first: a concurrent in-order publication then
-                // at worst shows a newer max with an old counter, which
-                // incremental validation treats conservatively.
-                // ORDERING: Acquire — counter first; pairs with the Release `fetch_add` in `publish` (conservative stamp; see comment).
-                let late = shared.late_inserts.load(Ordering::Acquire);
-                // ORDERING: Acquire — pairs with the Release `max_ts` store in `publish`: the new stamp implies the run set is visible.
-                let max = shared.max_ts.load(Ordering::Acquire);
-                (late, max)
-            })
-            .unwrap_or((0, i64::MIN))
-    }
-
-    fn has_key(&self, key: Key) -> bool {
-        self.keys.contains(&key)
     }
 
     fn key_count(&self) -> usize {
@@ -482,8 +410,8 @@ mod tests {
             .map(|i| (t(2, (40 - i) * 10, i as f64), false))
             .collect();
         wa.insert_batch(run.clone());
-        for (tuple, late) in run {
-            wb.insert_hinted(tuple, late);
+        for (tuple, _) in run {
+            wb.insert(tuple);
         }
         let collect = |r: &JiffyReader| {
             let mut v = Vec::new();
@@ -493,9 +421,6 @@ mod tests {
             v
         };
         assert_eq!(collect(&ra), collect(&rb));
-        assert_eq!(ra.series_stamp(2), rb.series_stamp(2));
-        // Every tuple except the first failed to strictly advance max_ts.
-        assert_eq!(ra.late_inserts(2), 39);
     }
 
     #[test]
@@ -526,7 +451,7 @@ mod tests {
         let (mut w, r) = JiffyIndex::with_seed(21);
         w.insert(t(4, 10, 1.0));
         let keys = r.keys.clone();
-        let snap = keys.get_with(&4, |s| s.runs.load()).unwrap();
+        let snap = keys.get_with(&4, |s| s.load()).unwrap();
         for i in 0..100i64 {
             w.insert(t(4, 20 + i, 2.0));
         }

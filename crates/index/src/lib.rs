@@ -22,7 +22,7 @@
 //!
 //! Exactly **one** thread mutates an index through its writer handle;
 //! any number of threads read concurrently through cloneable reader
-//! handles. Beyond memory safety, the engines rely on four behavioral
+//! handles. Beyond memory safety, the engines rely on two behavioral
 //! invariants (enforced by `tests/index_equivalence.rs` and the
 //! differential proptest suite in this crate):
 //!
@@ -31,19 +31,15 @@
 //!    Because all backends assign `seq` identically (increment per
 //!    insert, in writer order), scans are bit-identical across
 //!    backends for the same insert history.
-//! 2. **Stamp-implies-visibility** — `series_stamp` returns
-//!    `(late_inserts, max_ts_µs)` with the counter and stamp published
-//!    *after* the tuple itself (`Release`/`Acquire`): a reader that
-//!    observes a new stamp must be able to find the tuple that caused
-//!    it.
-//! 3. **Late accounting** — a tuple is late iff the external hint says
-//!    so or its timestamp does not strictly advance the key's maximum;
-//!    the counter is monotone and never undercounts published tuples.
-//! 4. **Eviction bound** — `evict_below(bound)` evicts exactly the
+//! 2. **Eviction bound** — `evict_below(bound)` evicts exactly the
 //!    tuples with `ts < bound` and nothing newer; the engines derive
 //!    `bound` from the watermark so it never exceeds the durability
 //!    retention bound (DESIGN.md §11), which recovery replay depends
 //!    on.
+//!
+//! An insert (or a whole `insert_batch` run) is visible to every reader
+//! once the call returns; the engines announce it to teammates through
+//! their progress frontiers only after that.
 //!
 //! ## Adding a backend
 //!
@@ -58,7 +54,6 @@
 
 pub mod hint;
 pub mod jiffy;
-pub(crate) mod sync;
 
 use oij_common::{Key, Timestamp, Tuple, Window};
 use oij_skiplist::{IndexReader as SkipReader, IndexWriter as SkipWriter, TimeTravelIndex};
@@ -169,29 +164,26 @@ pub trait OijIndexWriter: Send {
     /// simulator with realistic access sizes).
     fn node_footprint(&self) -> usize;
 
-    /// Inserts a tuple with an external *global* lateness hint (the
-    /// engine knows the stream-wide maximum timestamp via the
-    /// watermark; see `TimeTravelIndex::insert_hinted`).
-    fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool);
+    /// Inserts a tuple.
+    fn insert(&mut self, tuple: Tuple);
 
-    /// Like [`insert_hinted`](Self::insert_hinted), additionally
-    /// reporting the new node's address for cache-traffic simulation.
-    fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize;
+    /// Like [`insert`](Self::insert), additionally reporting the new
+    /// node's address for cache-traffic simulation.
+    fn insert_traced(&mut self, tuple: Tuple) -> usize;
 
-    /// Inserts a tuple with no external lateness hint.
-    fn insert(&mut self, tuple: Tuple) {
-        self.insert_hinted(tuple, false);
-    }
-
-    /// Consumes a whole coalesced run of `(tuple, late_hint)` pairs in
-    /// arrival order. Backends may defer *publication* to one atomic
-    /// swap at the end of the run — so callers must not read the index
-    /// (nor advance any frontier announcing these tuples) between the
-    /// call and its return. Sequence numbers and late accounting are
-    /// identical to inserting the run one tuple at a time.
+    /// Consumes a whole coalesced run of tuples in arrival order.
+    /// Backends may defer *publication* to one atomic swap at the end of
+    /// the run — so callers must not read the index (nor advance any
+    /// frontier announcing these tuples) between the call and its
+    /// return. Sequence numbers are identical to inserting the run one
+    /// tuple at a time.
+    ///
+    /// The `bool` beside each tuple is ignored; the pair stays because
+    /// the benchmark crate (`benchmark/src/layers.rs`) calls this
+    /// signature.
     fn insert_batch(&mut self, run: Vec<(Tuple, bool)>) {
-        for (tuple, late) in run {
-            self.insert_hinted(tuple, late);
+        for (tuple, _) in run {
+            self.insert(tuple);
         }
     }
 
@@ -264,16 +256,6 @@ pub trait OijIndexReader: Clone + Send + Sync {
     /// writes).
     fn key_len(&self, key: Key) -> usize;
 
-    /// The key's late-insert counter.
-    fn late_inserts(&self, key: Key) -> u64;
-
-    /// The key's validation stamp `(late_inserts, max_ts_µs)`;
-    /// `(0, i64::MIN)` when the key is unknown.
-    fn series_stamp(&self, key: Key) -> (u64, i64);
-
-    /// Whether `key` has ever been seen by this index.
-    fn has_key(&self, key: Key) -> bool;
-
     /// Number of distinct keys (approximate under writes).
     fn key_count(&self) -> usize;
 }
@@ -301,12 +283,12 @@ impl OijIndexWriter for SkipWriter {
         SkipWriter::node_footprint()
     }
 
-    fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool) {
-        SkipWriter::insert_hinted(self, tuple, globally_late);
+    fn insert(&mut self, tuple: Tuple) {
+        SkipWriter::insert(self, tuple);
     }
 
-    fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize {
-        SkipWriter::insert_hinted_traced(self, tuple, globally_late)
+    fn insert_traced(&mut self, tuple: Tuple) -> usize {
+        SkipWriter::insert_traced(self, tuple)
     }
 
     fn evict_below(&mut self, bound: Timestamp) -> usize {
@@ -347,18 +329,6 @@ impl OijIndexReader for SkipReader {
 
     fn key_len(&self, key: Key) -> usize {
         SkipReader::key_len(self, key)
-    }
-
-    fn late_inserts(&self, key: Key) -> u64 {
-        SkipReader::late_inserts(self, key)
-    }
-
-    fn series_stamp(&self, key: Key) -> (u64, i64) {
-        SkipReader::series_stamp(self, key)
-    }
-
-    fn has_key(&self, key: Key) -> bool {
-        SkipReader::has_key(self, key)
     }
 
     fn key_count(&self) -> usize {
@@ -420,12 +390,12 @@ impl OijIndexWriter for BackendWriter {
         dispatch_writer!(self, w => w.node_footprint())
     }
 
-    fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool) {
-        dispatch_writer!(self, w => w.insert_hinted(tuple, globally_late))
+    fn insert(&mut self, tuple: Tuple) {
+        dispatch_writer!(self, w => OijIndexWriter::insert(w, tuple))
     }
 
-    fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize {
-        dispatch_writer!(self, w => w.insert_hinted_traced(tuple, globally_late))
+    fn insert_traced(&mut self, tuple: Tuple) -> usize {
+        dispatch_writer!(self, w => OijIndexWriter::insert_traced(w, tuple))
     }
 
     fn insert_batch(&mut self, run: Vec<(Tuple, bool)>) {
@@ -494,18 +464,6 @@ impl OijIndexReader for BackendReader {
 
     fn key_len(&self, key: Key) -> usize {
         dispatch_reader!(self, r => r.key_len(key))
-    }
-
-    fn late_inserts(&self, key: Key) -> u64 {
-        dispatch_reader!(self, r => r.late_inserts(key))
-    }
-
-    fn series_stamp(&self, key: Key) -> (u64, i64) {
-        dispatch_reader!(self, r => r.series_stamp(key))
-    }
-
-    fn has_key(&self, key: Key) -> bool {
-        dispatch_reader!(self, r => r.has_key(key))
     }
 
     fn key_count(&self) -> usize {
@@ -650,19 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_accounts_late_inserts() {
-        for backend in IndexBackend::ALL {
-            let (mut w, r) = backend.build_with_seed(3);
-            w.insert(t(1, 100, 1.0));
-            w.insert(t(1, 50, 2.0)); // locally late
-            w.insert_hinted(t(1, 200, 3.0), true); // globally late hint
-            assert_eq!(r.late_inserts(1), 2, "{}", backend.label());
-            assert_eq!(r.series_stamp(1), (2, 200), "{}", backend.label());
-            assert_eq!(r.series_stamp(99), (0, i64::MIN), "{}", backend.label());
-        }
-    }
-
-    #[test]
     fn every_backend_evicts_below_bound_exactly() {
         for backend in IndexBackend::ALL {
             let (mut w, r) = backend.build_with_seed(11);
@@ -692,8 +637,8 @@ mod tests {
             let (mut wa, ra) = backend.build_with_seed(77);
             let (mut wb, rb) = backend.build_with_seed(77);
             wa.insert_batch(run.clone());
-            for (tuple, late) in run.clone() {
-                wb.insert_hinted(tuple, late);
+            for (tuple, _) in run.clone() {
+                wb.insert(tuple);
             }
             for key in [1u64, 2] {
                 let collect = |r: &BackendReader| {
@@ -704,12 +649,6 @@ mod tests {
                     v
                 };
                 assert_eq!(collect(&ra), collect(&rb), "{} key {key}", backend.label());
-                assert_eq!(
-                    ra.series_stamp(key),
-                    rb.series_stamp(key),
-                    "{} key {key}",
-                    backend.label()
-                );
             }
         }
     }

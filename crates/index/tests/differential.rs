@@ -1,14 +1,14 @@
 //! Backend-differential property suite: every `IndexBackend` must be an
 //! observationally identical implementation of the `OijIndex` contract.
 //!
-//! A random operation sequence (hinted inserts, whole-run batch inserts,
+//! A random operation sequence (inserts, whole-run batch inserts,
 //! evictions) is applied to all three backends in lockstep; after every
 //! eviction and at the end, every read-side observation must agree
 //! **bit-identically** with the skip-list reference:
 //!
 //! - full-range scans: same `(ts, key, value)` rows in the same order,
 //! - windowed scans (`scan_window`, `scan_ts_range`) over random bounds,
-//! - per-key `key_len`, `late_inserts`, `series_stamp`,
+//! - per-key `key_len`,
 //! - `len`, `key_count`, and each `evict_below` return value.
 //!
 //! This also pins the eviction/compaction interaction per backend: runs
@@ -22,20 +22,18 @@ use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// One hinted insert, published immediately.
-    Insert { key: u64, ts: i64, hint: bool },
+    /// One insert, published immediately.
+    Insert { key: u64, ts: i64 },
     /// A whole run handed to `insert_batch` (one publish per touched key).
-    Batch(Vec<(u64, i64, bool)>),
+    Batch(Vec<(u64, i64)>),
     /// Evict everything strictly below the bound.
     Evict { bound: i64 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u64..6, -2_000i64..60_000, any::<bool>())
-            .prop_map(|(key, ts, hint)| Op::Insert { key, ts, hint }),
-        2 => proptest::collection::vec((0u64..6, -2_000i64..60_000, any::<bool>()), 1..40)
-            .prop_map(Op::Batch),
+        4 => (0u64..6, -2_000i64..60_000).prop_map(|(key, ts)| Op::Insert { key, ts }),
+        2 => proptest::collection::vec((0u64..6, -2_000i64..60_000), 1..40).prop_map(Op::Batch),
         1 => (-1_000i64..50_000).prop_map(|bound| Op::Evict { bound }),
     ]
 }
@@ -54,8 +52,8 @@ fn tuple(key: u64, ts: i64) -> Tuple {
 struct Observation {
     len: usize,
     key_count: usize,
-    /// Per probed key: (key_len, late_inserts, stamp).
-    keys: Vec<(usize, u64, (u64, i64))>,
+    /// Per probed key: `key_len`.
+    keys: Vec<usize>,
     /// Full-range rows per probed key: (ts, key, value-bits).
     rows: Vec<Vec<(i64, u64, u64)>>,
     /// Windowed scan rows + counts over the probe windows.
@@ -63,15 +61,7 @@ struct Observation {
 }
 
 fn observe(writer: &BackendWriter, reader: &BackendReader, windows: &[(i64, i64)]) -> Observation {
-    let keys = (0u64..6)
-        .map(|k| {
-            (
-                reader.key_len(k),
-                reader.late_inserts(k),
-                reader.series_stamp(k),
-            )
-        })
-        .collect();
+    let keys = (0u64..6).map(|k| reader.key_len(k)).collect();
     let rows = (0u64..6)
         .map(|k| {
             let mut rows = Vec::new();
@@ -104,12 +94,12 @@ fn observe(writer: &BackendWriter, reader: &BackendReader, windows: &[(i64, i64)
 
 fn apply(writer: &mut BackendWriter, op: &Op) -> usize {
     match op {
-        Op::Insert { key, ts, hint } => {
-            writer.insert_hinted(tuple(*key, *ts), *hint);
+        Op::Insert { key, ts } => {
+            writer.insert(tuple(*key, *ts));
             0
         }
         Op::Batch(run) => {
-            writer.insert_batch(run.iter().map(|&(k, ts, h)| (tuple(k, ts), h)).collect());
+            writer.insert_batch(run.iter().map(|&(k, ts)| (tuple(k, ts), false)).collect());
             0
         }
         Op::Evict { bound } => writer.evict_below(Timestamp::from_micros(*bound)),
@@ -191,19 +181,19 @@ proptest! {
 
     #[test]
     fn batch_and_sequential_inserts_converge(
-        run in proptest::collection::vec((0u64..5, -100i64..5_000, any::<bool>()), 1..60),
+        run in proptest::collection::vec((0u64..5, -100i64..5_000), 1..60),
     ) {
         // For every backend, one `insert_batch(run)` must leave the index
         // in the same observable state as inserting the run one by one —
-        // same rows, same order, same late accounting, same stamps.
+        // same rows, same order, same per-key lengths.
         for backend in IndexBackend::ALL {
             let (mut batched_w, batched_r) = backend.build_with_seed(11);
             let (mut seq_w, seq_r) = backend.build_with_seed(11);
             batched_w.insert_batch(
-                run.iter().map(|&(k, ts, h)| (tuple(k, ts), h)).collect(),
+                run.iter().map(|&(k, ts)| (tuple(k, ts), false)).collect(),
             );
-            for &(k, ts, h) in &run {
-                seq_w.insert_hinted(tuple(k, ts), h);
+            for &(k, ts) in &run {
+                seq_w.insert(tuple(k, ts));
             }
             let windows = [(0i64, 2_500i64)];
             let want = observe(&seq_w, &seq_r, &windows);

@@ -7,20 +7,16 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p oij-index --test loom --release
 //! ```
 //!
-//! Both backends publish through `RcuCell` (one `Release` pointer swap per
-//! touched key) and stamp `max_ts`/`late_inserts` afterwards, mirroring
-//! the skip-list reference's publication discipline. The scenarios pin the
-//! three ways that discipline could break (the same caveats as the
-//! skip-list models apply: the vendored loom is sequentially consistent,
-//! so wrong orderings are ThreadSanitizer's job, not loom's):
+//! Both backends publish through `RcuCell`: one `Release` pointer swap per
+//! touched key. The scenarios pin the two ways that publication could
+//! break (the same caveats as the skip-list models apply: the vendored
+//! loom is sequentially consistent, so wrong orderings are
+//! ThreadSanitizer's job, not loom's):
 //!
-//! 1. **Stamp implies visibility**: once a reader observes `max_ts == T`
-//!    via `series_stamp`, a scan must find the tuple with timestamp `T` —
-//!    data is published strictly before the stamp.
-//! 2. **Batch runs publish atomically per key**: a reader racing an
+//! 1. **Batch runs publish atomically per key**: a reader racing an
 //!    `insert_batch` run over one key sees either none or all of the
 //!    run's entries, never a prefix (one RCU swap publishes the run).
-//! 3. **Eviction swaps snapshots atomically**: a scan racing
+//! 2. **Eviction swaps snapshots atomically**: a scan racing
 //!    `evict_below` sees the pre-eviction or the post-eviction series,
 //!    never a torn mixture.
 
@@ -42,28 +38,6 @@ fn scan_all(reader: &impl OijIndexReader) -> Vec<i64> {
         rows.push(t.ts.as_micros());
     });
     rows
-}
-
-#[test]
-fn stamp_implies_visibility() {
-    for backend in BACKENDS {
-        loom::model(move || {
-            let (mut w, r) = backend.build_with_seed(3);
-            let reader = thread::spawn(move || {
-                let (_, max) = r.series_stamp(1);
-                (max, scan_all(&r))
-            });
-            w.insert(tuple(5, 1.0));
-            let (max, rows) = reader.join().unwrap();
-            if max == 5 {
-                assert!(
-                    rows.contains(&5),
-                    "{}: stamp published before its data",
-                    backend.label()
-                );
-            }
-        });
-    }
 }
 
 #[test]

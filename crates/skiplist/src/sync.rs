@@ -17,12 +17,12 @@
 
 #[cfg(not(loom))]
 pub(crate) mod atomic {
-    pub(crate) use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+    pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};
 }
 
 #[cfg(loom)]
 pub(crate) mod atomic {
-    pub(crate) use loom::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize};
+    pub(crate) use loom::sync::atomic::AtomicUsize;
     pub(crate) use std::sync::atomic::Ordering;
 }
 

@@ -15,9 +15,7 @@
 //! virtual team reads through cloned [`IndexReader`]s, exploiting the SWMR
 //! property of both layers.
 
-use crate::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use oij_common::{Key, Timestamp, Tuple, Window};
 
@@ -29,21 +27,6 @@ pub type TsKey = (Timestamp, u64);
 
 type SeriesWriter = Writer<TsKey, Tuple>;
 type SeriesReader = Reader<TsKey, Tuple>;
-
-/// The per-key state published through layer 1: the second-layer reader
-/// plus a counter of *late* inserts (tuples whose timestamp was below the
-/// key's maximum at insertion time). Incremental join states snapshot the
-/// counter and fall back to a full rescan when it moves — late probe
-/// tuples land inside the already-covered window region, which `⊕`-only
-/// advancement would silently miss.
-struct SeriesShared {
-    reader: SeriesReader,
-    late_inserts: AtomicU64,
-    /// The key's largest inserted timestamp (µs; `i64::MIN` when empty),
-    /// published by the writer. Together with the late counter this forms
-    /// the per-member *stamp* incremental states validate against.
-    max_ts: AtomicI64,
-}
 
 /// Factory for the double-layer index.
 pub struct TimeTravelIndex;
@@ -58,7 +41,7 @@ impl TimeTravelIndex {
 
     /// Creates an empty index with a deterministic skip-list height seed.
     pub fn with_seed(seed: u64) -> (IndexWriter, IndexReader) {
-        let (kw, kr) = SwmrSkipList::with_seed::<Key, Arc<SeriesShared>>(seed);
+        let (kw, kr) = SwmrSkipList::with_seed::<Key, SeriesReader>(seed);
         (
             IndexWriter {
                 keys: kw,
@@ -75,22 +58,15 @@ impl TimeTravelIndex {
 /// The unique mutating handle: insert tuples, expire old ones.
 pub struct IndexWriter {
     /// Layer 1 (shared with readers).
-    keys: Writer<Key, Arc<SeriesShared>>,
-    /// The writer halves of every second-layer list, plus the shared state
-    /// and the writer-private max timestamp per key. Only this joiner
+    keys: Writer<Key, SeriesReader>,
+    /// The writer halves of every second-layer list. Only this joiner
     /// inserts, so keeping them privately in a hash map gives O(1) writer
     /// lookup while readers still locate series through the layer-1 skip
     /// list as in the paper.
-    series: HashMap<Key, SeriesState>,
+    series: HashMap<Key, SeriesWriter>,
     seed: u64,
     next_seq: u64,
     len: usize,
-}
-
-struct SeriesState {
-    writer: SeriesWriter,
-    shared: Arc<SeriesShared>,
-    max_ts: Timestamp,
 }
 
 impl IndexWriter {
@@ -104,74 +80,32 @@ impl IndexWriter {
             + crate::swmr::MAX_HEIGHT * std::mem::size_of::<usize>()
     }
 
-    /// Like [`insert`](Self::insert) but with an external *global* lateness
-    /// hint. The engine knows the stream-wide maximum timestamp (via the
-    /// watermark); a tuple below that maximum must bump the late counter
-    /// even when it is the first tuple this particular writer sees for the
-    /// key — otherwise a team member joining mid-stream could absorb a
-    /// globally-late tuple without any team reader noticing.
-    pub fn insert_hinted(&mut self, tuple: Tuple, globally_late: bool) {
-        self.insert_inner(tuple, globally_late);
-    }
-
-    /// Like [`insert_hinted`](Self::insert_hinted), additionally reporting
-    /// the new node's address for cache-traffic simulation.
-    pub fn insert_hinted_traced(&mut self, tuple: Tuple, globally_late: bool) -> usize {
-        self.insert_inner(tuple, globally_late)
-    }
-
-    /// Inserts a tuple, creating its key series on first sight. A tuple
-    /// whose timestamp is below the key's maximum so far bumps the key's
-    /// published late-insert counter (see [`IndexReader::late_inserts`]).
+    /// Inserts a tuple, creating its key series on first sight.
     pub fn insert(&mut self, tuple: Tuple) {
-        self.insert_inner(tuple, false);
+        self.insert_traced(tuple);
     }
 
-    fn insert_inner(&mut self, tuple: Tuple, late_hint: bool) -> usize {
-        let key = tuple.key;
+    /// Like [`insert`](Self::insert), additionally reporting the new
+    /// node's address for cache-traffic simulation.
+    pub fn insert_traced(&mut self, tuple: Tuple) -> usize {
         let ts = tuple.ts;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let state = self.series.entry(key).or_insert_with(|| {
+        let series = self.series.entry(tuple.key).or_insert_with(|| {
             self.seed = self
                 .seed
                 .wrapping_mul(0x5851_F42D_4C95_7F2D)
                 .wrapping_add(1);
             let (sw, sr) = SwmrSkipList::with_seed::<TsKey, Tuple>(self.seed | 1);
-            let shared = Arc::new(SeriesShared {
-                reader: sr,
-                late_inserts: AtomicU64::new(0),
-                max_ts: AtomicI64::new(i64::MIN),
-            });
-            // Publish the shared state through layer 1 so the virtual team
-            // can find it.
-            self.keys.insert(key, Arc::clone(&shared));
-            SeriesState {
-                writer: sw,
-                shared,
-                max_ts: Timestamp::MIN,
-            }
+            // Publish the series reader through layer 1 so the virtual
+            // team can find it.
+            self.keys.insert(tuple.key, sr);
+            sw
         });
         // PANIC-OK: duplicate (ts, seq) is impossible — `seq` increments per insert, so `insert_traced` cannot observe an equal key.
-        let addr = state
-            .writer
+        let addr = series
             .insert_traced((ts, seq), tuple)
             .expect("(ts, seq) keys are unique by construction");
-        // A tuple that does not STRICTLY advance the key's maximum counts
-        // as late: it leaves the max stamp unchanged, so only the counter
-        // can make it visible to incremental-state validation.
-        let locally_late = state.max_ts != Timestamp::MIN && ts <= state.max_ts;
-        if ts > state.max_ts || state.max_ts == Timestamp::MIN {
-            state.max_ts = ts;
-            // Publish after the node itself (Release pairs with readers'
-            // Acquire): observing the new stamp implies the node is visible.
-            // ORDERING: Release — pairs with the Acquire loads in `series_stamp` / `max_ts`: observing the new stamp implies the node is published.
-            state.shared.max_ts.store(ts.as_micros(), Ordering::Release);
-        }
-        if late_hint || locally_late {
-            // ORDERING: Release — pairs with the Acquire counter load in `series_stamp` / `late_inserts`; ordered after the node publication above.
-            state.shared.late_inserts.fetch_add(1, Ordering::Release);
-        }
         self.len += 1;
         addr
     }
@@ -182,8 +116,8 @@ impl IndexWriter {
     pub fn evict_below(&mut self, bound: Timestamp) -> usize {
         let limit = (bound, 0u64);
         let mut evicted = 0usize;
-        for state in self.series.values_mut() {
-            evicted += state.writer.evict_below(&limit);
+        for series in self.series.values_mut() {
+            evicted += series.evict_below(&limit);
         }
         self.len -= evicted;
         evicted
@@ -214,7 +148,7 @@ impl IndexWriter {
 
 /// A cloneable read handle over the double-layer index.
 pub struct IndexReader {
-    keys: Reader<Key, Arc<SeriesShared>>,
+    keys: Reader<Key, SeriesReader>,
 }
 
 impl Clone for IndexReader {
@@ -239,10 +173,8 @@ impl IndexReader {
         let lo = (window.start, 0u64);
         let hi = (window.end, u64::MAX);
         self.keys
-            .get_with(&key, |shared| {
-                shared
-                    .reader
-                    .for_each_range_addr(&lo, &hi, |_, tuple, addr| f(tuple, addr))
+            .get_with(&key, |series| {
+                series.for_each_range_addr(&lo, &hi, |_, tuple, addr| f(tuple, addr))
             })
             .unwrap_or(0)
     }
@@ -268,10 +200,8 @@ impl IndexReader {
         let lo = (window.start, 0u64);
         let hi = (window.end, u64::MAX);
         self.keys
-            .get_with(&key, |shared| {
-                shared
-                    .reader
-                    .for_each_range(&lo, &hi, |k, tuple| f(tuple, k.1))
+            .get_with(&key, |series| {
+                series.for_each_range(&lo, &hi, |k, tuple| f(tuple, k.1))
             })
             .unwrap_or(0)
     }
@@ -306,43 +236,7 @@ impl IndexReader {
 
     /// Number of live tuples stored under `key` (approximate under writes).
     pub fn key_len(&self, key: Key) -> usize {
-        self.keys
-            .get_with(&key, |shared| shared.reader.len())
-            .unwrap_or(0)
-    }
-
-    /// The key's late-insert counter: how many tuples have ever been
-    /// inserted below the key's then-maximum timestamp. Incremental join
-    /// states snapshot this and fully rescan when it changes.
-    pub fn late_inserts(&self, key: Key) -> u64 {
-        // ORDERING: Acquire — pairs with the Release `fetch_add` in `insert`, so the count covers every published late node.
-        self.keys
-            .get_with(&key, |shared| shared.late_inserts.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
-    /// The key's validation stamp: `(late_inserts, max_ts_µs)`. A member
-    /// whose stamp is unchanged has inserted nothing for the key; one whose
-    /// max advanced past a state's covered end inserted only delta-visible
-    /// tuples. `(0, i64::MIN)` when the key is unknown to this index.
-    pub fn series_stamp(&self, key: Key) -> (u64, i64) {
-        self.keys
-            .get_with(&key, |shared| {
-                // Load the counter first: a concurrent in-order insert then
-                // at worst shows a newer max with an old counter, which the
-                // validity rule treats conservatively.
-                // ORDERING: Acquire — counter first; pairs with the Release `fetch_add` in `insert` (see comment above on the conservative stamp).
-                let late = shared.late_inserts.load(Ordering::Acquire);
-                // ORDERING: Acquire — pairs with the Release `max_ts` store in `insert`: the new stamp implies the node is visible.
-                let max = shared.max_ts.load(Ordering::Acquire);
-                (late, max)
-            })
-            .unwrap_or((0, i64::MIN))
-    }
-
-    /// Whether `key` has ever been seen by this index.
-    pub fn has_key(&self, key: Key) -> bool {
-        self.keys.contains(&key)
+        self.keys.get_with(&key, |series| series.len()).unwrap_or(0)
     }
 
     /// Number of distinct keys (approximate under writes).
@@ -471,57 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn late_insert_counter_tracks_disorder() {
-        let (mut w, r) = TimeTravelIndex::new();
-        assert_eq!(r.late_inserts(1), 0); // unknown key
-        w.insert(tup(10, 1, 1.0));
-        w.insert(tup(20, 1, 1.0));
-        assert_eq!(r.late_inserts(1), 0); // in order so far
-        w.insert(tup(15, 1, 1.0)); // late
-        assert_eq!(r.late_inserts(1), 1);
-        w.insert(tup(15, 1, 1.0)); // equal to a past ts but below max: late
-        assert_eq!(r.late_inserts(1), 2);
-        // Equal to the max: counts as late too — it does not move the max
-        // stamp, so only the counter can reveal it to incremental states.
-        w.insert(tup(20, 1, 1.0));
-        assert_eq!(r.late_inserts(1), 3);
-        // Other keys are independent.
-        w.insert(tup(5, 2, 1.0));
-        assert_eq!(r.late_inserts(2), 0);
-    }
-
-    #[test]
-    fn series_stamps_track_late_and_max() {
-        let (mut w, r) = TimeTravelIndex::new();
-        assert_eq!(r.series_stamp(1), (0, i64::MIN)); // unknown key
-        w.insert(tup(100, 1, 1.0));
-        assert_eq!(r.series_stamp(1), (0, 100));
-        w.insert(tup(250, 1, 1.0));
-        assert_eq!(r.series_stamp(1), (0, 250));
-        w.insert(tup(180, 1, 1.0)); // late: counter bumps, max unchanged
-        assert_eq!(r.series_stamp(1), (1, 250));
-        w.insert(tup(250, 1, 1.0)); // duplicate of max: late as well
-        assert_eq!(r.series_stamp(1), (2, 250));
-    }
-
-    #[test]
     fn node_footprint_is_plausible() {
         let f = IndexWriter::node_footprint();
         // key (16) + Tuple + tower — sane bounds, used by the cache sim.
         assert!(f > 32, "{f}");
         assert!(f < 512, "{f}");
-    }
-
-    #[test]
-    fn global_late_hint_flags_first_sight_tuples() {
-        // A tuple that is the FIRST its writer sees for a key is locally
-        // in-order, but the global hint must still mark it late.
-        let (mut w, r) = TimeTravelIndex::new();
-        w.insert_hinted(tup(100, 1, 1.0), false);
-        assert_eq!(r.late_inserts(1), 0);
-        // New key, but globally late (hint from the engine's watermark).
-        w.insert_hinted(tup(50, 2, 1.0), true);
-        assert_eq!(r.late_inserts(2), 1);
     }
 
     #[test]

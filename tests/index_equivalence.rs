@@ -225,7 +225,7 @@ fn assert_rows_equal_sorted(ctx: &str, got: &[FeatureRow], want: &[FeatureRow], 
 /// `batch_size = 1` run bit-identically on single-joiner eager configs —
 /// rows, emission order, late markers, and lateness accounting. The
 /// lateness budget sits below the disorder jitter so genuinely late
-/// tuples exercise the per-backend `series_stamp` late rule.
+/// tuples reach every backend.
 #[test]
 fn eager_single_joiner_is_bit_identical_across_backends() {
     with_watchdog(600, || {

@@ -86,6 +86,55 @@ proptest! {
         }
     }
 
+    /// Eviction pressure: a sweep and a heartbeat after every message, on
+    /// one joiner and on two with the scheduler replicating mid-stream, so
+    /// teammates evict below windows whose settled state is still live.
+    /// Watermark mode must still equal the oracle for all five aggregates:
+    /// a settled state subtracts its own copies of what leaves the window,
+    /// whatever the indexes have already dropped.
+    #[test]
+    fn scale_oij_watermark_equals_oracle_under_eviction_pressure(
+        pre in 50i64..1_500,
+        disorder in 0i64..200,
+        keys in 1u64..5,
+        seed in any::<u64>(),
+    ) {
+        let events = workload(3_000, keys, disorder, 0.6, seed);
+        for agg in [AggSpec::Sum, AggSpec::Count, AggSpec::Avg, AggSpec::Min, AggSpec::Max] {
+            let query = OijQuery::builder()
+                .preceding(Duration::from_micros(pre))
+                .lateness(Duration::from_micros(disorder.max(1)))
+                .agg(agg)
+                .emit(EmitMode::Watermark)
+                .build()
+                .unwrap();
+            let mut want = Oracle::new(query.clone()).run(&events);
+            want.sort_by_key(|r| r.seq);
+            for joiners in [1, 2] {
+                let mut cfg = EngineConfig::new(query.clone(), joiners).unwrap();
+                cfg.expire_every = 1;
+                cfg.heartbeat_every = 1;
+                cfg.schedule_interval = std::time::Duration::from_micros(200);
+                let (got, stats) = run_scale(cfg, &events);
+                // At J=2 a joiner that finishes its input first parks its
+                // hold at its oldest deferred base, which can hold every
+                // sweep back on a loaded host; one joiner always evicts.
+                prop_assert!(
+                    joiners > 1 || stats.evicted > 0,
+                    "{:?}: nothing was evicted", agg
+                );
+                prop_assert_eq!(got.len(), want.len());
+                for (g, o) in got.iter().zip(&want) {
+                    prop_assert_eq!(g.matched, o.matched, "{:?} J={} seq {}", agg, joiners, g.seq);
+                    prop_assert!(
+                        g.agg_approx_eq(o, 1e-9),
+                        "{:?} J={} seq {}: {:?} vs {:?}", agg, joiners, g.seq, g.agg, o.agg
+                    );
+                }
+            }
+        }
+    }
+
     /// Key-OIJ in watermark mode equals the oracle under the same space.
     #[test]
     fn key_oij_watermark_equals_oracle(
