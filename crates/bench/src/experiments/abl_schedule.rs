@@ -1,7 +1,7 @@
 //! Ablation (beyond the paper's figures): how much of Scale-OIJ's win
 //! comes from the dynamic schedule alone?
 //!
-//! Runs Scale-OIJ with the scheduler enabled vs disabled (static
+//! Runs Scale-OIJ with the dynamic schedule enabled vs disabled (static
 //! partition→joiner binding, everything else identical) across key counts,
 //! isolating Algorithm 3 from the time-travel index and incremental
 //! aggregation. Complements Figure 13: there Scale-OIJ is compared against

@@ -27,7 +27,7 @@ pub enum Error {
     /// identity, so the failure is attributable instead of a guess.
     WorkerFailed {
         /// Which engine the worker belonged to (e.g. `"scale-oij"`;
-        /// auxiliary threads report as `"scale-oij-scheduler"` /
+        /// auxiliary threads report under their own label, e.g.
         /// `"splitjoin-collector"`).
         engine: &'static str,
         /// The worker's index within the engine.

@@ -112,7 +112,8 @@ impl SinkRetryPolicy {
 }
 
 /// Configuration shared by every engine (Scale-OIJ additionally reads the
-/// `partitions`/`schedule_*`/`incremental` knobs).
+/// `partitions`/`dynamic_schedule`/`incremental` knobs; Algorithm 3's
+/// constants live in [`schedule`](crate::scaleoij::schedule)).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// The query to execute.
@@ -164,19 +165,6 @@ pub struct EngineConfig {
 
     /// Scale-OIJ: number of key-hash partitions `P` (power of two).
     pub partitions: usize,
-    /// Scale-OIJ: dynamic-schedule period (Algorithm 3 cadence).
-    pub schedule_interval: StdDuration,
-    /// Scale-OIJ: minimum unbalancedness improvement `δ` to accept a
-    /// replication step.
-    pub schedule_delta: f64,
-    /// Scale-OIJ: rebalancing floor — the scheduler acts only when the
-    /// estimated unbalancedness exceeds this. Replication is monotone
-    /// (teams never shrink), so without a floor, statistical noise on an
-    /// already-balanced system slowly ratchets every partition onto every
-    /// joiner, multiplying read fan-out for no benefit.
-    pub schedule_floor: f64,
-    /// Scale-OIJ: statistics decay factor `λ` applied after each schedule.
-    pub schedule_decay: f64,
     /// Scale-OIJ: enable the dynamic schedule (off = static partitioning,
     /// for ablations).
     pub dynamic_schedule: bool,
@@ -203,10 +191,6 @@ impl EngineConfig {
             sink_retry: None,
             index_backend: IndexBackend::default(),
             partitions: 64,
-            schedule_interval: StdDuration::from_millis(5),
-            schedule_delta: 0.01,
-            schedule_floor: 0.1,
-            schedule_decay: 0.5,
             dynamic_schedule: true,
             incremental: true,
         };
@@ -300,24 +284,6 @@ impl EngineConfig {
                 self.partitions
             )));
         }
-        if !(0.0..=1.0).contains(&self.schedule_decay) {
-            return Err(Error::InvalidConfig(format!(
-                "schedule_decay must be in [0,1], got {}",
-                self.schedule_decay
-            )));
-        }
-        if self.schedule_delta < 0.0 {
-            return Err(Error::InvalidConfig(format!(
-                "schedule_delta must be ≥ 0, got {}",
-                self.schedule_delta
-            )));
-        }
-        if self.schedule_floor < 0.0 {
-            return Err(Error::InvalidConfig(format!(
-                "schedule_floor must be ≥ 0, got {}",
-                self.schedule_floor
-            )));
-        }
         if let Some(d) = &self.durability {
             if d.checkpoint_every == 0 {
                 return Err(Error::InvalidConfig(
@@ -383,13 +349,6 @@ mod tests {
         let cfg = EngineConfig::new(query(), 2).unwrap();
         assert!(cfg.faults.is_empty());
         assert_eq!(cfg.late_policy, LatePolicy::Drop);
-    }
-
-    #[test]
-    fn rejects_bad_decay() {
-        let mut cfg = EngineConfig::new(query(), 2).unwrap();
-        cfg.schedule_decay = 1.5;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

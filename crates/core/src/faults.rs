@@ -39,10 +39,6 @@ use oij_common::{Error, Result};
 use crate::config::{DISCONNECT_ATTRIBUTION_GRACE, JOIN_KILL_GRACE};
 use crate::sink::Sink;
 
-/// Worker-id alias for the Scale-OIJ scheduler thread in a [`FaultPlan`]
-/// (the scheduler has no message ordinals; its ordinal counts ticks).
-pub const SCHEDULER: usize = usize::MAX;
-
 /// A deterministic fault-injection plan, plumbed through
 /// [`EngineConfig`](crate::config::EngineConfig). Empty by default; every
 /// fault is keyed by `(worker, ordinal)` where `ordinal` is the 0-based
@@ -179,7 +175,7 @@ impl FaultPlan {
 
     /// Compiles the message-path faults for one worker. `None` (the empty
     /// plan, or no faults for this worker) keeps the worker loop at a
-    /// single never-taken branch per message. `engine`/`report_as`
+    /// single never-taken branch per message. `engine` and `worker`
     /// identify the worker in crash reports (auxiliary threads report
     /// under their own label), and `cell` is where a simulated crash is
     /// recorded.
@@ -187,7 +183,6 @@ impl FaultPlan {
         &self,
         worker: usize,
         engine: &'static str,
-        report_as: usize,
         cell: &Arc<FailureCell>,
     ) -> Option<WorkerFaults> {
         let mut faults = WorkerFaults {
@@ -196,7 +191,7 @@ impl FaultPlan {
             wedge_at: None,
             crash_at: None,
             engine,
-            worker: report_as,
+            worker,
             cell: Arc::clone(cell),
         };
         let mut any = false;
@@ -318,7 +313,7 @@ impl WorkerFaults {
 }
 
 /// Sleeps `total` in small slices, returning early once `kill` is raised.
-pub fn interruptible_sleep(total: StdDuration, kill: &AtomicBool) {
+fn interruptible_sleep(total: StdDuration, kill: &AtomicBool) {
     let slice = StdDuration::from_millis(1);
     let mut remaining = total;
     while !remaining.is_zero() {
@@ -336,7 +331,7 @@ pub fn interruptible_sleep(total: StdDuration, kill: &AtomicBool) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerFailure {
     /// Engine label (auxiliary threads use their own labels, e.g.
-    /// `"scale-oij-scheduler"`).
+    /// `"splitjoin-collector"`).
     pub engine: &'static str,
     /// Worker index within the engine.
     pub worker: usize,
@@ -664,7 +659,7 @@ mod tests {
     use super::*;
 
     fn compile(plan: &FaultPlan, worker: usize) -> Option<WorkerFaults> {
-        plan.for_worker(worker, "test-engine", worker, &Arc::new(FailureCell::new()))
+        plan.for_worker(worker, "test-engine", &Arc::new(FailureCell::new()))
     }
 
     #[test]
@@ -692,7 +687,7 @@ mod tests {
     fn crash_records_and_exits_without_unwinding() {
         let cell = Arc::new(FailureCell::new());
         let plan = FaultPlan::none().crash_at(3, 2);
-        let faults = plan.for_worker(3, "test-engine", 3, &cell).unwrap();
+        let faults = plan.for_worker(3, "test-engine", &cell).unwrap();
         let kill = AtomicBool::new(false);
         assert_eq!(faults.before_message(0, &kill), FaultAction::Continue);
         assert!(!cell.is_crashed());

@@ -61,7 +61,7 @@ pub use batch::SlotPool;
 pub use config::SinkRetryPolicy;
 pub use config::{EngineConfig, Instrumentation, LatePolicy};
 pub use engine::{EngineKind, OijEngine, RunStats};
-pub use faults::{FailureCell, FaultPlan, WorkerFailure, SCHEDULER};
+pub use faults::{FailureCell, FaultPlan, WorkerFailure};
 pub use keyoij::KeyOij;
 pub use oij_durability::{DurabilityConfig, FsyncPolicy};
 pub use openmldb::OpenMldbBaseline;

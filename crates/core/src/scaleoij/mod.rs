@@ -7,10 +7,12 @@
 //!    writes. Window boundaries are located in `O(log)` so only in-window
 //!    tuples are visited, making lateness irrelevant to join cost.
 //! 2. **Dynamic balanced schedule** (§V-B, Algorithm 3): keys hash into
-//!    fixed partitions; a scheduler thread periodically replicates hot
-//!    partitions from the most loaded joiner onto the least loaded one and
-//!    publishes the new schedule through an RCU cell. Tuples of a shared
-//!    partition are spread round-robin over the virtual team.
+//!    fixed partitions; every [`SCHEDULE_EVERY`](schedule::SCHEDULE_EVERY)
+//!    heartbeats' worth of routed tuples, the driver's router replicates
+//!    hot partitions from the most loaded joiner onto the least loaded one
+//!    and publishes the new schedule through an RCU cell before it routes
+//!    under it. Tuples of a shared partition are spread round-robin over
+//!    the virtual team.
 //! 3. **Incremental window aggregation** (§V-C): per (joiner, key) running
 //!    aggregates over the watermark-settled window prefix advance by
 //!    `⊖ evicted ⊕ added` instead of full window scans. The settled region
@@ -38,7 +40,7 @@ pub mod summary;
 
 mod joiner;
 
-use crate::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::atomic::AtomicI64;
 use std::sync::Arc;
 
 use oij_common::Result;
@@ -47,34 +49,60 @@ use oij_skiplist::RcuCell;
 use crate::config::{EngineConfig, LatePolicy};
 use crate::driver::open_durability;
 use crate::engine::RunStats;
-use crate::faults::{interruptible_sleep, DrainBarrier, FaultAction, SCHEDULER};
+use crate::faults::DrainBarrier;
 use crate::hash_key;
 use crate::message::DataMsg;
-use crate::shell::{forward_engine, AuxRole, AuxThread, EngineShell, Routing, Supervision};
+use crate::shell::{forward_engine, EngineShell, Routing, Supervision};
 use crate::sink::{worker_sink_stack, Sink};
 
-use schedule::{rebalance, PartitionStats, Schedule};
+use schedule::{
+    rebalance, PartitionStats, Schedule, SCHEDULE_DECAY, SCHEDULE_DELTA, SCHEDULE_EVERY,
+    SCHEDULE_FLOOR,
+};
 use summary::{SummaryShape, SummaryWriter};
 
 /// The Scale-OIJ engine. See the [module docs](self).
-///
-/// In a [`FaultPlan`](crate::faults::FaultPlan) the scheduler thread is
-/// addressed as [`SCHEDULER`]; its fault ordinal counts scheduler ticks
-/// rather than messages.
-pub struct ScaleOij(EngineShell<TeamRoute, Scheduler>);
+pub struct ScaleOij(EngineShell<TeamRoute>);
 
 /// Algorithm 3's routing: keys hash into fixed partitions, and the tuples
-/// of a partition are spread round-robin over its virtual team.
+/// of a partition are spread round-robin over its virtual team. The route
+/// also runs Algorithm 3 itself, inline on the driver thread.
 struct TeamRoute {
-    schedule: Arc<RcuCell<Schedule>>,
-    stats: Arc<PartitionStats>,
-    /// Driver-cached schedule snapshot (refreshed periodically; stale
-    /// snapshots are safe because teams only grow).
-    sched_cache: Arc<Schedule>,
-    sched_refresh: u32,
+    /// The joiners' view of their teams; only this route replaces it.
+    published: Arc<RcuCell<Schedule>>,
+    /// The schedule tuples are routed under: the last one published.
+    current: Arc<Schedule>,
+    stats: PartitionStats,
+    /// Routed tuples between two passes; `None`: the schedule is static.
+    period: Option<usize>,
+    /// Routed tuples left until the next pass.
+    countdown: usize,
+    joiners: usize,
+    /// Schedules published so far.
+    changes: u64,
     /// Per-partition round-robin cursors for team-member selection.
     rr: Vec<u32>,
     part_mask: u64,
+}
+
+impl TeamRoute {
+    /// One pass of Algorithm 3 over the counts routed so far. The new
+    /// schedule is published before any tuple is routed under it, so a
+    /// joiner that receives a tuple (send → recv) loads at least the
+    /// schedule it was routed under.
+    fn schedule_pass(&mut self) {
+        let counts = self.stats.snapshot();
+        // Only intervene above the floor: replication is monotone, so
+        // acting on noise ratchets fan-out.
+        if self.current.unbalancedness(&counts, self.joiners) > SCHEDULE_FLOOR {
+            if let Some(next) = rebalance(&self.current, &counts, self.joiners, SCHEDULE_DELTA) {
+                self.published.replace(next);
+                self.current = self.published.load();
+                self.changes += 1;
+            }
+        }
+        self.stats.decay(SCHEDULE_DECAY);
+    }
 }
 
 impl Routing for TeamRoute {
@@ -87,41 +115,27 @@ impl Routing for TeamRoute {
     fn lane(&mut self, msg: &DataMsg) -> usize {
         let p = (hash_key(msg.tuple.key) & self.part_mask) as usize;
         self.stats.bump(p);
-        // Refresh the cached schedule every 128 pushes; a stale
-        // snapshot routes to a subset of the current team, which is
-        // still a valid member (replication-only growth).
-        self.sched_refresh = self.sched_refresh.wrapping_add(1);
-        if self.sched_refresh.is_multiple_of(128) {
-            self.sched_cache = self.schedule.load();
+        if let Some(period) = self.period {
+            self.countdown -= 1;
+            if self.countdown == 0 {
+                self.countdown = period;
+                self.schedule_pass();
+            }
         }
-        let team = &self.sched_cache.teams[p];
+        let team = &self.current.teams[p];
         let member = team[(self.rr[p] as usize) % team.len()];
         self.rr[p] = self.rr[p].wrapping_add(1);
         member
     }
-}
 
-/// The scheduler's auxiliary-thread role: stopped and joined before the
-/// drain so the schedule is stable while joiners drain. Supervised like
-/// any joiner, attributed as worker 0 of its own label; its report is the
-/// number of schedules it published.
-struct Scheduler;
-
-impl AuxRole for Scheduler {
-    type Report = u64;
-    const LABEL: &'static str = "scale-oij-scheduler";
-    const BEFORE_DRAIN: bool = true;
-
-    fn fold(changes: Option<u64>, stats: &mut RunStats) -> usize {
-        stats.schedule_changes = changes.unwrap_or(0);
-        0
+    fn fold(&self, stats: &mut RunStats) {
+        stats.schedule_changes = self.changes;
     }
 }
 
 impl ScaleOij {
-    /// Spawns joiners (each owning one time-travel index), wires every
-    /// reader to every joiner (virtual-team visibility), and starts the
-    /// scheduler thread if the dynamic schedule is enabled.
+    /// Spawns joiners (each owning one time-travel index) and wires every
+    /// reader to every joiner (virtual-team visibility).
     pub fn spawn(cfg: EngineConfig, sink: Sink) -> Result<Self> {
         let shape = SummaryShape::for_window(&cfg.query.window);
         Self::spawn_summarised(cfg, sink, shape)
@@ -158,7 +172,6 @@ impl ScaleOij {
         }
 
         let schedule = Arc::new(RcuCell::new(Schedule::initial(cfg.partitions, joiners)));
-        let stats = Arc::new(PartitionStats::new(cfg.partitions));
         let frontier = |init: i64| -> Arc<Vec<AtomicI64>> {
             Arc::new((0..joiners).map(|_| AtomicI64::new(init)).collect())
         };
@@ -188,73 +201,25 @@ impl ScaleOij {
             })
             .collect();
 
-        let scheduler = if cfg.dynamic_schedule && joiners > 1 {
-            Some(Self::spawn_scheduler(&cfg, &sup, &schedule, &stats)?)
-        } else {
-            None
-        };
-
+        let period =
+            (cfg.dynamic_schedule && joiners > 1).then_some(SCHEDULE_EVERY * cfg.heartbeat_every);
         let routing = TeamRoute {
-            sched_cache: schedule.load(),
-            schedule,
-            stats,
-            sched_refresh: 0,
+            current: schedule.load(),
+            published: schedule,
+            stats: PartitionStats::new(cfg.partitions),
+            period,
+            countdown: period.unwrap_or(0),
+            joiners,
+            changes: 0,
             rr: vec![0; cfg.partitions],
             part_mask: (cfg.partitions - 1) as u64,
         };
-        EngineShell::assemble("scale-oij", &cfg, durable, sup, routing, workers, scheduler)
-            .map(ScaleOij)
-    }
-
-    /// Starts the Algorithm 3 scheduler thread. Its fault ordinal is the
-    /// tick counter.
-    fn spawn_scheduler(
-        cfg: &EngineConfig,
-        sup: &Supervision,
-        schedule: &Arc<RcuCell<Schedule>>,
-        stats: &Arc<PartitionStats>,
-    ) -> Result<AuxThread<Scheduler>> {
-        let (schedule, stats) = (Arc::clone(schedule), Arc::clone(stats));
-        let stop = Arc::new(AtomicBool::new(false));
-        let (joiners, interval) = (cfg.joiners, cfg.schedule_interval);
-        let (delta, floor, decay) = (cfg.schedule_delta, cfg.schedule_floor, cfg.schedule_decay);
-        let faults = cfg
-            .faults
-            .for_worker(SCHEDULER, Scheduler::LABEL, 0, &sup.failures);
-        let (stopped, kill) = (Arc::clone(&stop), Arc::clone(&sup.kill));
-        let deadline = cfg.send_timeout + interval;
-        AuxThread::spawn(0, deadline, Some(stop), sup, move || {
-            let mut changes = 0u64;
-            let mut tick = 0u64;
-            // ORDERING: Relaxed `stop` — standalone latch, no data published through it; Acquire `kill` pairs with the supervisor's Release store in the deadline path.
-            while !stopped.load(Ordering::Relaxed) && !kill.load(Ordering::Acquire) {
-                interruptible_sleep(interval, &kill);
-                if let Some(f) = &faults {
-                    let action = f.before_message(tick, &kill);
-                    tick += 1;
-                    if action == FaultAction::Exit {
-                        break;
-                    }
-                }
-                let counts = stats.snapshot();
-                let current = schedule.load();
-                // Only intervene above the floor: replication is
-                // monotone, so acting on noise ratchets fan-out.
-                if current.unbalancedness(&counts, joiners) > floor {
-                    if let Some(next) = rebalance(&current, &counts, joiners, delta) {
-                        schedule.replace(next);
-                        changes += 1;
-                    }
-                }
-                stats.decay(decay);
-            }
-            changes
-        })
+        EngineShell::assemble("scale-oij", &cfg, durable, sup, routing, workers, None).map(ScaleOij)
     }
 
     /// The current published schedule (diagnostics / tests).
     pub fn current_schedule(&self) -> Arc<Schedule> {
-        self.0.routing.schedule.load()
+        Arc::clone(&self.0.routing.current)
     }
 }
 
@@ -459,9 +424,7 @@ mod tests {
                 Tuple::new(Timestamp::from_micros(i as i64), i % 2, 1.0),
             ));
         }
-        let mut cfg = EngineConfig::new(q.clone(), 4).unwrap();
-        cfg.schedule_interval = std::time::Duration::from_millis(1);
-        let (scale_stats, _) = run_scale(cfg, &events);
+        let (scale_stats, _) = run_scale(EngineConfig::new(q.clone(), 4).unwrap(), &events);
 
         let (sink, _) = Sink::collect();
         let mut key = KeyOij::spawn(EngineConfig::new(q, 4).unwrap(), sink).unwrap();
@@ -470,7 +433,10 @@ mod tests {
         }
         let key_stats = key.finish().unwrap();
 
-        assert!(scale_stats.schedule_changes > 0, "scheduler never acted");
+        assert!(
+            scale_stats.schedule_changes > 0,
+            "the schedule never changed"
+        );
         assert!(
             scale_stats.unbalancedness < key_stats.unbalancedness * 0.7,
             "scale {} vs key {} (loads {:?} vs {:?})",
@@ -541,24 +507,61 @@ mod tests {
 
     #[test]
     fn eviction_never_outruns_a_freshly_built_state() {
-        // Two hot keys, a scheduler that replicates them at once and a
+        // Two hot keys, a schedule pass every 256 routed tuples and a
         // sweep every third message: teammates evict all the time while
         // states are built for keys they share. A teammate's sweep may
         // evict tuples a state still counts; the state must then subtract
         // its own copies, or rows over-count. The race needs the schedule
-        // change to land mid-stream, hence the repeats.
+        // change to land mid-stream, and the event-count cadence puts it
+        // there on every run.
         let mut q = query(1_500, 160, EmitMode::Watermark);
         q.agg = AggSpec::Max;
         let events = disordered_events(6_000, 2, 1);
         let mut want = Oracle::new(q.clone()).run(&events);
         want.sort_by_key(|r| r.seq);
-        for _ in 0..40 {
+        let mut cfg = EngineConfig::new(q, 2).unwrap();
+        cfg.expire_every = 3;
+        cfg.heartbeat_every = 16;
+        let (stats, got) = run_scale(cfg, &events);
+        assert!(stats.schedule_changes >= 1, "no mid-stream schedule change");
+        assert_rows_equal(&got, &want);
+    }
+
+    #[test]
+    fn routing_is_a_pure_function_of_input_and_config() {
+        // Skewed keys on two joiners, a pass every 128 routed tuples: the
+        // schedule changes mid-stream, and how many tuples each joiner
+        // processes must still repeat exactly, run after run.
+        let q = query(200, 0, EmitMode::Eager);
+        let mut x = 7u64;
+        let events: Vec<Event> = (0..20_000u64)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // Key 0 takes half the tuples; 15 others share the rest.
+                let key = if (x >> 33).is_multiple_of(2) {
+                    0
+                } else {
+                    (x >> 40) % 15 + 1
+                };
+                let side = if i % 4 == 0 { Side::Base } else { Side::Probe };
+                Event::data(
+                    i,
+                    side,
+                    Tuple::new(Timestamp::from_micros(i as i64), key, 1.0),
+                )
+            })
+            .collect();
+        let run = || {
             let mut cfg = EngineConfig::new(q.clone(), 2).unwrap();
-            cfg.expire_every = 3;
-            cfg.heartbeat_every = 16;
-            cfg.schedule_interval = std::time::Duration::from_micros(200);
-            let (_, got) = run_scale(cfg, &events);
-            assert_rows_equal(&got, &want);
+            cfg.heartbeat_every = 8;
+            run_scale(cfg, &events).0
+        };
+        let first = run();
+        assert!(first.schedule_changes > 0, "the schedule never changed");
+        for _ in 0..3 {
+            let again = run();
+            assert_eq!(again.joiner_loads, first.joiner_loads);
+            assert_eq!(again.schedule_changes, first.schedule_changes);
         }
     }
 

@@ -5,6 +5,11 @@
 //! workload. The partitioner routes each tuple to one team member
 //! (round-robin) for writing; joins read every member's index.
 //!
+//! The loads Algorithm 3 balances are event counts (Eq. 3), so it runs on
+//! an event-count cadence: the driver's router counts what it routes and
+//! runs one pass every [`SCHEDULE_EVERY`] heartbeats' worth of tuples. The
+//! schedule is therefore a pure function of the input and the config.
+//!
 //! Rebalancing is **replication-only**: a partition's team only ever grows
 //! (the paper: "we only allow sharing the ownership of a partition rather
 //! than transferring"), so a joiner that ever wrote tuples of a partition
@@ -17,12 +22,30 @@
 //! grow, that member is still a valid writer for every tuple in the
 //! batch when it flushes — even if a rebalance landed in between.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-
 use oij_metrics::unbalancedness;
 
+/// Routed tuples between two Algorithm 3 passes, in heartbeats: 16 ×
+/// `heartbeat_every` (8,192 tuples at the default 512). With `λ` =
+/// [`SCHEDULE_DECAY`] the decayed counts then span about two passes, and a
+/// pass over 64 uniform partitions sees sampling noise well below
+/// [`SCHEDULE_FLOOR`].
+pub const SCHEDULE_EVERY: usize = 16;
+
+/// Algorithm 3's `δ`: the least unbalancedness improvement a replication
+/// step must buy to be accepted.
+pub const SCHEDULE_DELTA: f64 = 0.01;
+
+/// The rebalancing floor: a pass acts only when the estimated
+/// unbalancedness (Eq. 2) exceeds it. Replication is monotone (teams never
+/// shrink), so acting on noise in an already balanced system would slowly
+/// ratchet every partition onto every joiner, multiplying read fan-out.
+pub const SCHEDULE_FLOOR: f64 = 0.1;
+
+/// Algorithm 3's statistics decay `λ`, applied after every pass.
+pub const SCHEDULE_DECAY: f64 = 0.5;
+
 /// An immutable partition → virtual-team mapping, published through an RCU
-/// cell and replaced atomically by the scheduler.
+/// cell and replaced only by the driver's routing step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// `teams[p]` = sorted joiner ids sharing partition `p`.
@@ -60,47 +83,37 @@ impl Schedule {
     }
 }
 
-/// Shared per-partition tuple counters, bumped by the partitioner on every
-/// routed tuple and decayed by the scheduler (Algorithm 3 line 13).
+/// Per-partition tuple counts, bumped by the router on every routed tuple
+/// and decayed after each Algorithm 3 pass (line 13). Owned by the driver's
+/// route, which is their only reader and writer.
 #[derive(Debug)]
 pub struct PartitionStats {
-    counts: Vec<AtomicU64>,
+    counts: Vec<u64>,
 }
 
 impl PartitionStats {
     /// Zeroed counters for `partitions` partitions.
     pub fn new(partitions: usize) -> Self {
         PartitionStats {
-            counts: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
+            counts: vec![0; partitions],
         }
     }
 
-    /// Bumps a partition's counter (hot path: one relaxed RMW).
+    /// Counts one tuple routed to `partition`.
     #[inline]
-    pub fn bump(&self, partition: usize) {
-        // ORDERING: Relaxed — load-statistics counter; the scheduler tolerates torn snapshots (see `decay`), so no ordering is required.
-        self.counts[partition].fetch_add(1, Ordering::Relaxed);
+    pub fn bump(&mut self, partition: usize) {
+        self.counts[partition] += 1;
     }
 
-    /// Snapshots all counters as floats.
+    /// All counters as floats (Eq. 3's `count_p`).
     pub fn snapshot(&self) -> Vec<f64> {
-        // ORDERING: Relaxed — load-statistics counter; the scheduler tolerates torn snapshots (see `decay`), so no ordering is required.
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed) as f64)
-            .collect()
+        self.counts.iter().map(|&c| c as f64).collect()
     }
 
-    /// Decays every counter by `λ` (the races with concurrent bumps lose a
-    /// handful of counts, which the next period re-learns — acceptable for
-    /// a statistics heuristic).
-    pub fn decay(&self, lambda: f64) {
-        for c in &self.counts {
-            // ORDERING: Relaxed — load-statistics counter; no ordering contract.
-            let cur = c.load(Ordering::Relaxed) as f64;
-            // ORDERING: Relaxed — the racy read-modify-write loses a handful
-            // of counts to concurrent bumps, tolerated by design (doc above).
-            c.store((cur * lambda) as u64, Ordering::Relaxed);
+    /// Decays every counter by `λ`.
+    pub fn decay(&mut self, lambda: f64) {
+        for c in &mut self.counts {
+            *c = (*c as f64 * lambda) as u64;
         }
     }
 }
@@ -274,7 +287,7 @@ mod tests {
 
     #[test]
     fn stats_bump_snapshot_decay() {
-        let stats = PartitionStats::new(4);
+        let mut stats = PartitionStats::new(4);
         for _ in 0..10 {
             stats.bump(2);
         }

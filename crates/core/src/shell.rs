@@ -420,7 +420,9 @@ pub struct WorkerPool<T: Payload> {
     /// `None`: this edge carries no heartbeats.
     heartbeat_every: Option<usize>,
     since_heartbeat: usize,
-    senders: Vec<Sender<Msg<T>>>,
+    /// One edge per worker; `None` once closed — right after the worker's
+    /// `Flush`, or at teardown — so nothing can follow the `Flush`.
+    senders: Vec<Option<Sender<Msg<T>>>>,
     handles: Vec<JoinHandle<Option<JoinerReport>>>,
     /// Reports salvaged from workers joined so far (kept across a failed
     /// drain so an abort can account partial output).
@@ -463,7 +465,7 @@ impl<T: Payload> WorkerPool<T> {
             // One bounded queue per worker; the serving runtime's ingest
             // thread is the driver of each scan group's pool.
             let (tx, rx) = bounded::<Msg<T>>(cfg.channel_capacity);
-            let faults = cfg.faults.for_worker(id, engine, id, &sup.failures);
+            let faults = cfg.faults.for_worker(id, engine, &sup.failures);
             let (wsup, wrecycle, step) =
                 (sup.clone(), Arc::clone(&recycle), Step::new(cfg, origin));
             handles.push(
@@ -476,7 +478,7 @@ impl<T: Payload> WorkerPool<T> {
                     })
                     .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
             );
-            senders.push(tx);
+            senders.push(Some(tx));
         }
         Ok(WorkerPool {
             engine,
@@ -513,33 +515,43 @@ impl<T: Payload> WorkerPool<T> {
         &self.sup
     }
 
+    /// The open edge to `worker`; an error once that edge is closed.
+    fn edge(&self, worker: usize) -> Result<&Sender<Msg<T>>> {
+        self.senders
+            .get(worker)
+            .and_then(Option::as_ref)
+            .ok_or_else(|| {
+                Error::InvalidState(format!("{}: edge to worker {worker} closed", self.engine))
+            })
+    }
+
     /// Non-blocking [`route`](Self::route): hands the message back when
     /// the worker's queue is full, so the caller decides what overload
     /// means (the serving runtime sheds). A dead worker takes the guarded
     /// path, which waits briefly for the supervisor's attribution and
     /// reports the real cause.
     pub fn try_route(&mut self, worker: usize, msg: Msg<T>) -> Result<Option<Msg<T>>> {
-        // PANIC-OK: `worker` < joiners == `senders` length — every routing policy derives it from the joiner count.
-        match self.senders[worker].try_send(msg) {
+        match self.edge(worker)?.try_send(msg) {
             Ok(()) => Ok(None),
             Err(TrySendError::Full(back)) => Ok(Some(back)),
             Err(TrySendError::Disconnected(m)) => self.route(worker, m).map(|()| None),
         }
     }
 
-    /// Routed send with the configured deadline; a failure poisons the
-    /// pool.
+    /// Routed send with the configured deadline; a failure (a closed edge
+    /// included) poisons the pool.
     #[inline]
     pub fn route(&mut self, worker: usize, msg: Msg<T>) -> Result<()> {
-        let sent = send_guarded(
-            // PANIC-OK: `worker` < joiners == `senders` length — every routing policy derives it from the joiner count.
-            &self.senders[worker],
-            msg,
-            self.send_timeout,
-            self.engine,
-            worker,
-            &self.sup.failures,
-        );
+        let sent = self.edge(worker).and_then(|tx| {
+            send_guarded(
+                tx,
+                msg,
+                self.send_timeout,
+                self.engine,
+                worker,
+                &self.sup.failures,
+            )
+        });
         if let Err(e) = &sent {
             self.poison(e);
         }
@@ -552,7 +564,7 @@ impl<T: Payload> WorkerPool<T> {
     where
         T: Clone,
     {
-        let last = self.senders.len() - 1;
+        let last = self.senders.len().saturating_sub(1);
         for j in 0..last {
             self.route(j, msg.clone())?;
         }
@@ -641,7 +653,8 @@ impl<T: Payload> WorkerPool<T> {
     }
 
     /// End of input: hands over every partially filled lane, then sends
-    /// each worker its terminal `Flush`.
+    /// each worker its terminal `Flush` and closes that worker's edge, so
+    /// every later send fails instead of following the `Flush`.
     pub fn drain(
         &mut self,
         deliver: impl FnMut(&mut Self, usize, Msg<T>) -> Result<()>,
@@ -649,6 +662,9 @@ impl<T: Payload> WorkerPool<T> {
         self.flush_lanes(deliver)?;
         for j in 0..self.senders.len() {
             self.route(j, Msg::Flush)?;
+            if let Some(edge) = self.senders.get_mut(j) {
+                *edge = None;
+            }
         }
         Ok(())
     }
@@ -658,7 +674,7 @@ impl<T: Payload> WorkerPool<T> {
     /// `join` on a thread that may be wedged — salvaging reports; returns
     /// (and records) the first failure.
     pub fn join_workers(&mut self) -> Result<()> {
-        self.senders.clear();
+        self.senders.fill_with(|| None);
         let mut first_err: Option<Error> = None;
         for (worker, handle) in self.handles.drain(..).enumerate() {
             let (report, err) = join_within(
@@ -724,6 +740,9 @@ pub(crate) trait Routing {
     fn deliver(pool: &mut WorkerPool<DataMsg>, lane: usize, out: Msg<DataMsg>) -> Result<()> {
         pool.route(lane, out)
     }
+    /// Folds what the policy itself counted into the run statistics
+    /// (finished and aborted runs alike).
+    fn fold(&self, _stats: &mut RunStats) {}
 }
 
 /// Static binding: the key's hash picks one of the `.0` joiners, forever.
@@ -773,15 +792,13 @@ impl Routing for Broadcast {
 }
 
 /// The auxiliary thread an engine may run next to its joiners (SplitJoin's
-/// collector, Scale-OIJ's scheduler; DESIGN.md "Engine shell").
+/// collector; DESIGN.md "Engine shell"). It is joined after the workers,
+/// and ends when the last of them disconnects from it.
 pub(crate) trait AuxRole {
     /// What the thread hands back when joined.
     type Report: Send + 'static;
     /// Failure-attribution label.
     const LABEL: &'static str;
-    /// Stop and join the thread before the input drain instead of after
-    /// the workers.
-    const BEFORE_DRAIN: bool;
     /// Folds the thread's report (`None`: never spawned, or lost) into
     /// the run statistics; returns how many workers' output is lost with
     /// it.
@@ -792,7 +809,6 @@ pub(crate) trait AuxRole {
 impl AuxRole for () {
     type Report = ();
     const LABEL: &'static str = "";
-    const BEFORE_DRAIN: bool = false;
     fn fold(_: Option<()>, _: &mut RunStats) -> usize {
         0
     }
@@ -803,9 +819,6 @@ impl AuxRole for () {
 pub(crate) struct AuxThread<A: AuxRole> {
     worker: usize,
     deadline: StdDuration,
-    /// Cooperative stop latch raised before the join, for threads that
-    /// poll rather than end on a channel disconnect.
-    stop: Option<Arc<AtomicBool>>,
     handle: Option<JoinHandle<Option<A::Report>>>,
     report: Option<A::Report>,
     sup: Supervision,
@@ -817,7 +830,6 @@ impl<A: AuxRole> AuxThread<A> {
     pub(crate) fn spawn(
         worker: usize,
         deadline: StdDuration,
-        stop: Option<Arc<AtomicBool>>,
         sup: &Supervision,
         body: impl FnOnce() -> A::Report + Send + 'static,
     ) -> Result<Self> {
@@ -829,19 +841,14 @@ impl<A: AuxRole> AuxThread<A> {
         Ok(AuxThread {
             worker,
             deadline,
-            stop,
             handle: Some(handle),
             report: None,
             sup: sup.clone(),
         })
     }
 
-    /// Stops and joins the thread (bounded), keeping its report.
+    /// Joins the thread (bounded), keeping its report.
     fn join(&mut self) -> Option<Error> {
-        if let Some(stop) = &self.stop {
-            // ORDERING: Relaxed — `stop` is a standalone latch polled in a loop; no data is published through it.
-            stop.store(true, Ordering::Relaxed);
-        }
         let (report, err) = join_within(
             self.handle.take()?,
             self.deadline,
@@ -919,11 +926,12 @@ impl<R: Routing, A: AuxRole> EngineShell<R, A> {
         self.aux.as_mut().and_then(AuxThread::join)
     }
 
-    /// Merges the salvaged joiner reports and the auxiliary report into
-    /// run statistics.
+    /// Merges the salvaged joiner reports, the routing policy's counts and
+    /// the auxiliary report into run statistics.
     fn build_stats(&mut self, aborted: bool) -> Result<RunStats> {
         let (input, elapsed) = self.driver.finish()?;
         let mut stats = self.pool.stats(input, elapsed);
+        self.routing.fold(&mut stats);
         let mut lost = self.joiners - stats.joiner_loads.len();
         lost += A::fold(self.aux.as_mut().and_then(|a| a.report.take()), &mut stats);
         if aborted {
@@ -952,18 +960,10 @@ impl<R: Routing, A: AuxRole> OijEngine for EngineShell<R, A> {
             return Err(Error::InvalidState("finish called twice".into()));
         }
         self.pool.check()?;
-        if A::BEFORE_DRAIN {
-            if let Some(e) = self.join_aux() {
-                self.pool.poison(&e);
-                return Err(e);
-            }
-        }
         self.pool.drain(R::deliver)?;
         let mut first_err = self.pool.join_workers().err();
-        if !A::BEFORE_DRAIN {
-            if let Some(e) = self.join_aux() {
-                first_err.get_or_insert(e);
-            }
+        if let Some(e) = self.join_aux() {
+            first_err.get_or_insert(e);
         }
         if let Some(e) = first_err {
             self.pool.poison(&e);
@@ -979,13 +979,8 @@ impl<R: Routing, A: AuxRole> OijEngine for EngineShell<R, A> {
         }
         self.done = true;
         self.pool.supervision().raise_kill();
-        if A::BEFORE_DRAIN {
-            let _ = self.join_aux();
-        }
         let _ = self.pool.join_workers(); // failure already recorded; salvage
-        if !A::BEFORE_DRAIN {
-            let _ = self.join_aux();
-        }
+        let _ = self.join_aux();
         self.build_stats(true)
     }
 }
@@ -1056,5 +1051,26 @@ mod tests {
         // Tuples 0..=4 were applied; the run did not swallow ordinal 5.
         let stats = pool.stats(8, StdDuration::ZERO);
         assert_eq!(stats.joiner_loads, vec![5]);
+    }
+
+    #[test]
+    fn nothing_can_follow_the_flush() {
+        let query = OijQuery::sum_over_preceding(Duration::from_micros(10), Duration::ZERO);
+        let mut cfg = EngineConfig::new(query.unwrap(), 2).unwrap();
+        cfg.heartbeat_every = 2;
+        let sup = Supervision::default();
+        let mut pool =
+            WorkerPool::spawn("test", "t-", &cfg, 2, true, sup, vec![Runs, Runs]).unwrap();
+        pool.drain(WorkerPool::route).unwrap();
+        let closed =
+            |r: Result<()>| matches!(r, Err(Error::InvalidState(m)) if m.contains("closed"));
+        // The first tick stays below the heartbeat cadence; the second
+        // crosses it and finds the edges closed before sending anything.
+        let now = Instant::now();
+        pool.tick(now, Timestamp::MAX, WorkerPool::route).unwrap();
+        assert!(closed(pool.tick(now, Timestamp::MAX, WorkerPool::route)));
+        assert!(closed(pool.route(1, Msg::Heartbeat(Timestamp::MAX))));
+        // Both workers ended on their `Flush`, with no protocol failure.
+        pool.join_workers().unwrap();
     }
 }

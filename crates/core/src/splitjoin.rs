@@ -68,7 +68,6 @@ struct Collector;
 impl AuxRole for Collector {
     type Report = CollectorReport;
     const LABEL: &'static str = "splitjoin-collector";
-    const BEFORE_DRAIN: bool = false;
 
     /// The collector is the only thread that emits to the sink, so without
     /// its report no emitted-row count can be claimed.
@@ -118,9 +117,9 @@ impl SplitJoin {
         let col_sink = worker_sink_stack(&cfg, joiners, sink, &durable, &sup);
         let col_faults = cfg
             .faults
-            .for_worker(joiners, Collector::LABEL, joiners, &sup.failures);
+            .for_worker(joiners, Collector::LABEL, &sup.failures);
         let kill = Arc::clone(&sup.kill);
-        let collector = AuxThread::spawn(joiners, cfg.send_timeout, None, &sup, move || {
+        let collector = AuxThread::spawn(joiners, cfg.send_timeout, &sup, move || {
             collector_loop(
                 col_rx, joiners, spec, col_sink, latency_on, col_faults, kill,
             )

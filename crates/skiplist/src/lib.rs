@@ -19,8 +19,8 @@
 //! period ends.
 //!
 //! The crate also provides [`rcu::RcuCell`], the epoch-based publication
-//! cell the dynamic scheduler uses to atomically replace the partition
-//! schedule (paper §V-B: "atomically replaced after a new schedule").
+//! cell the dynamic schedule's router uses to atomically replace the
+//! partition schedule (paper §V-B: "atomically replaced after a new schedule").
 
 #![warn(missing_docs)]
 

@@ -2,10 +2,10 @@
 //!
 //! lint: hot_path
 //!
-//! The dynamic scheduler (paper §V-B) periodically computes a new key
-//! partition schedule and must publish it so that the partitioner observes
+//! The dynamic schedule (paper §V-B) periodically computes a new key
+//! partition schedule and must publish it so that the joiners observe
 //! either the old or the new schedule — never a mixture — without taking a
-//! lock on the hot routing path. [`RcuCell`] provides exactly that: readers
+//! lock on the hot join path. [`RcuCell`] provides exactly that: readers
 //! pay one epoch pin plus one `Acquire` load; the writer swaps in a new
 //! value and defers destruction of the old one until all current readers
 //! have moved on.
@@ -43,8 +43,8 @@ impl<T: Send + Sync + 'static> RcuCell<T> {
 
     /// Publishes a new value, returning a snapshot of the replaced one.
     ///
-    /// Callers must serialise replacements (in the engine only the scheduler
-    /// thread replaces); concurrent `load`s are always safe.
+    /// Callers must serialise replacements (in the engine only the driver's
+    /// router replaces); concurrent `load`s are always safe.
     pub fn replace(&self, value: T) -> Arc<T> {
         let guard = epoch::pin();
         // ORDERING: AcqRel — Release publishes the new value to readers' Acquire loads; Acquire orders the unlink before this thread reads the old value.

@@ -46,8 +46,7 @@ fn main() -> oij::Result<()> {
     let joiners = 4;
     println!("== traffic forecast: rotating hot cells, {joiners} joiners ==\n");
 
-    let mut cfg = EngineConfig::new(query.clone(), joiners)?;
-    cfg.schedule_interval = std::time::Duration::from_millis(2);
+    let cfg = EngineConfig::new(query.clone(), joiners)?;
     let scale = run(ScaleOij::spawn(cfg, Sink::null())?, &events)?;
     let key = run(
         KeyOij::spawn(EngineConfig::new(query, joiners)?, Sink::null())?,

@@ -49,7 +49,7 @@ pub use oij_common::{
 pub mod engine {
     pub use oij_core::config::{EngineConfig, Instrumentation, LatePolicy, SinkRetryPolicy};
     pub use oij_core::engine::{EngineKind, OijEngine, RunStats};
-    pub use oij_core::faults::{FailureCell, FaultPlan, WorkerFailure, SCHEDULER};
+    pub use oij_core::faults::{FailureCell, FaultPlan, WorkerFailure};
     pub use oij_core::scaleoij::schedule::{rebalance, PartitionStats, Schedule};
     pub use oij_core::scaleoij::summary::SummaryShape;
     pub use oij_core::sink::Sink;

@@ -87,7 +87,7 @@ proptest! {
     }
 
     /// Eviction pressure: a sweep and a heartbeat after every message, on
-    /// one joiner and on two with the scheduler replicating mid-stream, so
+    /// one joiner and on two with a schedule pass every 16 tuples, so
     /// teammates evict below windows whose settled state is still live.
     /// Watermark mode must still equal the oracle for all five aggregates:
     /// a settled state subtracts its own copies of what leaves the window,
@@ -114,7 +114,6 @@ proptest! {
                 let mut cfg = EngineConfig::new(query.clone(), joiners).unwrap();
                 cfg.expire_every = 1;
                 cfg.heartbeat_every = 1;
-                cfg.schedule_interval = std::time::Duration::from_micros(200);
                 let (got, stats) = run_scale(cfg, &events);
                 // At J=2 a joiner that finishes its input first parks its
                 // hold at its oldest deferred base, which can hold every
