@@ -1,8 +1,6 @@
 //! The Scale-OIJ joiner thread: owns one time-travel index, reads its
 //! virtual team's indexes, maintains incremental window aggregates.
 //!
-//! lint: hot_path
-//!
 //! ## What answers a window
 //!
 //! * **Settled prefix — Subtract-on-Evict.** The incremental state per
@@ -27,6 +25,17 @@
 //! watermark at arrival) may land inside a settled region; they are
 //! counted (`late_violations`) and excluded from the incremental
 //! guarantee, exactly like every other engine treats them best-effort.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use crate::sync::atomic::{AtomicI64, Ordering};
 use std::collections::{HashMap, VecDeque};
@@ -73,9 +82,12 @@ enum IncAggState {
 }
 
 impl IncAggState {
+    #[expect(
+        clippy::expect_used,
+        reason = "guarded by the `spec.is_invertible()` branch"
+    )]
     fn fresh(spec: AggSpec) -> IncAggState {
         if spec.is_invertible() {
-            // PANIC-OK: guarded by the `spec.is_invertible()` branch above.
             IncAggState::Run(RunningAgg::new(spec).expect("invertible"))
         } else {
             IncAggState::Stack(TwoStackAgg::new(spec))
@@ -255,11 +267,17 @@ impl Joiner<DataMsg> for ScaleJoiner {
     /// the hold is not — deferred bases still guard their windows.
     fn publish(&mut self, wm: Timestamp, oldest_deferred: Option<Timestamp>) {
         // ORDERING: Release — publishes every index write up to `wm` before the frontier advances; pairs with the Acquire loads in `drain_frontier`.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`self.id` < joiners == slot-array length by construction"
+        )]
         self.progress[self.id].fetch_max(wm.as_micros(), Ordering::Release);
         let hold = oldest_deferred.map_or(wm, |oldest| wm.min(oldest));
         // ORDERING: Release — pairs with the Acquire loads in `retention_bound`, so a raised hold implies the deferred set that justified it is visible.
-        // PANIC-OK: `self.id` < joiners == slot-array length by construction.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`self.id` < joiners == slot-array length by construction"
+        )]
         self.hold[self.id].store(hold.as_micros(), Ordering::Release);
     }
 
@@ -289,11 +307,15 @@ impl Joiner<DataMsg> for ScaleJoiner {
 
     /// End of input (infinite progress is already published): wait for
     /// the whole team so every index is complete before the final drain.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "end-of-input rendezvous: the streaming hot loop is over, and the barrier is \
+                  kill/poison-aware so fault supervision can release it"
+    )]
     fn end(&mut self, drain: impl FnOnce(&mut Self)) {
         // A teammate died or the engine is tearing down when the wait
         // falls through: skip the final drain (its indexes are incomplete
         // anyway) and surface what we have as a degraded partial report.
-        // BLOCKING-OK: end-of-input rendezvous — the streaming hot loop is over, and the barrier is kill/poison-aware so fault supervision can release it.
         if self.barrier.wait(&self.sup.failures, &self.sup.kill) {
             drain(self);
         }
@@ -314,9 +336,12 @@ fn record_time_travel_effectiveness(inst: &mut JoinerInstruments, matched: u64) 
 
 /// The minimum over one cross-joiner frontier array (Acquire loads; the
 /// call sites name the Release stores they pair with).
+#[expect(
+    clippy::expect_used,
+    reason = "at least one joiner is guaranteed by EngineConfig validation"
+)]
 fn min_slot(slots: &[AtomicI64]) -> i64 {
     // ORDERING: Acquire — see the call sites.
-    // PANIC-OK: at least one joiner is guaranteed by EngineConfig validation.
     slots
         .iter()
         .map(|p| p.load(Ordering::Acquire))
@@ -336,6 +361,11 @@ impl TeamReaders {
     /// (none when `hi < lo`), feeding each node touch to the LLC model.
     /// Returns the tuples visited.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`m` is a team member index, validated < joiners == readers length when the \
+                  schedule is built"
+    )]
     fn scan_member(
         &self,
         inst: &mut JoinerInstruments,
@@ -345,7 +375,6 @@ impl TeamReaders {
         mut visit: impl FnMut(i64, f64),
     ) -> u64 {
         let (lo, hi) = (Timestamp::from_micros(lo), Timestamp::from_micros(hi));
-        // PANIC-OK: `m` is a team member index, validated < joiners == readers length when the schedule is built.
         self.readers[m].scan_ts_range_addr(key, lo, hi, |t, addr| {
             if let Some(c) = inst.cache.as_mut() {
                 c.access(addr, self.node_bytes);
@@ -472,7 +501,10 @@ impl TeamIndexes {
                                     vec![(i64::MIN, PartialAgg::empty()); shape.cells()].into()
                                 })
                             });
-                            // PANIC-OK: the index is reduced modulo the slice's own length.
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "the index is reduced modulo the slice's own length"
+                            )]
                             let note = &mut notes[bucket.rem_euclid(shape.cells() as i64) as usize];
                             if note.0 != bucket {
                                 let mut closed = PartialAgg::empty();
@@ -576,7 +608,10 @@ impl ScaleJoiner {
         // the schedule any relevant probe was routed under.
         let sched = self.schedule.load();
         let p = (hash_key(key) & self.part_mask) as usize;
-        // PANIC-OK: `p` is masked to < partitions == schedule team count.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`p` is masked to < partitions == schedule team count"
+        )]
         let team = &sched.teams[p];
 
         if !self.cfg.incremental {
@@ -636,7 +671,10 @@ impl ScaleJoiner {
             }
             _ => self.rebuild_settled(inst, key, (a, settled_hi, b), retention, team),
         };
-        // PANIC-OK: every arm above found, advanced or rebuilt this key's entry.
+        #[expect(
+            clippy::expect_used,
+            reason = "every arm above found, advanced or rebuilt this key's entry"
+        )]
         let st = self.inc.get(&key).expect("state kept above");
         let (value, matched) = st.emit_with(agg, &fresh);
         record_time_travel_effectiveness(inst, matched);
@@ -655,7 +693,7 @@ impl ScaleJoiner {
         retention: i64,
         team: &[usize],
     ) -> PartialAgg {
-        // PANIC-OK: the caller matched this key's state.
+        #[expect(clippy::expect_used, reason = "the caller matched this key's state")]
         let st = self.inc.get_mut(&key).expect("caller checked");
         self.scratch_pairs.clear();
         let fresh = self.indexes.fold(
@@ -799,6 +837,10 @@ mod tests {
             &msg(Side::Base, key, ts, 0.0),
             Timestamp::from_micros(wm),
         );
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "test code reads the collecting sink"
+        )]
         let row = rows.lock().pop().unwrap();
         (row.agg, row.matched)
     }

@@ -1,7 +1,5 @@
 //! The per-joiner **window summary**: bucket partials beside the index.
 //!
-//! lint: hot_path
-//!
 //! Next to its index writer every Scale-OIJ joiner keeps, per key, a fixed
 //! ring of time-bucket cells `(bucket id, PartialAgg)`. The owner folds
 //! each probe into its bucket's cell at insert; the whole virtual team
@@ -20,6 +18,17 @@
 //! higher one then — and the slot can never return to `B`. What a cell
 //! cannot see is eviction; callers therefore take cells only for buckets
 //! that start at or above the team's retention bound.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

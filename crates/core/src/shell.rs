@@ -15,8 +15,17 @@
 //! Policy and joiner are generic parameters: every call on the per-tuple
 //! path is monomorphised — no `dyn`, no field added to the messages and
 //! no clock read added per tuple.
-//!
-//! lint: hot_path
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

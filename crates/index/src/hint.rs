@@ -1,7 +1,5 @@
 //! HINT-lite backend: hierarchical time buckets for the probe path.
 //!
-//! lint: hot_path
-//!
 //! Adapted from HINT's hierarchical main-memory interval index
 //! (PAPERS.md) to the point-event, SWMR setting the engines run in.
 //! Layer 1 reuses the paper's SWMR skip list to map
@@ -19,6 +17,17 @@
 //!
 //! Snapshots are published through an [`RcuCell`] (one swap per insert,
 //! or per touched key for a whole `insert_batch` run).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;

@@ -1,7 +1,5 @@
 //! Jiffy-lite backend: immutable sorted runs with whole-batch publication.
 //!
-//! lint: hot_path
-//!
 //! Adapted from Jiffy's batched lock-free skip list (PAPERS.md) to the
 //! SWMR setting the engines run in. Layer 1 reuses the paper's SWMR skip
 //! list to map `key → Arc<JiffyShared>`; the per-key second layer is
@@ -17,6 +15,17 @@
 //! Eviction compacts: survivors of `evict_below` are merged into a
 //! single fresh run, so run count stays proportional to the live window
 //! rather than the stream length.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

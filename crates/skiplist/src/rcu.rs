@@ -1,7 +1,5 @@
 //! Epoch-based read-copy-update cell.
 //!
-//! lint: hot_path
-//!
 //! The dynamic schedule (paper §V-B) periodically computes a new key
 //! partition schedule and must publish it so that the joiners observe
 //! either the old or the new schedule — never a mixture — without taking a
@@ -9,6 +7,17 @@
 //! pay one epoch pin plus one `Acquire` load; the writer swaps in a new
 //! value and defers destruction of the old one until all current readers
 //! have moved on.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use crate::sync::atomic::Ordering;
 use std::sync::Arc;

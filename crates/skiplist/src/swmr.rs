@@ -1,7 +1,5 @@
 //! Single-writer multiple-reader lock-free skip list.
 //!
-//! lint: hot_path
-//!
 //! Faithful implementation of the paper's Algorithms 1 (Search) and 2 (Put),
 //! extended with the prefix eviction required by tuple expiration:
 //!
@@ -35,6 +33,17 @@
 //! operations live on [`Writer`], which is `Send` but neither `Clone` nor
 //! `Sync`, while [`Reader`] is freely cloneable and shareable.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
+
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::marker::PhantomData;
@@ -62,7 +71,10 @@ impl<K, V> Node<K, V> {
     /// Allocation layout of a node with `height` tower slots, and the byte
     /// offset of the tower.
     fn layout(height: usize) -> (Layout, usize) {
-        // PANIC-OK: layout of at most MAX_HEIGHT pointer slots; cannot overflow isize.
+        #[expect(
+            clippy::expect_used,
+            reason = "layout of at most MAX_HEIGHT pointer slots; cannot overflow isize"
+        )]
         let (layout, offset) = Layout::new::<Node<K, V>>()
             .extend(Layout::array::<Atomic<Node<K, V>>>(height).expect("tiny array"))
             .expect("tiny layout");
@@ -211,7 +223,10 @@ impl SwmrSkipList {
         V: Send + Sync + 'static,
     {
         let inner = Arc::new(Inner::new());
-        // PANIC-OK: from_fn index i < MAX_HEIGHT == head array length.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from_fn index i < MAX_HEIGHT == head array length"
+        )]
         let tail = std::array::from_fn(|i| &inner.head[i] as *const _);
         (
             Writer {
@@ -350,7 +365,10 @@ where
         let guard = epoch::pin();
         // Predecessor tower slots per level (paper Algorithm 2's `pre`
         // array). Levels above the traversal keep the head slots.
-        // PANIC-OK: from_fn index i < MAX_HEIGHT == head array length.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from_fn index i < MAX_HEIGHT == head array length"
+        )]
         let mut pre: [*const Atomic<Node<K, V>>; MAX_HEIGHT] =
             std::array::from_fn(|i| &self.inner.head[i] as *const _);
 
@@ -386,13 +404,16 @@ where
                         // SAFETY: `next` is live.
                         tower = unsafe { Node::tower_base(next.as_raw()) };
                     }
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "level starts below list_height ≤ MAX_HEIGHT and only decreases"
+                    )]
                     other => {
                         if let Some(node) = other {
                             if node.key == key {
                                 return None;
                             }
                         }
-                        // PANIC-OK: level starts below list_height ≤ MAX_HEIGHT and only decreases.
                         pre[level] = slot;
                         if level == 0 {
                             break;
@@ -438,17 +459,19 @@ where
         // maximum key can still be the last node at its upper levels, and a
         // stale tail there would corrupt level order on the next tail
         // splice.)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i < height ≤ MAX_HEIGHT == tail array length"
+        )]
         for i in 0..height {
             // SAFETY: `node` is live; tower slots live as long as the node.
             unsafe {
                 // ORDERING: Relaxed — writer-private read of the just-published node's slot;
                 // publication ordering was established by the Release store above.
-                // PANIC-OK: i < height ≤ MAX_HEIGHT == tail array length.
                 if Node::tower(node, i)
                     .load(Ordering::Relaxed, &guard)
                     .is_null()
                 {
-                    // PANIC-OK: i < height ≤ MAX_HEIGHT == tail array length.
                     self.tail[i] = Node::tower(node, i) as *const _;
                 }
             }
@@ -465,8 +488,11 @@ where
         let guard = epoch::pin();
         // ORDERING: Relaxed — single-writer reads its own prior stores;
         // readers never write, so there is no remote store to pair with.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "from_fn index i < MAX_HEIGHT == head/tail array length"
+        )]
         if self.inner.head[0].load(Ordering::Relaxed, &guard).is_null() {
-            // PANIC-OK: from_fn index i < MAX_HEIGHT == head/tail array length.
             self.tail = std::array::from_fn(|i| &self.inner.head[i] as *const _);
             self.max_key = None;
             return;
@@ -477,8 +503,11 @@ where
             .height
             .load(Ordering::Relaxed)
             .clamp(1, MAX_HEIGHT);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i < MAX_HEIGHT loop bound == head/tail array length"
+        )]
         for i in list_height..MAX_HEIGHT {
-            // PANIC-OK: i < MAX_HEIGHT loop bound == head/tail array length.
             self.tail[i] = &self.inner.head[i] as *const _;
         }
         let mut tower: *const Atomic<Node<K, V>> = self.inner.head.as_ptr();
@@ -494,8 +523,11 @@ where
                     // SAFETY: `next` is non-null (Some arm) and live.
                     tower = unsafe { Node::tower_base(next.as_raw()) };
                 }
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "level < list_height ≤ MAX_HEIGHT == tail array length"
+                )]
                 None => {
-                    // PANIC-OK: level < list_height ≤ MAX_HEIGHT == tail array length.
                     self.tail[level] = slot;
                     if level == 0 {
                         break;
@@ -536,7 +568,10 @@ where
             .clamp(1, MAX_HEIGHT);
         for level in (0..list_height).rev() {
             // ORDERING: Relaxed — writer reads its own head slots; the unlink is published by the Release store below.
-            // PANIC-OK: level < list_height ≤ MAX_HEIGHT == head array length.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "level < list_height ≤ MAX_HEIGHT == head array length"
+            )]
             let mut n = self.inner.head[level].load(Ordering::Relaxed, &guard);
             loop {
                 // SAFETY: valid under the pin.
@@ -552,7 +587,10 @@ where
                 }
             }
             // ORDERING: Release — unlinks the expired prefix; pairs with the reader-side Acquire head/tower loads so a reader entering afterwards cannot walk into the freed prefix.
-            // PANIC-OK: level < list_height ≤ MAX_HEIGHT == head array length.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "level < list_height ≤ MAX_HEIGHT == head array length"
+            )]
             self.inner.head[level].store(n, Ordering::Release);
         }
 

@@ -1,7 +1,5 @@
 //! The double-layer *time-travel* index (paper §V-A, Figure 10).
 //!
-//! lint: hot_path
-//!
 //! Layer 1 is an SWMR skip list mapping `key → second-layer handle`; each
 //! second layer is an SWMR skip list mapping `(timestamp, seq) → tuple`
 //! (the sequence number disambiguates equal timestamps, preserving every
@@ -14,6 +12,17 @@
 //! The owning joiner writes through [`IndexWriter`]; every member of its
 //! virtual team reads through cloned [`IndexReader`]s, exploiting the SWMR
 //! property of both layers.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_methods,
+    reason = "hot path: readers and the joiner loop never unwind or block (DESIGN.md §8)"
+)]
 
 use std::collections::HashMap;
 
@@ -102,7 +111,11 @@ impl IndexWriter {
             self.keys.insert(tuple.key, sr);
             sw
         });
-        // PANIC-OK: duplicate (ts, seq) is impossible — `seq` increments per insert, so `insert_traced` cannot observe an equal key.
+        #[expect(
+            clippy::expect_used,
+            reason = "duplicate (ts, seq) is impossible: `seq` increments per insert, so \
+                      `insert_traced` cannot observe an equal key"
+        )]
         let addr = series
             .insert_traced((ts, seq), tuple)
             .expect("(ts, seq) keys are unique by construction");

@@ -1,12 +1,11 @@
-//! Shared comment/string-aware Rust lexing for the xtask analysis passes.
+//! Comment/string-aware Rust lexing for the concurrency-protocol lint.
 //!
-//! Both the unsafe audit and the concurrency-protocol lint need the same
-//! view of a source file: the *code* with comments and string/char literal
-//! contents blanked out (so keyword scans never match prose or literals),
-//! next to the *original* lines (so justification markers like `SAFETY:`
-//! or `ORDERING:` can be found in the comments). [`SourceFile`] computes
-//! that view once per file; the passes share it instead of each carrying
-//! its own string/comment state machine.
+//! Every rule needs the same view of a source file: the *code* with
+//! comments and string/char literal contents blanked out (so keyword scans
+//! never match prose or literals), next to the comment text (so
+//! justification markers like `ORDERING:` or `STAMP:` can be found).
+//! [`SourceFile`] computes that view once per file; the rules share it
+//! instead of each carrying its own string/comment state machine.
 
 /// One parsed source file: original text, masked text, and the derived
 /// line-level structure the rules consume.
@@ -20,21 +19,14 @@ pub struct SourceFile {
     /// string/char literal contents are spaces. Keyword scans use these.
     pub masked_lines: Vec<String>,
     /// Comment-visible lines: string/char literal contents are spaces but
-    /// comment text survives. Marker (`SAFETY:`, `ORDERING:`, `STAMP:`, …)
-    /// and `//! lint:` tag lookups use these, so marker text quoted inside
-    /// a string or a multi-line raw string can never satisfy a rule.
+    /// comment text survives. Marker (`ORDERING:`, `STAMP:`, …) lookups
+    /// use these, so marker text quoted inside a string or a multi-line raw
+    /// string can never satisfy a rule.
     pub comment_lines: Vec<String>,
     /// Per line: true if the line sits inside a `#[cfg(test)] mod { .. }`
     /// region. Protocol rules skip test code — tests deliberately use raw
-    /// std primitives, panics, and blocking calls.
+    /// std primitives.
     pub in_test: Vec<bool>,
-    /// Per line: `(byte_start, byte_end)` of the line in the original
-    /// text, end exclusive of the newline. Diagnostics carry line
-    /// numbers; the `--json` renderer turns them into byte spans for CI
-    /// annotation tooling.
-    pub line_spans: Vec<(usize, usize)>,
-    /// Module-level lint tags declared as `//! lint: tag_a, tag_b`.
-    pub tags: Vec<String>,
 }
 
 impl SourceFile {
@@ -46,31 +38,13 @@ impl SourceFile {
         let masked_lines: Vec<String> = views.masked.lines().map(str::to_string).collect();
         let comment_lines: Vec<String> = views.comments.lines().map(str::to_string).collect();
         let in_test = test_regions(&masked_lines);
-        let tags = lint_tags(&comment_lines);
-        let line_spans = line_spans(text);
         SourceFile {
             rel: rel.to_string(),
             lines,
             masked_lines,
             comment_lines,
             in_test,
-            tags,
-            line_spans,
         }
-    }
-
-    /// Byte span of 1-based line `lineno` in the original text, if the
-    /// file has that many lines.
-    pub fn line_span(&self, lineno: usize) -> Option<(usize, usize)> {
-        lineno
-            .checked_sub(1)
-            .and_then(|i| self.line_spans.get(i))
-            .copied()
-    }
-
-    /// Whether the module declared `//! lint: <tag>`.
-    pub fn has_tag(&self, tag: &str) -> bool {
-        self.tags.iter().any(|t| t == tag)
     }
 
     /// True if line `idx` (0-based) carries `marker` on the statement it
@@ -132,24 +106,6 @@ fn comment_run_has(lines: &[String], idx: usize, marker: &str) -> bool {
         .any(|t| t.contains(marker))
 }
 
-/// `(byte_start, byte_end)` of every line of `text`, end exclusive of
-/// the line's `\n`. Mirrors `str::lines` (a trailing newline does not
-/// open an empty final line), so the result is parallel to the other
-/// per-line views.
-fn line_spans(text: &str) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for line in text.lines() {
-        // `lines()` yields subslices of `text`, so pointer arithmetic
-        // recovers each line's offset even after `\r\n` trimming.
-        let off = line.as_ptr() as usize - text.as_ptr() as usize;
-        debug_assert!(off >= start);
-        out.push((off, off + line.len()));
-        start = off + line.len();
-    }
-    out
-}
-
 /// Byte offsets of `word` in `line` at identifier boundaries.
 pub fn keyword_positions(line: &str, word: &str) -> Vec<usize> {
     let bytes = line.as_bytes();
@@ -171,25 +127,6 @@ pub fn keyword_positions(line: &str, word: &str) -> Vec<usize> {
 /// Whether `b` can be part of a Rust identifier (ASCII view).
 pub fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// Module-level lint tags: every `//! lint: a, b` line contributes its
-/// comma-separated tags. Scans the comment-visible view, so the tag
-/// syntax quoted inside a (raw) string literal declares nothing.
-fn lint_tags(lines: &[String]) -> Vec<String> {
-    let mut tags = Vec::new();
-    for line in lines {
-        let t = line.trim_start();
-        if let Some(rest) = t.strip_prefix("//! lint:") {
-            for tag in rest.split(',') {
-                let tag = tag.trim();
-                if !tag.is_empty() {
-                    tags.push(tag.to_string());
-                }
-            }
-        }
-    }
-    tags
 }
 
 /// Marks the lines covered by `#[cfg(test)] mod <name> { ... }` regions.
@@ -283,16 +220,9 @@ pub struct MaskedViews {
     /// keyword scanning only sees real code.
     pub masked: String,
     /// Only string/char literal contents replaced with spaces — comment
-    /// text (and code) survives, for marker/tag lookups that must not be
+    /// text (and code) survives, for marker lookups that must not be
     /// satisfiable from inside a literal.
     pub comments: String,
-}
-
-/// Replaces the contents of comments and string/char literals with spaces
-/// so keyword scanning only sees real code. Newlines are preserved so line
-/// numbers stay aligned with the original.
-pub fn mask_non_code(text: &str) -> String {
-    mask_views(text).masked
 }
 
 /// Computes both masked views ([`MaskedViews`]) in one pass over `text`.
@@ -469,7 +399,7 @@ mod tests {
     #[test]
     fn masking_hides_comments_and_literals() {
         let src = "let x = \"unsafe\"; // unsafe here\nlet y = 'u';\n/* unsafe */ let z = 1;\n";
-        let masked = mask_non_code(src);
+        let masked = mask_views(src).masked;
         assert!(!masked.contains("unsafe"));
         assert_eq!(masked.lines().count(), src.lines().count());
     }
@@ -498,15 +428,6 @@ mod tests {
         let src = "// #[cfg(test)]\nlet s = \"#[cfg(test)]\";\nfn f() {}\n";
         let f = SourceFile::parse("a.rs", src);
         assert!(f.in_test.iter().all(|b| !b));
-    }
-
-    #[test]
-    fn tags_parse_from_inner_doc_lines() {
-        let src = "//! Module docs.\n//! lint: hot_path, other_tag\nfn f() {}\n";
-        let f = SourceFile::parse("a.rs", src);
-        assert!(f.has_tag("hot_path"));
-        assert!(f.has_tag("other_tag"));
-        assert!(!f.has_tag("cold_path"));
     }
 
     #[test]
@@ -548,37 +469,25 @@ mod tests {
 
     #[test]
     fn marker_inside_a_string_literal_does_not_justify() {
-        // "PANIC-OK:" as an expect() message is prose, not an annotation.
-        let src = "let v = x.expect(\"PANIC-OK: not a marker\");\n";
+        // "ORDERING:" as an expect() message is prose, not an annotation.
+        let src = "let v = x.expect(\"ORDERING: not a marker\");\n";
         let f = SourceFile::parse("a.rs", src);
-        assert!(!f.marker_near(0, "PANIC-OK:"));
+        assert!(!f.marker_near(0, "ORDERING:"));
         // The same text in a real trailing comment does justify.
-        let src = "let v = x.expect(\"boom\"); // PANIC-OK: startup only\n";
+        let src = "let v = x.expect(\"boom\"); // ORDERING: pairs with X\n";
         let f = SourceFile::parse("a.rs", src);
-        assert!(f.marker_near(0, "PANIC-OK:"));
+        assert!(f.marker_near(0, "ORDERING:"));
     }
 
     #[test]
-    fn raw_string_interior_lines_are_not_comments_or_tags() {
+    fn raw_string_interior_lines_are_not_comments() {
         // A multi-line raw string whose interior lines look like comments
-        // must neither declare module tags nor extend a comment run.
-        let src = "let t = r#\"\n//! lint: hot_path\n// SAFETY: fake\n\"#;\nunsafe { op() };\n";
+        // must not extend a comment run.
+        let src = "let t = r#\"\n// STAMP: fake\n\"#;\nw.record_event(e);\n";
         let f = SourceFile::parse("a.rs", src);
-        assert!(!f.has_tag("hot_path"));
-        assert!(!f.marker_near(4, "SAFETY:"));
+        assert!(!f.marker_near(3, "STAMP:"));
         // Line-number alignment holds across the raw string.
         assert_eq!(f.masked_lines.len(), f.lines.len());
-        assert!(f.masked_lines[4].contains("unsafe"));
-    }
-
-    #[test]
-    fn line_spans_cover_the_original_bytes() {
-        let src = "ab\ncdef\n\nxy";
-        let f = SourceFile::parse("a.rs", src);
-        assert_eq!(f.line_spans, vec![(0, 2), (3, 7), (8, 8), (9, 11)]);
-        assert_eq!(f.line_span(2), Some((3, 7)));
-        assert_eq!(&src[3..7], "cdef");
-        assert_eq!(f.line_span(0), None);
-        assert_eq!(f.line_span(5), None);
+        assert!(f.masked_lines[3].contains("record_event"));
     }
 }

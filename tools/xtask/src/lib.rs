@@ -1,10 +1,9 @@
-//! Workspace task runner library: the shared lexer plus the two static
-//! analysis passes (`unsafe-audit`, `lint`). The binary in `main.rs` is a
-//! thin dispatcher; the logic lives here so the integration tests can
+//! Workspace task runner library: the comment/string-aware lexer and the
+//! concurrency-protocol lint (`cargo xtask lint`). The binary in `main.rs`
+//! is a thin dispatcher; the logic lives here so the integration tests can
 //! drive the lint engine against fixture files without spawning a
 //! process.
 
-pub mod audit;
 pub mod lexer;
 pub mod lint;
 

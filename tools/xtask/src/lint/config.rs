@@ -68,7 +68,7 @@ pub struct StampPair {
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Directories whose `.rs` files are subject to the protocol rules
-    /// (R1 ordering justification, R3/R4 hot-path rules).
+    /// (R1 ordering justification, R2 facade-only sync, R9 stamps).
     pub scope_src: Vec<String>,
     /// Facade files (R2): the only files in scope allowed to name
     /// `std::sync::atomic` / `std::sync::{Mutex,RwLock,Condvar}` /

@@ -9,17 +9,16 @@
 //! |----|------|-----------|
 //! | R1 | `ordering-justification` | every atomic `Ordering::*` call site carries an `// ORDERING:` comment naming its pairing site |
 //! | R2 | `facade-only-sync` | loom-verified crates import atomics/locks only through their `sync.rs` facade |
-//! | R3 | `hot-path-panic` | no `unwrap`/`expect`/`panic!`/`todo!`/slice-index in `//! lint: hot_path` modules without `// PANIC-OK:` |
-//! | R4 | `hot-path-blocking` | no lock acquisition, sleeps, or blocking channel ops in `hot_path` modules without `// BLOCKING-OK:` |
 //! | R5 | `loom-coverage` | every public atomic-owning type is named in a loom model (or allowlisted as uncovered) |
 //! | R9 | `stamp-discipline` | ordering-sentinel calls (`mark_emitted`, `record_event`, tracker `observe`) carry `// STAMP: <pair>.{pre,post}` naming a declared `[stamps]` pair, with pre lexically dominating post in its function |
 //!
 //! Scope and per-rule suppressions live in `lint.toml` at the workspace
 //! root ([`config`]); diagnostics are rustc-style (`error[R1]: ...` with a
 //! `-->` location and a `help:` suggestion). Test modules
-//! (`#[cfg(test)]`) and integration-test trees are exempt from R1–R4:
-//! the protocol rules protect production hot paths, and tests
-//! deliberately use raw primitives, panics, and blocking calls.
+//! (`#[cfg(test)]`) and integration-test trees are exempt: the protocol
+//! rules protect production code, and tests deliberately use raw
+//! primitives. Ids R3, R4 and R6–R8 are retired; DESIGN.md §8 names the
+//! check that covers each.
 
 pub mod config;
 pub mod rules;
@@ -36,7 +35,7 @@ use rules::registry;
 /// allowlist entries by (rule, file, subject).
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule id (`R1`..`R5`, `R9`).
+    /// Stable rule id (`R1`, `R2`, `R5`, `R9`).
     pub rule: &'static str,
     /// Human-readable rule name (`ordering-justification`, ...).
     pub name: &'static str,
@@ -127,81 +126,12 @@ pub fn check_files(files: &[SourceFile], cfg: &Config) -> LintOutcome {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal. Hand-rolled —
-/// xtask is dependency-free by policy, and lint diagnostics only need
-/// the mandatory escapes.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders diagnostics (and stale-allow findings, as pseudo-rule
-/// `stale-allow`) as a JSON array for CI annotation tooling. Each item
-/// carries a `span` — the `{"byte_start": s, "byte_end": e}` extent of
-/// the diagnosed line in the file's original bytes — or `null` when the
-/// diagnostic anchors to a file the engine did not parse (lint.toml's
-/// declaration lines, stale allows). The schema is pinned by a fixture
-/// test; changing a key or the span shape is a breaking change for the
-/// CI artifact consumers.
-pub fn render_json(outcome: &LintOutcome, cfg: &Config, files: &[SourceFile]) -> String {
-    let span_of = |file: &str, line: usize| -> String {
-        files
-            .iter()
-            .find(|f| f.rel == file)
-            .and_then(|f| f.line_span(line))
-            .map(|(s, e)| format!("{{\"byte_start\": {s}, \"byte_end\": {e}}}"))
-            .unwrap_or_else(|| "null".to_string())
-    };
-    let mut items = Vec::new();
-    for d in &outcome.diagnostics {
-        items.push(format!(
-            "  {{\"rule\": \"{}\", \"name\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"span\": {}, \"subject\": \"{}\", \"message\": \"{}\", \"help\": \"{}\"}}",
-            json_escape(d.rule),
-            json_escape(d.name),
-            json_escape(&d.file),
-            d.line,
-            span_of(&d.file, d.line),
-            json_escape(&d.subject),
-            json_escape(&d.message),
-            json_escape(&d.help),
-        ));
-    }
-    for i in outcome.stale_allows() {
-        let e = &cfg.allow[i];
-        items.push(format!(
-            "  {{\"rule\": \"stale-allow\", \"name\": \"stale-allow\", \"file\": \"lint.toml\", \
-             \"line\": 0, \"span\": null, \"subject\": \"{}\", \"message\": \"[[allow]] entry \
-             #{} ({} in {}) suppressed nothing — remove it\", \"help\": \"remove the stale \
-             entry\"}}",
-            json_escape(&e.subject),
-            i + 1,
-            json_escape(&e.rule),
-            json_escape(&e.file),
-        ));
-    }
-    format!("[\n{}\n]", items.join(",\n"))
-}
-
 /// CLI entry point: loads `lint.toml`, parses every file the config puts
 /// in scope, runs the registry, prints diagnostics, and sets the exit
-/// code. Stale allowlist entries are hard errors. With `--json` the
-/// findings go to stdout as a JSON array instead of rustc-style text.
+/// code. Stale allowlist entries are hard errors.
 pub fn run(args: &[String]) -> ExitCode {
-    let json = args.iter().any(|a| a == "--json");
-    if let Some(bad) = args.iter().find(|a| *a != "--json") {
-        eprintln!("lint: unknown option `{bad}` (supported: --json)");
+    if let Some(bad) = args.first() {
+        eprintln!("lint: unknown option `{bad}` (the task takes none)");
         return ExitCode::FAILURE;
     }
     let root = workspace_root();
@@ -263,15 +193,6 @@ pub fn run(args: &[String]) -> ExitCode {
 
     let outcome = check_files(&files, &cfg);
     let mut failed = false;
-    if json {
-        println!("{}", render_json(&outcome, &cfg, &files));
-        failed = !outcome.diagnostics.is_empty() || !outcome.stale_allows().is_empty();
-        return if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
     for d in &outcome.diagnostics {
         eprintln!("{d}\n");
         failed = true;

@@ -6,8 +6,6 @@
 
 mod r1_ordering;
 mod r2_facade;
-mod r3_panic;
-mod r4_blocking;
 mod r5_loom;
 mod r9_stamps;
 
@@ -15,14 +13,12 @@ use super::Rule;
 use crate::lexer::{find_char_from, is_ident_byte, keyword_positions, match_brace};
 
 /// All rules, in id order. `check_files` runs them in this order; ids are
-/// stable and referenced from `lint.toml` (R6–R8 are retired, not reused:
-/// DESIGN.md §8 names the runtime check that covers each).
+/// stable and referenced from `lint.toml` (R3, R4 and R6–R8 are retired,
+/// not reused: DESIGN.md §8 names the check that covers each).
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(r1_ordering::OrderingJustification),
         Box::new(r2_facade::FacadeOnlySync),
-        Box::new(r3_panic::HotPathPanic),
-        Box::new(r4_blocking::HotPathBlocking),
         Box::new(r5_loom::LoomCoverage),
         Box::new(r9_stamps::StampDiscipline),
     ]
@@ -93,14 +89,6 @@ pub(crate) fn has_method_call(mline: &str, name: &str) -> bool {
     })
 }
 
-/// True if the masked line invokes the macro `name!`.
-pub(crate) fn has_macro_call(mline: &str, name: &str) -> bool {
-    let bytes = mline.as_bytes();
-    keyword_positions(mline, name)
-        .into_iter()
-        .any(|pos| bytes.get(pos + name.len()).copied() == Some(b'!'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn method_and_macro_matchers() {
+    fn method_call_matcher() {
         assert!(has_method_call("x.unwrap()", "unwrap"));
         assert!(!has_method_call("x.unwrap_or(0)", "unwrap"));
         assert!(!has_method_call("unwrap()", "unwrap"));
-        assert!(has_macro_call("panic!(\"boom\")", "panic"));
-        assert!(!has_macro_call("panic()", "panic"));
     }
 }

@@ -106,48 +106,6 @@ fn r2_accepts_facade_imports_and_exempts_the_facade_itself() {
 }
 
 #[test]
-fn r3_flags_panicking_ops_at_exact_lines() {
-    let cfg = demo_config("");
-    let f = fixture("crates/demo/src/r3_bad.rs", "r3_bad.rs");
-    assert_eq!(
-        findings(&[f], &cfg),
-        vec![("R3", 7), ("R3", 9), ("R3", 11), ("R3", 13), ("R3", 15)]
-    );
-}
-
-#[test]
-fn r3_accepts_justified_panics_and_non_panicking_cousins() {
-    let cfg = demo_config("");
-    let f = fixture("crates/demo/src/r3_good.rs", "r3_good.rs");
-    assert_eq!(findings(&[f], &cfg), vec![]);
-}
-
-#[test]
-fn r3_is_scoped_to_configured_source_dirs() {
-    let cfg = demo_config("");
-    // Same hot_path-tagged content outside [scope] src: not checked.
-    let f = fixture("crates/other/src/r3_bad.rs", "r3_bad.rs");
-    assert_eq!(findings(&[f], &cfg), vec![]);
-}
-
-#[test]
-fn r4_flags_blocking_ops_at_exact_lines() {
-    let cfg = demo_config("");
-    let f = fixture("crates/demo/src/r4_bad.rs", "r4_bad.rs");
-    assert_eq!(
-        findings(&[f], &cfg),
-        vec![("R4", 7), ("R4", 8), ("R4", 9), ("R4", 10), ("R4", 11)]
-    );
-}
-
-#[test]
-fn r4_accepts_try_variants_and_justified_blocking() {
-    let cfg = demo_config("");
-    let f = fixture("crates/demo/src/r4_good.rs", "r4_good.rs");
-    assert_eq!(findings(&[f], &cfg), vec![]);
-}
-
-#[test]
 fn r5_flags_the_model_uncovered_type_only() {
     let cfg = demo_config("");
     let files = [
@@ -294,37 +252,6 @@ reason = "replay-side observation of a stamp fixed in a prior run"
 }
 
 #[test]
-fn json_output_pins_the_schema_and_byte_spans() {
-    // Schema pin: every diagnostic renders the eight keys in this order,
-    // `span` carries the flagged line's byte range, and declaration-level
-    // findings (anchored in lint.toml, which is not a parsed source file)
-    // render `"span": null`. Treat a change here as a breaking change to
-    // `cargo xtask lint --json` consumers.
-    let cfg = demo_config(STAMPS_TABLE);
-    let files = [fixture("crates/demo/src/r9_bad.rs", "r9_bad.rs")];
-    let out = check_files(&files, &cfg);
-    let json = xtask::lint::render_json(&out, &cfg, &files);
-    assert!(
-        json.contains(
-            "{\"rule\": \"R9\", \"name\": \"stamp-discipline\", \
-             \"file\": \"crates/demo/src/r9_bad.rs\", \"line\": 5, \
-             \"span\": {\"byte_start\": 128, \"byte_end\": 152}, \
-             \"subject\": \"record_event\""
-        ),
-        "span of r9_bad.rs:5 drifted:\n{json}"
-    );
-    // The stale-pair finding is anchored at lint.toml, which has no span.
-    let stale = format!(
-        "\"file\": \"lint.toml\", \"line\": {}, \"span\": null, \"subject\": \"stamp-observe\"",
-        cfg.stamp_pairs_line
-    );
-    assert!(
-        json.contains(&stale),
-        "lint.toml-anchored findings must render a null span:\n{json}"
-    );
-}
-
-#[test]
 fn allowlist_suppresses_matching_diagnostics_and_counts_uses() {
     let cfg = demo_config(
         r#"
@@ -381,10 +308,6 @@ fn rules_do_not_bleed_across_fixtures_in_a_joint_run() {
         fixture("crates/demo/src/r1_good.rs", "r1_good.rs"),
         fixture("crates/demo/src/r2_bad.rs", "r2_bad.rs"),
         fixture("crates/demo/src/r2_good.rs", "r2_good.rs"),
-        fixture("crates/demo/src/r3_bad.rs", "r3_bad.rs"),
-        fixture("crates/demo/src/r3_good.rs", "r3_good.rs"),
-        fixture("crates/demo/src/r4_bad.rs", "r4_bad.rs"),
-        fixture("crates/demo/src/r4_good.rs", "r4_good.rs"),
         fixture("crates/demo/src/r9_bad.rs", "r9_bad.rs"),
         fixture("crates/demo/loomed/r5_src.rs", "r5_src.rs"),
         fixture("crates/demo/tests/loom.rs", "r5_models.rs"),
@@ -393,11 +316,9 @@ fn rules_do_not_bleed_across_fixtures_in_a_joint_run() {
     let per_rule = |id: &str| out.diagnostics.iter().filter(|d| d.rule == id).count();
     assert_eq!(per_rule("R1"), 4);
     assert_eq!(per_rule("R2"), 4);
-    assert_eq!(per_rule("R3"), 5);
-    assert_eq!(per_rule("R4"), 5);
     assert_eq!(per_rule("R5"), 1);
     // With no [stamps] declared, R9 stays inert even over its own bait
     // fixture.
     assert_eq!(per_rule("R9"), 0);
-    assert_eq!(out.diagnostics.len(), 19);
+    assert_eq!(out.diagnostics.len(), 9);
 }
