@@ -3,7 +3,7 @@
 //! nothing — the performance gate is the `benchmark/` crate.
 //!
 //! Measures every engine on one fixed small workload at `batch_size = 1`
-//! (the pass-through oracle) and `batch_size = 64`, three trials each,
+//! (batches of one, the oracle) and `batch_size = 64`, three trials each,
 //! reporting **median throughput** and **p99 latency**. The index
 //! backend is a matrix axis: every engine runs on the skip-list
 //! reference, and the flagship Scale-OIJ additionally on Jiffy-lite and
@@ -31,7 +31,7 @@ use oij_workload::{KeyDist, SyntheticConfig};
 
 use oij_common::{Duration, OijQuery};
 
-/// The batch sizes measured: the pass-through oracle and the default
+/// The batch sizes measured: batches of one (the oracle) and the default
 /// coalescing depth.
 const BATCHES: [usize; 2] = [1, 64];
 

@@ -7,8 +7,6 @@
 //! [`crate::WindowSpec`]) and — in watermark emission mode — to decide when
 //! a base tuple's aggregate is final.
 
-use core::sync::atomic::{AtomicI64, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::{Duration, Timestamp};
@@ -28,16 +26,16 @@ impl Watermark {
     }
 }
 
-/// Thread-safe watermark tracker shared between sources, joiners and the
-/// expiration path.
+/// Watermark tracker of one driver: the engine `Driver` and each serving
+/// scan group own one and stamp every ingested tuple from it.
 ///
-/// Sources feed observed timestamps through [`observe`](Self::observe); the
-/// tracker maintains `max_ts` monotonically and derives the watermark as
-/// `max_ts - lateness`. Reads are single atomic loads, so joiners can
-/// consult the watermark on every tuple without contention.
+/// The driver feeds observed timestamps through [`observe`](Self::observe);
+/// the tracker maintains `max_ts` monotonically and derives the watermark as
+/// `max_ts - lateness`. Joiners never read it: the driver stamps each tuple
+/// with [`current`](Self::current) before observing it.
 #[derive(Debug)]
 pub struct WatermarkTracker {
-    max_ts: AtomicI64,
+    max_ts: i64,
     lateness: Duration,
 }
 
@@ -45,7 +43,7 @@ impl WatermarkTracker {
     /// Creates a tracker for streams with the given lateness bound.
     pub fn new(lateness: Duration) -> Self {
         WatermarkTracker {
-            max_ts: AtomicI64::new(i64::MIN),
+            max_ts: i64::MIN,
             lateness,
         }
     }
@@ -53,42 +51,24 @@ impl WatermarkTracker {
     /// Records an observed tuple timestamp, advancing `max_ts` if needed.
     /// Returns `true` if this observation advanced the maximum.
     #[inline]
-    pub fn observe(&self, ts: Timestamp) -> bool {
-        // fetch_max is a single RMW; monotonic by construction.
-        self.max_ts.fetch_max(ts.0, Ordering::AcqRel) < ts.0
+    pub fn observe(&mut self, ts: Timestamp) -> bool {
+        let advanced = ts.0 > self.max_ts;
+        if advanced {
+            self.max_ts = ts.0;
+        }
+        advanced
     }
 
-    /// The largest timestamp observed so far, or `Timestamp::MIN` if none.
-    #[inline]
-    pub fn max_seen(&self) -> Timestamp {
-        Timestamp(self.max_ts.load(Ordering::Acquire))
-    }
-
-    /// Current watermark: `max_seen - lateness` (saturating), or
-    /// [`Watermark::INITIAL`] before any observation.
+    /// Current watermark: the largest observed timestamp minus the
+    /// lateness (saturating), or [`Watermark::INITIAL`] before any
+    /// observation.
     #[inline]
     pub fn current(&self) -> Watermark {
-        let max = self.max_ts.load(Ordering::Acquire);
-        if max == i64::MIN {
+        if self.max_ts == i64::MIN {
             Watermark::INITIAL
         } else {
-            Watermark(Timestamp(max).saturating_sub(self.lateness))
+            Watermark(Timestamp(self.max_ts).saturating_sub(self.lateness))
         }
-    }
-
-    /// The configured lateness bound.
-    #[inline]
-    pub fn lateness(&self) -> Duration {
-        self.lateness
-    }
-
-    /// Whether a tuple with timestamp `ts` is *late beyond the bound*: it
-    /// arrived after the watermark already passed it. Such tuples violate
-    /// the disorder contract; engines count them but still process them
-    /// best-effort.
-    #[inline]
-    pub fn is_violating(&self, ts: Timestamp) -> bool {
-        ts < self.current().time()
     }
 }
 
@@ -100,53 +80,22 @@ mod tests {
     fn initial_watermark_is_min() {
         let t = WatermarkTracker::new(Duration::from_micros(10));
         assert_eq!(t.current(), Watermark::INITIAL);
-        assert_eq!(t.max_seen(), Timestamp::MIN);
     }
 
     #[test]
     fn watermark_trails_max_by_lateness() {
-        let t = WatermarkTracker::new(Duration::from_micros(10));
+        let mut t = WatermarkTracker::new(Duration::from_micros(10));
         assert!(t.observe(Timestamp::from_micros(100)));
         assert_eq!(t.current().time(), Timestamp::from_micros(90));
     }
 
     #[test]
     fn observation_is_monotone() {
-        let t = WatermarkTracker::new(Duration::ZERO);
+        let mut t = WatermarkTracker::new(Duration::ZERO);
         assert!(t.observe(Timestamp::from_micros(50)));
         assert!(!t.observe(Timestamp::from_micros(40))); // regression ignored
-        assert_eq!(t.max_seen(), Timestamp::from_micros(50));
+        assert_eq!(t.current().time(), Timestamp::from_micros(50));
         assert!(t.observe(Timestamp::from_micros(60)));
-        assert_eq!(t.max_seen(), Timestamp::from_micros(60));
-    }
-
-    #[test]
-    fn violation_detection() {
-        let t = WatermarkTracker::new(Duration::from_micros(5));
-        t.observe(Timestamp::from_micros(100));
-        // watermark = 95
-        assert!(t.is_violating(Timestamp::from_micros(94)));
-        assert!(!t.is_violating(Timestamp::from_micros(95)));
-        assert!(!t.is_violating(Timestamp::from_micros(200)));
-    }
-
-    #[test]
-    fn concurrent_observations_keep_max() {
-        use std::sync::Arc;
-        let t = Arc::new(WatermarkTracker::new(Duration::ZERO));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for j in 0..1000 {
-                        t.observe(Timestamp::from_micros(i * 1000 + j));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(t.max_seen(), Timestamp::from_micros(3999));
+        assert_eq!(t.current().time(), Timestamp::from_micros(60));
     }
 }

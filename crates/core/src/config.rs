@@ -141,13 +141,12 @@ pub struct EngineConfig {
     pub late_policy: LatePolicy,
     /// Maximum data messages coalesced into one `Msg::Batch` per
     /// destination before the driver routes it (DESIGN.md §10). The
-    /// default `1` bypasses coalescing entirely and reproduces the
-    /// one-message-per-tuple path exactly.
+    /// default `1` sends every tuple at once, as a batch of one.
     pub batch_size: usize,
     /// Age bound for a partially filled batch buffer: once the oldest
     /// coalesced tuple has waited this long, the buffer is flushed on the
     /// next push regardless of fill, so trickle inputs never stall behind
-    /// a partial batch. Ignored when `batch_size == 1`.
+    /// a partial batch. Never reached when `batch_size == 1`.
     pub flush_deadline: StdDuration,
     /// Durability subsystem (WAL + checkpoints + crash recovery,
     /// DESIGN.md §11). `None` — the default — disables durability
@@ -217,7 +216,7 @@ impl EngineConfig {
         self
     }
 
-    /// Replaces the routing batch size (`1` = unbatched).
+    /// Replaces the routing batch size (`1` = a batch of one per tuple).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
         self

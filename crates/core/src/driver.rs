@@ -58,7 +58,7 @@ impl Driver {
         lateness: Duration,
         durable: Option<Arc<DurabilityRuntime>>,
     ) -> Self {
-        let tracker = WatermarkTracker::new(lateness);
+        let mut tracker = WatermarkTracker::new(lateness);
         if let Some(rt) = &durable {
             if let Some(max_ts) = rt.recovered_max_ts() {
                 tracker.observe(Timestamp::from_micros(max_ts));

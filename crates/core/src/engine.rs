@@ -114,7 +114,7 @@ pub struct RunStats {
     #[serde(default)]
     pub workers_lost: usize,
     /// Fill levels of the coalesced batches the joiners received
-    /// (DESIGN.md §10). Empty when `batch_size == 1`.
+    /// (DESIGN.md §10); every batch holds one tuple when `batch_size == 1`.
     #[serde(default)]
     pub batch_occupancy: BatchOccupancy,
     /// Bytes appended to the write-ahead log (durability enabled only).

@@ -271,12 +271,11 @@ impl WorkerFaults {
     /// Applies the faults due at `ordinal`. May panic (the supervisor
     /// catches it), sleep, or block wedged until `kill` is raised.
     ///
-    /// Ordinals count individual **data messages**, not channel messages:
-    /// a joiner draining a [`crate::message::BatchMsg`] calls this once
-    /// per contained [`crate::message::DataMsg`], so an injection point
-    /// that falls mid-batch fires exactly where it would on the
-    /// unbatched path (remaining tuples in the batch are dropped on
-    /// `Exit`, matching a worker death between channel receives).
+    /// Ordinals count individual **data tuples**, not channel messages:
+    /// a joiner draining a `Msg::Batch` calls this once per contained
+    /// tuple, so an injection point fires at the same tuple whatever the
+    /// batch size (remaining tuples in the batch are dropped on `Exit`,
+    /// matching a worker death between channel receives).
     pub fn before_message(&self, ordinal: u64, kill: &AtomicBool) -> FaultAction {
         if let Some(at) = self.crash_at {
             if ordinal == at {

@@ -14,12 +14,15 @@ use oij_metrics::{
 
 use crate::config::Instrumentation;
 
-/// Receive-side shadow of one message-protocol edge — the workspace's
-/// one check of the `(data|batch|heartbeat)* flush` grammar (DESIGN.md
-/// §8). Always on: the checks are a few integer compares per *message*
-/// (not per tuple), and a protocol regression — a heartbeat running
-/// backwards, a heartbeat below data already delivered, traffic after
-/// `Flush` — must fail plain `cargo test`.
+/// Receive-side shadow of the driver→joiner edge — the workspace's one
+/// check of the `(batch|heartbeat)* flush` grammar (DESIGN.md §8). Its
+/// one ordering invariant: stamps never decrease along an edge, over
+/// every payload watermark and every heartbeat. That covers a heartbeat
+/// running backwards, a heartbeat below data already delivered, and data
+/// delivered below an earlier heartbeat (a heartbeat that overtook parked
+/// data). Always on: one compare per payload and per heartbeat, and a
+/// protocol regression — including traffic after `Flush` — must fail
+/// plain `cargo test`.
 ///
 /// A panic from here surfaces through the engine supervisors as a
 /// `WorkerFailure`, so a violating run fails loudly instead of emitting
@@ -27,8 +30,8 @@ use crate::config::Instrumentation;
 #[derive(Debug)]
 pub struct ProtoProbe {
     edge: &'static str,
-    last_heartbeat: Option<Timestamp>,
-    max_data: Option<Timestamp>,
+    /// The highest stamp observed so far.
+    last: Timestamp,
     finished: bool,
 }
 
@@ -38,8 +41,7 @@ impl ProtoProbe {
     pub fn new(edge: &'static str) -> ProtoProbe {
         ProtoProbe {
             edge,
-            last_heartbeat: None,
-            max_data: None,
+            last: Timestamp::MIN,
             finished: false,
         }
     }
@@ -54,45 +56,31 @@ impl ProtoProbe {
         }
     }
 
-    /// Observes one `Data` message carrying `watermark`.
+    /// Observes one `sym` stamped `ts`; panics when `ts` is below a stamp
+    /// already observed.
+    #[inline]
+    fn stamp(&mut self, sym: &str, ts: Timestamp) {
+        self.check_open(sym);
+        assert!(
+            ts >= self.last,
+            "protocol violation on edge `{}`: stamp regression ({sym} {} after {})",
+            self.edge,
+            ts.as_micros(),
+            self.last.as_micros()
+        );
+        self.last = ts;
+    }
+
+    /// Observes one data payload carrying `watermark`.
     #[inline]
     pub fn data(&mut self, watermark: Timestamp) {
-        self.check_open("data");
-        self.max_data = Some(self.max_data.map_or(watermark, |m| m.max(watermark)));
+        self.stamp("data", watermark);
     }
 
-    /// Observes one `Batch` (its messages' watermarks go through
-    /// [`data`](Self::data)).
-    #[inline]
-    pub fn batch(&mut self) {
-        self.check_open("batch");
-    }
-
-    /// Observes one `Heartbeat` carrying `ts`; panics on a regression
-    /// against earlier heartbeats or already-observed data watermarks.
+    /// Observes one `Heartbeat` carrying `ts`.
     #[inline]
     pub fn heartbeat(&mut self, ts: Timestamp) {
-        self.check_open("heartbeat");
-        if let Some(prev) = self.last_heartbeat {
-            assert!(
-                ts >= prev,
-                "protocol violation on edge `{}`: heartbeat regression ({} after {})",
-                self.edge,
-                ts.as_micros(),
-                prev.as_micros()
-            );
-        }
-        if let Some(max) = self.max_data {
-            assert!(
-                ts >= max,
-                "protocol violation on edge `{}`: heartbeat {} below the watermark {} of \
-                 data already observed",
-                self.edge,
-                ts.as_micros(),
-                max.as_micros()
-            );
-        }
-        self.last_heartbeat = Some(ts);
+        self.stamp("heartbeat", ts);
     }
 
     /// Observes the edge's terminal `Flush`; anything after panics.
@@ -132,7 +120,7 @@ pub struct JoinerInstruments {
     /// Window-summary cells `answer` merged in place of node visits.
     pub cells_merged: u64,
     /// Fill levels of the `Msg::Batch`es this joiner received (always on:
-    /// two adds per *batch*, nothing per tuple; empty when unbatched).
+    /// two adds per *batch*, nothing per tuple).
     pub batch_occupancy: BatchOccupancy,
     /// Receive-side protocol shadow of the driver→joiner edge (always
     /// on; every joiner, in every engine and every served plan, receives

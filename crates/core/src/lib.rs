@@ -39,8 +39,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-pub mod batch;
+pub(crate) mod batch;
 pub mod config;
 pub(crate) mod driver;
 pub mod engine;
@@ -57,7 +58,6 @@ pub mod sink;
 pub mod splitjoin;
 pub(crate) mod sync;
 
-pub use batch::SlotPool;
 pub use config::SinkRetryPolicy;
 pub use config::{EngineConfig, Instrumentation, LatePolicy};
 pub use engine::{EngineKind, OijEngine, RunStats};

@@ -34,11 +34,19 @@ pub trait Payload: Send + 'static {
 /// One unit of work handed to a joiner.
 #[derive(Debug, Clone)]
 pub enum Msg<T> {
-    /// A data tuple.
-    Data(Box<T>),
-    /// A coalesced run of data tuples for this destination (see
-    /// [`BatchMsg`]). Only produced when `EngineConfig::batch_size > 1`.
-    Batch(Box<BatchMsg<T>>),
+    /// Up to `EngineConfig::batch_size` payloads for this destination,
+    /// oldest first — the edge's one data message; `batch_size = 1` sends
+    /// a batch of one. Semantically equivalent to sending each payload
+    /// individually: joiners process the run element by element (late
+    /// accounting, watermark bookkeeping and expiration cadence are applied
+    /// per tuple), and fault ordinals keep addressing individual tuples
+    /// inside the batch. Batching only amortizes channel synchronization
+    /// and lets joiners pin a key/index lookup across a same-key run.
+    ///
+    /// Boxed so that a `Msg` stays two words: every bounded channel
+    /// preallocates `channel_capacity` slots, and a bare `Vec` would grow
+    /// each ring from 64 KiB to 96 KiB at the default capacity.
+    Batch(Box<Vec<T>>),
     /// Periodic watermark broadcast so that joiners receiving little or no
     /// data still advance their published progress (enabling expiration
     /// and watermark-mode emission on their teammates).
@@ -46,7 +54,7 @@ pub enum Msg<T> {
     /// Ordering contract: the driver flushes every coalescing buffer
     /// *before* broadcasting a heartbeat, so a heartbeat can never advance
     /// a joiner's watermark past tuples still parked in a driver-side
-    /// batch buffer (see DESIGN.md §10).
+    /// batch buffer (see DESIGN.md §10); the receiver's probe checks it.
     Heartbeat(Timestamp),
     /// End of input. After receiving this a joiner drains its pending
     /// state and reports its statistics.
@@ -58,31 +66,13 @@ impl<T> Msg<T> {
     /// lossy sender counts when it sheds the message.
     pub fn tuples(&self) -> usize {
         match self {
-            Msg::Data(_) => 1,
-            Msg::Batch(b) => b.msgs.len(),
+            Msg::Batch(msgs) => msgs.len(),
             Msg::Heartbeat(_) | Msg::Flush => 0,
         }
     }
 }
 
-/// Up to `EngineConfig::batch_size` data messages for one destination, in
-/// arrival order. Semantically equivalent to sending each payload
-/// individually: joiners process the run element by element (late
-/// accounting, watermark bookkeeping and expiration cadence are applied
-/// per tuple), and fault ordinals keep addressing individual data
-/// messages inside the batch. Batching only amortizes channel
-/// synchronization and lets joiners pin a key/index lookup across a
-/// same-key run.
-#[derive(Debug, Clone)]
-pub struct BatchMsg<T> {
-    /// The coalesced messages, oldest first. The backing `Vec` is drawn
-    /// from (and returned to) the pool's [`SlotPool`]
-    /// (crate::batch::SlotPool) so steady state allocates nothing per
-    /// tuple on the routing path.
-    pub msgs: Vec<T>,
-}
-
-/// The engines' data payload. Boxed to keep the channel slot small.
+/// The engines' data payload.
 #[derive(Debug, Clone)]
 pub(crate) struct DataMsg {
     /// Which stream the tuple belongs to.
@@ -121,5 +111,18 @@ impl Payload for DataMsg {
     #[inline]
     fn seq(&self) -> u64 {
         self.seq
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_message_is_two_words() {
+        assert_eq!(
+            std::mem::size_of::<Msg<DataMsg>>(),
+            2 * std::mem::size_of::<usize>()
+        );
     }
 }

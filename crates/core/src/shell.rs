@@ -37,7 +37,7 @@ use oij_common::{Duration, EmitMode, Error, Event, FeatureRow, Result, Side, Tim
 use oij_durability::DurabilityRuntime;
 use oij_index::{BackendWriter, OijIndexWriter};
 
-use crate::batch::{Batcher, SlotPool};
+use crate::batch::Batcher;
 use crate::config::EngineConfig;
 use crate::driver::Driver;
 use crate::engine::{OijEngine, RunStats};
@@ -341,7 +341,6 @@ fn run_worker<T: Payload, J: Joiner<T>>(
     rx: Receiver<Msg<T>>,
     faults: Option<WorkerFaults>,
     kill: &AtomicBool,
-    recycle: &SlotPool<Vec<T>>,
     mut step: Step<T>,
 ) -> JoinerReport {
     let timeline_on = step.inst.timeline.is_some();
@@ -375,26 +374,18 @@ fn run_worker<T: Payload, J: Joiner<T>>(
                 step.inst.proto.heartbeat(wm);
                 step.advance(&mut joiner, wm, 1);
             }
-            Msg::Data(data) => {
-                step.inst.proto.data(data.watermark());
-                if data.is_control() {
-                    joiner.control(&mut step.inst, *data);
-                } else {
-                    if exits() {
-                        return step.inst;
-                    }
-                    step.data(&mut joiner, *data);
-                }
-            }
-            Msg::Batch(mut batch) => {
-                step.inst.record_batch(batch.msgs.len());
-                step.inst.proto.batch();
-                for m in &batch.msgs {
+            Msg::Batch(mut msgs) => {
+                step.inst.record_batch(msgs.len());
+                for m in msgs.iter() {
                     step.inst.proto.data(m.watermark());
                 }
                 // The batch is consumed by value: no message is cloned.
-                let mut rest = batch.msgs.drain(..);
+                let mut rest = msgs.drain(..);
                 while let Some(first) = rest.next() {
+                    if first.is_control() {
+                        joiner.control(&mut step.inst, first);
+                        continue;
+                    }
                     if exits() {
                         return step.inst;
                     }
@@ -403,9 +394,6 @@ fn run_worker<T: Payload, J: Joiner<T>>(
                         more => step.run(&mut joiner, first, &mut rest, more),
                     }
                 }
-                drop(rest);
-                // Recycle the emptied buffer; a full pool just drops it.
-                let _ = recycle.put(batch.msgs);
             }
         }
         if let Some(s) = busy_start {
@@ -439,7 +427,7 @@ pub struct WorkerPool<T: Payload> {
     sup: Supervision,
     /// First observed failure: once set, the owner fails fast with it.
     poison: Option<Error>,
-    /// Per-lane coalescing buffers (pass-through when `batch_size == 1`).
+    /// Per-lane coalescing buffers (a batch of one when `batch_size == 1`).
     batcher: Batcher<T>,
 }
 
@@ -463,10 +451,6 @@ impl<T: Payload> WorkerPool<T> {
     where
         J: Joiner<T> + Send + 'static,
     {
-        // Sized so every destination can have a buffer in flight plus a
-        // few spares (under broadcast every worker returns its own clone);
-        // overflow just means one fresh allocation per batch.
-        let recycle = Arc::new(SlotPool::new(joiners.len() * 8 + 16));
         let origin = Instant::now();
         let mut senders = Vec::with_capacity(joiners.len());
         let mut handles = Vec::with_capacity(joiners.len());
@@ -475,14 +459,13 @@ impl<T: Payload> WorkerPool<T> {
             // thread is the driver of each scan group's pool.
             let (tx, rx) = bounded::<Msg<T>>(cfg.channel_capacity);
             let faults = cfg.faults.for_worker(id, engine, &sup.failures);
-            let (wsup, wrecycle, step) =
-                (sup.clone(), Arc::clone(&recycle), Step::new(cfg, origin));
+            let (wsup, step) = (sup.clone(), Step::new(cfg, origin));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("{thread_prefix}{id}"))
                     .spawn(move || {
                         run_supervised(engine, id, &wsup.failures, || {
-                            run_worker(joiner, rx, faults, &wsup.kill, &wrecycle, step)
+                            run_worker(joiner, rx, faults, &wsup.kill, step)
                         })
                     })
                     .map_err(|e| Error::InvalidState(format!("spawn failed: {e}")))?,
@@ -499,7 +482,7 @@ impl<T: Payload> WorkerPool<T> {
             reports: Vec::new(),
             sup,
             poison: None,
-            batcher: Batcher::new(lanes, cfg.batch_size, cfg.flush_deadline, recycle),
+            batcher: Batcher::new(lanes, cfg.batch_size, cfg.flush_deadline),
         })
     }
 
@@ -619,14 +602,11 @@ impl<T: Payload> WorkerPool<T> {
             self.since_heartbeat = 0;
             // Flush-before-heartbeat: a heartbeat must never advance a
             // joiner's watermark (or published progress) past tuples
-            // still parked in a coalescing buffer (DESIGN.md §10).
-            // STAMP: flush-heartbeat.pre
-            while let Some((lane, out)) = self.batcher.pop_any() {
-                deliver(self, lane, out)?;
-            }
+            // still parked in a coalescing buffer (DESIGN.md §10); each
+            // joiner's `ProtoProbe` rejects data stamped below it.
+            self.flush_lanes(&mut deliver)?;
             for j in 0..self.senders.len() {
                 // Control traffic always takes the guarded send.
-                // STAMP: flush-heartbeat.post
                 self.route(j, Msg::Heartbeat(watermark))?;
             }
         }
@@ -647,8 +627,8 @@ impl<T: Payload> WorkerPool<T> {
     /// Sends every worker its own in-band control payload
     /// ([`Payload::is_control`]), after handing over every parked lane so
     /// that it keeps its place in arrival order. Control never coalesces
-    /// and always takes the guarded send, whatever `deliver` does with
-    /// data.
+    /// (it travels as a batch of one) and always takes the guarded send,
+    /// whatever `deliver` does with data.
     pub fn control(
         &mut self,
         deliver: impl FnMut(&mut Self, usize, Msg<T>) -> Result<()>,
@@ -656,7 +636,7 @@ impl<T: Payload> WorkerPool<T> {
     ) -> Result<()> {
         self.flush_lanes(deliver)?;
         for j in 0..self.senders.len() {
-            self.route(j, Msg::Data(Box::new(payload(j))))?;
+            self.route(j, Msg::Batch(Box::new(vec![payload(j)])))?;
         }
         Ok(())
     }
@@ -1024,7 +1004,6 @@ pub(crate) use forward_engine;
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::message::BatchMsg;
     use oij_common::OijQuery;
 
     /// Takes same-key probe runs, so a batch of same-key probes is one
@@ -1054,8 +1033,7 @@ mod tests {
                 watermark: Timestamp::MIN,
             })
             .collect();
-        let batch = Msg::Batch(Box::new(BatchMsg { msgs }));
-        pool.route(0, batch).unwrap();
+        pool.route(0, Msg::Batch(Box::new(msgs))).unwrap();
         assert!(pool.join_workers().is_err(), "the crash must be reported");
         // Tuples 0..=4 were applied; the run did not swallow ordinal 5.
         let stats = pool.stats(8, StdDuration::ZERO);

@@ -273,7 +273,7 @@ mod tests {
     }
 
     /// `Sink::durable` over a fresh temp-dir runtime and a collecting
-    /// inner sink.
+    /// inner sink (`wrap`ped, e.g. with injected faults).
     struct DurableFixture {
         sink: Sink,
         rt: Arc<DurabilityRuntime>,
@@ -284,6 +284,10 @@ mod tests {
 
     impl DurableFixture {
         fn new(tag: &str) -> Self {
+            Self::wrapping(tag, |collect| collect)
+        }
+
+        fn wrapping(tag: &str, wrap: impl FnOnce(Sink) -> Sink) -> Self {
             let dir = std::env::temp_dir().join(format!("oij-sink-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let spec = oij_durability::RetentionSpec {
@@ -296,7 +300,7 @@ mod tests {
             let failures = Arc::new(FailureCell::new());
             let (inner, rows) = Sink::collect();
             DurableFixture {
-                sink: Sink::durable(Arc::clone(&rt), Arc::clone(&failures), inner),
+                sink: Sink::durable(Arc::clone(&rt), Arc::clone(&failures), wrap(inner)),
                 rt,
                 failures,
                 rows,
@@ -350,6 +354,29 @@ mod tests {
             f.rt.admit(frontier_key(0, false)),
             "an undelivered row must stay replayable"
         );
+    }
+
+    /// Deliver before mark: a delivery that fails below the gate leaves
+    /// the row unmarked, so it stays replayable and its retry is
+    /// delivered and marked exactly once.
+    #[test]
+    fn a_failed_delivery_is_not_marked() {
+        let kill = Arc::new(AtomicBool::new(false));
+        let f = DurableFixture::wrapping("unmarked", |collect| {
+            Sink::faulty(collect, None, 0, Some((0, 1)), kill)
+        });
+        let row = FeatureRow::new(Timestamp::from_micros(1), 1, 0, None, 0);
+        let err = catch_unwind(AssertUnwindSafe(|| f.sink.emit(row.clone())));
+        assert!(err.is_err(), "emission 0 must fail");
+        assert!(
+            f.rt.admit(frontier_key(0, false)),
+            "a failed delivery must stay replayable"
+        );
+        assert_eq!(f.rt.metrics().emitted_rows, 0);
+        f.sink.emit(row);
+        assert_eq!(f.rows.lock().len(), 1, "the retry is delivered");
+        assert_eq!(f.rt.metrics().emitted_rows, 1, "and marked once");
+        assert!(!f.rt.admit(frontier_key(0, false)));
     }
 
     #[test]

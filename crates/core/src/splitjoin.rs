@@ -153,22 +153,15 @@ fn collector_loop(
     let mut results = 0u64;
     let mut ordinal = 0u64;
     let mut latency = latency_on.then(oij_metrics::LatencyHistogram::new);
-    // Receive-side shadow of the joiner→collector edge. The edge is a
-    // fan-in of `joiners` senders, so its single terminal `Flush` is
-    // realized by the LAST `JoinerDone` marker; individual markers before
-    // that are not terminal for the merged edge.
-    let mut proto = crate::instrument::ProtoProbe::new("joiner-collector");
     for msg in rx {
         match msg {
             ToCollector::JoinerDone => {
                 done += 1;
                 if done == joiners {
-                    proto.finish();
                     break;
                 }
             }
             ToCollector::Partial(p) => {
-                proto.data(p.ts);
                 if let Some(f) = &faults {
                     let action = f.before_message(ordinal, &kill);
                     ordinal += 1;

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use oij_common::{Key, Timestamp, Tuple, Window};
 use oij_skiplist::{RcuCell, Reader, SwmrSkipList, Writer};
 
-use crate::{OijIndex, OijIndexReader, OijIndexWriter};
+use crate::{OijIndexReader, OijIndexWriter};
 
 /// Second-layer key: event timestamp plus the per-index dense sequence
 /// number (identical tie-break to every other backend).
@@ -88,15 +88,6 @@ impl HintIndex {
 
     /// Creates an empty index with a deterministic layer-1 height seed.
     pub fn with_seed(seed: u64) -> (HintWriter, HintReader) {
-        <Self as OijIndex>::with_seed(seed)
-    }
-}
-
-impl OijIndex for HintIndex {
-    type Writer = HintWriter;
-    type Reader = HintReader;
-
-    fn with_seed(seed: u64) -> (HintWriter, HintReader) {
         let (kw, kr) = SwmrSkipList::with_seed::<Key, Arc<HintShared>>(seed);
         (
             HintWriter {

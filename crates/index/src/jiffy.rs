@@ -33,7 +33,7 @@ use std::sync::Arc;
 use oij_common::{Key, Timestamp, Tuple, Window};
 use oij_skiplist::{RcuCell, Reader, SwmrSkipList, Writer};
 
-use crate::{OijIndex, OijIndexReader, OijIndexWriter};
+use crate::{OijIndexReader, OijIndexWriter};
 
 /// Second-layer key: event timestamp plus the per-index dense sequence
 /// number, so tuples with identical timestamps coexist and every scan
@@ -69,15 +69,6 @@ impl JiffyIndex {
 
     /// Creates an empty index with a deterministic layer-1 height seed.
     pub fn with_seed(seed: u64) -> (JiffyWriter, JiffyReader) {
-        <Self as OijIndex>::with_seed(seed)
-    }
-}
-
-impl OijIndex for JiffyIndex {
-    type Writer = JiffyWriter;
-    type Reader = JiffyReader;
-
-    fn with_seed(seed: u64) -> (JiffyWriter, JiffyReader) {
         let (kw, kr) = SwmrSkipList::with_seed::<Key, Arc<JiffyShared>>(seed);
         (
             JiffyWriter {

@@ -3,8 +3,8 @@
 //! The paper's double-layer time-travel skip list
 //! ([`oij_skiplist::TimeTravelIndex`]) is the heart of every engine, but
 //! it is one point in a design space. This crate extracts its contract
-//! into the [`OijIndex`] trait family and races three implementations
-//! behind a runtime [`IndexBackend`] selection:
+//! into the [`OijIndexWriter`] / [`OijIndexReader`] trait pair and races
+//! three implementations behind a runtime [`IndexBackend`] selection:
 //!
 //! * **[`IndexBackend::SkipList`]** — the reference: a 1:1 delegation to
 //!   `TimeTravelIndex`, bit-for-bit the behavior the engines shipped
@@ -140,18 +140,6 @@ impl IndexBackend {
     }
 }
 
-/// Factory half of the index contract: ties a writer/reader pair
-/// together and constructs empty indexes.
-pub trait OijIndex {
-    /// The unique mutating handle.
-    type Writer: OijIndexWriter<Reader = Self::Reader>;
-    /// The cloneable read handle.
-    type Reader: OijIndexReader;
-
-    /// Creates an empty index with a deterministic structural seed.
-    fn with_seed(seed: u64) -> (Self::Writer, Self::Reader);
-}
-
 /// Writer half of the SWMR index contract (see the crate docs for the
 /// invariants). Exactly one thread holds the writer; it is `Send` but
 /// deliberately not `Sync`/`Clone`.
@@ -263,18 +251,6 @@ pub trait OijIndexReader: Clone + Send + Sync {
 // ---------------------------------------------------------------------
 // Reference backend: 1:1 delegation to the time-travel skip list.
 // ---------------------------------------------------------------------
-
-/// Marker implementing [`OijIndex`] for the skip-list reference.
-pub struct SkipListIndex;
-
-impl OijIndex for SkipListIndex {
-    type Writer = SkipWriter;
-    type Reader = SkipReader;
-
-    fn with_seed(seed: u64) -> (SkipWriter, SkipReader) {
-        TimeTravelIndex::with_seed(seed)
-    }
-}
 
 impl OijIndexWriter for SkipWriter {
     type Reader = SkipReader;

@@ -1,5 +1,5 @@
 //! Backend-differential property suite: every `IndexBackend` must be an
-//! observationally identical implementation of the `OijIndex` contract.
+//! observationally identical implementation of the index contract.
 //!
 //! A random operation sequence (inserts, whole-run batch inserts,
 //! evictions) is applied to all three backends in lockstep; after every

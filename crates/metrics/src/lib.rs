@@ -5,8 +5,6 @@
 //!
 //! - [`latency::LatencyHistogram`] — log-bucketed latency recorder with
 //!   percentile and CDF output (Figures 5, 17–20, 23).
-//! - [`throughput::ThroughputMeter`] — tuples/second over a measured span
-//!   (Figures 4, 7–9, 11, 13, 16–22).
 //! - [`breakdown::TimeBreakdown`] — lookup / match / other processing-time
 //!   split (Figure 6).
 //! - [`stats`] — *effectiveness* (Equation 1), *unbalancedness*
@@ -28,7 +26,6 @@ pub mod disorder;
 pub mod latency;
 pub mod occupancy;
 pub mod stats;
-pub mod throughput;
 pub mod timeline;
 
 pub use breakdown::TimeBreakdown;
@@ -36,5 +33,4 @@ pub use disorder::DisorderEstimator;
 pub use latency::LatencyHistogram;
 pub use occupancy::BatchOccupancy;
 pub use stats::{effectiveness, unbalancedness, EffectivenessMeter};
-pub use throughput::ThroughputMeter;
 pub use timeline::BusyTimeline;

@@ -42,6 +42,7 @@
 //!   group B's output is untouched.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod sync;
 mod worker;

@@ -35,7 +35,7 @@ if ! cargo xtask lint; then
 fi
 
 # Same bargain for the temporal contract: the always-on per-joiner
-# ProtoProbe (DESIGN.md §8) turns a heartbeat regression or post-Flush
+# ProtoProbe (DESIGN.md §8) turns a stamp regression or post-Flush
 # traffic into a failed run, so the plain debug-build protocol suite must
 # be green before sanitizer cycles are spent.
 echo "== Protocol gate: cargo test --test protocol_witness =="

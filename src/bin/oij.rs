@@ -436,7 +436,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if stats.schedule_changes > 0 {
         println!("schedule changes: {}", stats.schedule_changes);
     }
-    if stats.batch_occupancy.batches() > 0 {
+    if stats.batch_occupancy.max() > 1 {
         println!(
             "batch occupancy : mean {:.1} / max {} over {} batches",
             stats.batch_occupancy.mean(),

@@ -71,13 +71,14 @@ pub mod agg {
 
 /// The SWMR skip list and time-travel index (re-export of `oij-skiplist`),
 /// plus the pluggable index-backend contract (re-export of `oij-index`):
-/// the [`OijIndex`](index::OijIndex) trait family, the
+/// the [`OijIndexWriter`](index::OijIndexWriter) /
+/// [`OijIndexReader`](index::OijIndexReader) trait pair, the
 /// [`IndexBackend`](index::IndexBackend) selector carried by
 /// `EngineConfig`, and the backend implementations.
 pub mod index {
     pub use oij_index::{
-        BackendReader, BackendWriter, HintIndex, IndexBackend, JiffyIndex, OijIndex,
-        OijIndexReader, OijIndexWriter, SkipListIndex,
+        BackendReader, BackendWriter, HintIndex, IndexBackend, JiffyIndex, OijIndexReader,
+        OijIndexWriter,
     };
     pub use oij_skiplist::{
         IndexReader, IndexWriter, RcuCell, Reader, SwmrSkipList, TimeTravelIndex, Writer,
@@ -96,7 +97,7 @@ pub mod workload {
 pub mod metrics {
     pub use oij_metrics::{
         effectiveness, unbalancedness, BusyTimeline, DisorderEstimator, EffectivenessMeter,
-        LatencyHistogram, ThroughputMeter, TimeBreakdown,
+        LatencyHistogram, TimeBreakdown,
     };
 }
 

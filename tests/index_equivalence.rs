@@ -36,7 +36,7 @@ use oij::durability::{recover, spawn_engine};
 use oij::prelude::*;
 use oij::Error;
 
-/// The batching axis: pass-through plus the three coalescing sizes the
+/// The batching axis: batches of one plus the three coalescing sizes the
 /// property-equivalence suite uses (prime, small, channel-bound).
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 

@@ -4,7 +4,7 @@
 //!
 //! The second half is the **differential batching suite** (DESIGN.md
 //! §10): for every engine, running with `batch_size ∈ {2, 7, 64}` must be
-//! observably identical to the `batch_size = 1` pass-through path — same
+//! observably identical to `batch_size = 1` (a batch of one per tuple) — same
 //! rows, same `late_violations`/`late_side_outputs` accounting, and (for
 //! deterministic single-joiner configurations) the same emission order,
 //! watermark mode included.
@@ -314,8 +314,8 @@ fn scale_oij_survives_disorder_on_bucket_cells() {
 // Differential batching suite: batch_size must be invisible in the results
 // ---------------------------------------------------------------------------
 
-/// The batch sizes the acceptance gate requires: 1 is the pass-through
-/// oracle, 2 exercises constant flushing, 7 leaves ragged partial batches
+/// The batch sizes the acceptance gate requires beside the batch-of-one
+/// oracle: 2 exercises constant flushing, 7 leaves ragged partial batches
 /// at heartbeats and end-of-input, 64 is the bench default.
 const BATCH_SIZES: [usize; 3] = [2, 7, 64];
 
@@ -391,9 +391,11 @@ proptest! {
         for kind in ALL_ENGINES {
             let (want_rows, want_stats) =
                 run_with_batch(kind, &query, 1, 1, backend, policy, &events);
+            // `batch_size = 1` sends every tuple as a batch of one.
+            prop_assert_eq!(want_stats.batch_occupancy.max(), 1, "{}", kind);
             prop_assert_eq!(
-                want_stats.batch_occupancy.batches(), 0,
-                "{}: pass-through mode must not record batches", kind
+                want_stats.batch_occupancy.tuples(), events.len() as u64,
+                "{}", kind
             );
             for batch in BATCH_SIZES {
                 let (got_rows, got_stats) =

@@ -1,17 +1,19 @@
 //! Message-protocol suite (DESIGN.md §8): the tests behind the one check
-//! of the driver→joiner `(data|batch|heartbeat)* flush` grammar.
+//! of the driver→joiner `(batch|heartbeat)* flush` grammar.
 //!
 //! Every joiner carries an always-on [`ProtoProbe`] shadowing its
 //! receive side of the driver→joiner edge: it panics — surfacing as a
-//! supervised `WorkerFailed` — on a heartbeat regression, on a heartbeat
-//! below the watermark of data already delivered, or on any traffic
-//! after the edge's terminal `Flush`. There is no second, cfg-gated
-//! witness and no send-site tag rule behind it: the probe runs in every
-//! build, so plain `cargo test` is the gate. The property tests here
-//! drive disordered workloads through **all four engines × batch sizes
-//! {1, 2, 7, 64}** and require clean completion: a run that finishes
-//! `Ok` is a run in which no sink observed a `DataMsg::watermark` above
-//! a later `Heartbeat` timestamp on any channel.
+//! supervised `WorkerFailed` — when a stamp decreases along the edge (a
+//! heartbeat running backwards, a heartbeat below data already
+//! delivered, data delivered below an earlier heartbeat), or on any
+//! traffic after the edge's terminal `Flush`. There is no second,
+//! cfg-gated witness and no send-site tag rule behind it: the probe runs
+//! in every build, so plain `cargo test` is the gate. The property tests
+//! here drive disordered workloads through **all four engines × batch
+//! sizes {1, 2, 7, 64}** and require clean completion: a run that
+//! finishes `Ok` is a run in which the stamps on every channel were
+//! monotone — no heartbeat below data delivered before it, and no data
+//! below a heartbeat delivered before it.
 //!
 //! The direct probe tests prove the probe actually bites (so the
 //! clean-completion assertion is not vacuous), and the recovery test
@@ -27,7 +29,7 @@ use oij::prelude::*;
 use oij_core::instrument::ProtoProbe;
 use proptest::prelude::*;
 
-/// The batch shapes the acceptance gate requires: pass-through, constant
+/// The batch shapes the acceptance gate requires: batches of one, constant
 /// flushing, ragged partials, and the bench default.
 const BATCH_SIZES: [usize; 4] = [1, 2, 7, 64];
 
@@ -70,14 +72,15 @@ proptest! {
     // Each case runs 4 engines × 4 batch sizes with real threads.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Heartbeats never undercut delivered data, whatever the batching:
-    /// with the per-joiner probes armed, any channel on which a
-    /// heartbeat timestamp dropped below an already-observed data
-    /// watermark (or ran backwards, or followed the terminal Flush)
-    /// panics the joiner and fails the run. Completing `Ok` across the
-    /// full engine × batch matrix IS the property. OpenMLDB rejects
-    /// watermark mode by contract, so it runs eager — same probes, same
-    /// edge discipline.
+    /// Heartbeats and data never undercut each other, whatever the
+    /// batching: with the per-joiner probes armed, any channel on which a
+    /// stamp dropped below one already observed (a heartbeat below
+    /// delivered data, data below a heartbeat that overtook it, or a
+    /// heartbeat running backwards), or on which anything followed the
+    /// terminal Flush, panics the joiner and fails the run. Completing
+    /// `Ok` across the full engine × batch matrix IS the property.
+    /// OpenMLDB rejects watermark mode by contract, so it runs eager —
+    /// same probes, same edge discipline.
     #[test]
     fn no_sink_observes_data_above_a_later_heartbeat(
         pre in 1i64..400,
@@ -135,7 +138,10 @@ fn probe_rejects_a_heartbeat_regression() {
         p.heartbeat(Timestamp::from_micros(100));
         p.heartbeat(Timestamp::from_micros(99));
     });
-    assert!(msg.contains("heartbeat regression"), "{msg}");
+    assert!(
+        msg.contains("stamp regression (heartbeat 99 after 100)"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -145,7 +151,26 @@ fn probe_rejects_a_heartbeat_below_delivered_data() {
         p.data(Timestamp::from_micros(500));
         p.heartbeat(Timestamp::from_micros(400));
     });
-    assert!(msg.contains("below the watermark"), "{msg}");
+    assert!(
+        msg.contains("stamp regression (heartbeat 400 after 500)"),
+        "{msg}"
+    );
+}
+
+/// The order the property above is named for: data delivered after a
+/// heartbeat must not be stamped below it — what a `tick` that sends its
+/// heartbeat before flushing the parked lanes produces.
+#[test]
+fn probe_rejects_data_below_an_earlier_heartbeat() {
+    let msg = probe_panic(|| {
+        let mut p = ProtoProbe::new("driver-joiner");
+        p.heartbeat(Timestamp::from_micros(500));
+        p.data(Timestamp::from_micros(400));
+    });
+    assert!(
+        msg.contains("stamp regression (data 400 after 500)"),
+        "{msg}"
+    );
 }
 
 #[test]
@@ -163,7 +188,6 @@ fn probe_rejects_traffic_after_the_terminal_flush() {
 fn probe_accepts_a_monotone_stream() {
     let mut p = ProtoProbe::new("driver-joiner");
     p.data(Timestamp::from_micros(10));
-    p.batch();
     p.data(Timestamp::from_micros(20));
     p.heartbeat(Timestamp::from_micros(20));
     p.heartbeat(Timestamp::from_micros(20)); // equal is fine: monotone, not strict
