@@ -63,8 +63,8 @@ fn workload(tuples: usize) -> SyntheticConfig {
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::ZERO,
-        payload_bytes: 0,
         seed: 0x5EED_0010,
+        ..Default::default()
     }
 }
 

@@ -103,8 +103,8 @@ fn measure(tuples: usize, trials: usize, joiners: usize) -> Report {
         probe_fraction: 0.8,
         spacing: Duration::from_micros(1),
         disorder: Duration::ZERO,
-        payload_bytes: 0,
         seed: 0x5EED_0004,
+        ..Default::default()
     }
     .generate();
     let query = OijQuery::sum_over_preceding(Duration::from_micros(100), Duration::ZERO)

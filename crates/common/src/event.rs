@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn data_event_accessors() {
         let t = Tuple::new(Timestamp::from_micros(1), 2, 3.0);
-        let e = Event::data(7, Side::Probe, t.clone());
+        let e = Event::data(7, Side::Probe, t);
         assert_eq!(e.seq, 7);
         let (side, tuple) = e.as_data().unwrap();
         assert_eq!(side, Side::Probe);

@@ -8,7 +8,7 @@
 //!
 //! ## The model in one paragraph
 //!
-//! A [`Tuple`] is `{timestamp, key, value, payload}`. Two unbounded streams
+//! A [`Tuple`] is `{timestamp, key, value}`. Two unbounded streams
 //! take part in a join: the **base** stream `S` and the **probe** stream `R`
 //! (see [`Side`]). For every base tuple `s`, the OIJ aggregates all probe
 //! tuples with the same key whose timestamps fall in the *relative* window

@@ -1,6 +1,5 @@
 //! Stream tuples and stream identity.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::time::Timestamp;
@@ -42,14 +41,14 @@ impl Side {
     }
 }
 
-/// An input tuple `x = {t, k, p}` (paper Table I), with the payload split
-/// into an aggregatable numeric `value` and an opaque byte `payload`.
+/// An input tuple `x = {t, k, p}` (paper Table I), reduced to what the join
+/// reads: the timestamp, the key and `value`, the one column of the row `p`
+/// that window aggregations (sum/avg/min/…) consume.
 ///
-/// The numeric `value` is what window aggregations (sum/avg/min/…) consume;
-/// the `payload` models the rest of the row that a real feature platform
-/// carries along and is never inspected by the engines (it only contributes
-/// realistic memory traffic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The rest of a real feature platform's row never reaches the engines, so
+/// it is out of scope here (DESIGN.md §5). A tuple is therefore a 24-byte
+/// `Copy` value: moving it allocates nothing and shares no refcount.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Tuple {
     /// Event-time timestamp `t`.
     pub ts: Timestamp,
@@ -58,39 +57,13 @@ pub struct Tuple {
     /// The numeric column that aggregations read (e.g. `col2` in the paper's
     /// example SQL).
     pub value: f64,
-    /// Opaque payload bytes carried through the pipeline.
-    #[serde(skip)]
-    pub payload: Bytes,
 }
 
 impl Tuple {
-    /// Creates a tuple with an empty payload.
+    /// Creates a tuple.
     #[inline]
     pub fn new(ts: Timestamp, key: Key, value: f64) -> Self {
-        Tuple {
-            ts,
-            key,
-            value,
-            payload: Bytes::new(),
-        }
-    }
-
-    /// Creates a tuple carrying payload bytes.
-    #[inline]
-    pub fn with_payload(ts: Timestamp, key: Key, value: f64, payload: Bytes) -> Self {
-        Tuple {
-            ts,
-            key,
-            value,
-            payload,
-        }
-    }
-
-    /// Approximate in-memory footprint in bytes, used by the cache simulator
-    /// to lay tuples out in its modelled address space.
-    #[inline]
-    pub fn footprint(&self) -> usize {
-        core::mem::size_of::<Tuple>() + self.payload.len()
+        Tuple { ts, key, value }
     }
 }
 
@@ -112,14 +85,9 @@ mod tests {
     }
 
     #[test]
-    fn footprint_counts_payload() {
-        let bare = Tuple::new(Timestamp::from_micros(1), 7, 1.0);
-        let fat = Tuple::with_payload(
-            Timestamp::from_micros(1),
-            7,
-            1.0,
-            Bytes::from(vec![0u8; 64]),
-        );
-        assert_eq!(fat.footprint() - bare.footprint(), 64);
+    fn a_tuple_is_a_24_byte_copy_value() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<Tuple>();
+        assert_eq!(std::mem::size_of::<Tuple>(), 24);
     }
 }

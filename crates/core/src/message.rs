@@ -125,4 +125,9 @@ mod tests {
             2 * std::mem::size_of::<usize>()
         );
     }
+
+    #[test]
+    fn a_data_message_fits_one_cache_line() {
+        assert!(std::mem::size_of::<DataMsg>() <= 64);
+    }
 }

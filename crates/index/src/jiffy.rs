@@ -231,7 +231,7 @@ impl OijIndexWriter for JiffyWriter {
                 &state.runs,
                 limit,
                 (Timestamp::MAX, u64::MAX),
-                |e: &Entry| merged.push(e.clone()),
+                |e: &Entry| merged.push(*e),
             );
             let evicted = state.live - merged.len();
             state.live = merged.len();

@@ -804,7 +804,7 @@ impl ServeRuntime {
         self.events += 1;
         if side == Side::Probe {
             self.writer_enter();
-            self.writer.insert(tuple.clone());
+            self.writer.insert(tuple);
             self.writer_exit();
             self.probe_inserts += 1;
         }
@@ -842,7 +842,7 @@ impl ServeRuntime {
                 Side::Base => {
                     let j = (hash_key(tuple.key) % g.cfg.joiners as u64) as usize;
                     let msg = GroupMsg::Base(BaseMsg {
-                        tuple: tuple.clone(),
+                        tuple,
                         seq,
                         arrival: now,
                         watermark,

@@ -4,7 +4,7 @@
 //!
 //! - [`synthetic`] — the fully parameterised generator: arrival rate,
 //!   unique keys, key distribution (uniform / Zipf / rotating hot set),
-//!   bounded event-time disorder, probe/base split, payload size.
+//!   bounded event-time disorder, probe/base split.
 //! - [`realworld`] — parameter-matched proxies of the four proprietary
 //!   4Paradigm workloads (Table II) plus the Table IV default and Table V
 //!   adversarial synthetic configurations.

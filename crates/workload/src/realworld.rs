@@ -212,8 +212,8 @@ impl NamedWorkload {
             probe_fraction: self.probe_fraction,
             spacing: Duration::from_micros(1),
             disorder: self.scaled_lateness(scale),
-            payload_bytes: 0,
             seed: 0xBEEF ^ self.paper.unique_keys,
+            ..Default::default()
         }
     }
 

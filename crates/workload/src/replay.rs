@@ -8,8 +8,12 @@
 //! ```text
 //! header:  magic "OIJ1" | u64 event count
 //! event:   u64 seq | u8 side (0=base, 1=probe, 2=flush)
-//!          [data only:] i64 ts | u64 key | f64 value | u32 len | payload
+//!          [data only:] i64 ts | u64 key | f64 value | u32 len | len bytes
 //! ```
+//!
+//! Tuples carry no payload, so [`write_events`] writes `len = 0`. Feeds
+//! written before the payload was dropped hold `len` opaque bytes there;
+//! [`read_events`] skips them without buffering.
 
 use std::io::{self, Read, Write};
 
@@ -33,8 +37,7 @@ pub fn write_events(mut w: impl Write, events: &[Event]) -> io::Result<()> {
                 w.write_all(&tuple.ts.as_micros().to_le_bytes())?;
                 w.write_all(&tuple.key.to_le_bytes())?;
                 w.write_all(&tuple.value.to_le_bytes())?;
-                w.write_all(&(tuple.payload.len() as u32).to_le_bytes())?;
-                w.write_all(&tuple.payload)?;
+                w.write_all(&0u32.to_le_bytes())?;
             }
         }
     }
@@ -70,21 +73,18 @@ pub fn read_events(mut r: impl Read) -> io::Result<Vec<Event>> {
                 let ts = Timestamp::from_micros(read_u64(&mut r)? as i64);
                 let key = read_u64(&mut r)?;
                 let value = f64::from_le_bytes(read_array(&mut r)?);
-                let len = u32::from_le_bytes(read_array(&mut r)?) as usize;
+                let len = u64::from(u32::from_le_bytes(read_array(&mut r)?));
                 if len > (1 << 30) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("implausible payload length {len}"),
                     ));
                 }
-                let mut payload = vec![0u8; len];
-                r.read_exact(&mut payload)?;
+                if io::copy(&mut (&mut r).take(len), &mut io::sink())? < len {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
                 let side = if tag == 0 { Side::Base } else { Side::Probe };
-                Event::data(
-                    seq,
-                    side,
-                    Tuple::with_payload(ts, key, value, payload.into()),
-                )
+                Event::data(seq, side, Tuple::new(ts, key, value))
             }
             other => {
                 return Err(io::Error::new(
@@ -119,7 +119,6 @@ mod tests {
         let mut events = SyntheticConfig {
             tuples: 5_000,
             disorder: Duration::from_micros(100),
-            payload_bytes: 24,
             ..Default::default()
         }
         .generate();
@@ -129,6 +128,43 @@ mod tests {
         write_events(&mut buf, &events).unwrap();
         let loaded = read_events(buf.as_slice()).unwrap();
         assert_eq!(loaded, events);
+    }
+
+    /// A feed whose two data events carry 5- and 40-byte payloads, as
+    /// files written before tuples dropped their payload do.
+    fn recorded_feed() -> (Vec<u8>, Vec<Event>) {
+        let t = |ts, value| Tuple::new(Timestamp::from_micros(ts), 9, value);
+        let events = vec![
+            Event::data(0, Side::Probe, t(3, 1.5)),
+            Event::data(1, Side::Base, t(4, -2.0)),
+        ];
+        let mut buf = b"OIJ1".to_vec();
+        buf.extend_from_slice(&2u64.to_le_bytes());
+        for (e, len) in events.iter().zip([5u32, 40]) {
+            let (side, t) = e.as_data().unwrap();
+            buf.extend_from_slice(&e.seq.to_le_bytes());
+            buf.push(if side == Side::Base { 0 } else { 1 });
+            buf.extend_from_slice(&t.ts.as_micros().to_le_bytes());
+            buf.extend_from_slice(&t.key.to_le_bytes());
+            buf.extend_from_slice(&t.value.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.resize(buf.len() + len as usize, 0xAB);
+        }
+        (buf, events)
+    }
+
+    #[test]
+    fn a_recorded_payload_is_skipped() {
+        let (buf, events) = recorded_feed();
+        assert_eq!(read_events(buf.as_slice()).unwrap(), events);
+    }
+
+    #[test]
+    fn a_feed_cut_inside_a_payload_is_an_error() {
+        let (mut buf, _) = recorded_feed();
+        buf.truncate(buf.len() - 10);
+        let err = read_events(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! - bounded disorder: each tuple's *arrival* is delayed by a uniform
 //!   jitter of at most `disorder`, so event-time inversions never exceed
 //!   `disorder` and a lateness of `l ≥ disorder` yields exact results,
-//! - a configurable probe/base split and value/payload shape.
+//! - a configurable probe/base split and value range.
 //!
 //! Everything is seeded and replayable.
 
@@ -58,13 +58,16 @@ pub struct SyntheticConfig {
     pub spacing: Duration,
     /// Maximum event-time disorder of the arrival order. Zero = in order.
     pub disorder: Duration,
-    /// Payload bytes attached to every tuple (realistic memory traffic).
+    /// Ignored: tuples carry no payload. Kept only for struct literals
+    /// outside this workspace that still name it.
+    #[deprecated(note = "tuples carry no payload; ignored")]
     pub payload_bytes: usize,
     /// RNG seed; identical configs generate identical feeds.
     pub seed: u64,
 }
 
 impl Default for SyntheticConfig {
+    #[expect(deprecated, reason = "initialises the ignored field")]
     fn default() -> Self {
         SyntheticConfig {
             tuples: 100_000,
@@ -103,7 +106,6 @@ impl SyntheticConfig {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut key_picker = KeyPicker::new(&self.key_dist, self.unique_keys, &mut rng);
         let value_dist = Uniform::new(-100.0f64, 100.0);
-        let payload: bytes::Bytes = vec![0xABu8; self.payload_bytes].into();
 
         // 1) Ideal, in-order tuples.
         let mut staged: Vec<(i64, Side, Tuple)> = Vec::with_capacity(self.tuples);
@@ -117,7 +119,7 @@ impl SyntheticConfig {
                 Side::Base
             };
             let key = key_picker.pick(ts, &mut rng);
-            let tuple = Tuple::with_payload(ts, key, value_dist.sample(&mut rng), payload.clone());
+            let tuple = Tuple::new(ts, key, value_dist.sample(&mut rng));
             // 2) Arrival instant = event time + bounded jitter.
             let jitter = if disorder == 0 {
                 0
@@ -458,18 +460,5 @@ mod tests {
             ..Default::default()
         }
         .generate();
-    }
-
-    #[test]
-    fn payload_bytes_are_attached() {
-        let events = SyntheticConfig {
-            tuples: 10,
-            payload_bytes: 48,
-            ..Default::default()
-        }
-        .generate();
-        for e in &events {
-            assert_eq!(e.as_data().unwrap().1.payload.len(), 48);
-        }
     }
 }

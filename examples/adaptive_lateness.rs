@@ -21,8 +21,8 @@ fn main() -> oij::Result<()> {
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_millis(2),
-        payload_bytes: 0,
         seed: 0x5EED,
+        ..Default::default()
     }
     .generate();
 

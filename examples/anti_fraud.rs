@@ -30,8 +30,8 @@ fn main() -> oij::Result<()> {
         probe_fraction: 0.7,
         spacing: Duration::from_micros(10),
         disorder: Duration::from_millis(200),
-        payload_bytes: 0,
         seed: 777,
+        ..Default::default()
     }
     .generate();
 

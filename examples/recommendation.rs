@@ -32,8 +32,8 @@ fn main() -> oij::Result<()> {
         probe_fraction: 0.2,
         spacing: Duration::from_micros(2),
         disorder: Duration::from_millis(20),
-        payload_bytes: 32,
         seed: 2024,
+        ..Default::default()
     }
     .generate();
 

@@ -43,8 +43,8 @@ fn main() -> oij::Result<()> {
         probe_fraction: 0.5,
         spacing: Duration::from_micros(20),
         disorder: Duration::from_millis(50),
-        payload_bytes: 0,
         seed: 31415,
+        ..Default::default()
     }
     .generate();
 

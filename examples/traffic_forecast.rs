@@ -38,8 +38,8 @@ fn main() -> oij::Result<()> {
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(500),
-        payload_bytes: 0,
         seed: 99,
+        ..Default::default()
     }
     .generate();
 

@@ -114,13 +114,23 @@ fn cmd_workloads() -> Result<(), String> {
     Ok(())
 }
 
+/// Flags that take a value, by `HELP` section.
+const QUERY: &str = "sql preceding following lateness agg emit";
+const FEED: &str = "input tuples keys disorder probe zipf seed";
+const ENGINE: &str = "engine index joiners batch rate";
+const SERVE: &str = "max-queries max-joiners capacity joiners index keys";
+
 struct Flags {
     map: Vec<(String, String)>,
     bools: Vec<String>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args` against the flags one command accepts: `values` take
+    /// a value, `switches` do not (each a space-separated list). Any other
+    /// flag is an error, and so is a value flag given without its value.
+    fn parse(args: &[String], values: &[&str], switches: &str) -> Result<Flags, String> {
+        let named = |list: &str, name: &str| list.split_whitespace().any(|f| f == name);
         let mut map = Vec::new();
         let mut bools = Vec::new();
         let mut it = args.iter().peekable();
@@ -128,11 +138,14 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{arg}'"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    map.push((name.to_string(), it.next().expect("peeked").clone()));
-                }
-                _ => bools.push(name.to_string()),
+            if named(switches, name) {
+                bools.push(name.to_string());
+            } else if !values.iter().any(|list| named(list, name)) {
+                return Err(format!("unknown flag '--{name}' (see `oij help`)"));
+            } else if let Some(v) = it.next_if(|v| !v.starts_with("--")) {
+                map.push((name.to_string(), v.clone()));
+            } else {
+                return Err(format!("--{name} needs a value"));
             }
         }
         Ok(Flags { map, bools })
@@ -227,14 +240,14 @@ fn build_feed(flags: &Flags, default_disorder: Duration) -> Result<Vec<Event>, S
         probe_fraction: flags.parse_num("probe", 0.5f64)?,
         spacing: Duration::from_micros(1),
         disorder: flags.parse_dur("disorder")?.unwrap_or(default_disorder),
-        payload_bytes: flags.parse_num("payload", 0usize)?,
         seed: flags.parse_num("seed", 0xC11u64)?,
+        ..Default::default()
     }
     .generate())
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[FEED, "out"], "")?;
     let out = flags.get("out").ok_or("--out <file> is required")?;
     let events = build_feed(&flags, Duration::ZERO)?;
     let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
@@ -256,7 +269,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::io::BufRead;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[SERVE], "shed")?;
     let mut cfg = ServeConfig::new().with_budgets(
         flags.parse_num("max-queries", 64usize)?,
         flags.parse_num("max-joiners", 256usize)?,
@@ -375,7 +388,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[QUERY, FEED, ENGINE], "latency")?;
     let query = build_query(&flags)?;
     let events = build_feed(&flags, query.window.lateness)?;
     let joiners = flags.parse_num("joiners", 4usize)?;

@@ -246,3 +246,21 @@ fn missing_query_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--preceding"));
 }
+
+#[test]
+fn unknown_flags_and_missing_values_are_rejected() {
+    for (args, flag) in [
+        (&["--tupels", "10"][..], "--tupels"),
+        (&["--payload", "8"], "--payload"),
+        (&["--tuples"], "--tuples"),
+    ] {
+        let out = oij()
+            .args(["run", "--preceding", "1ms"])
+            .args(args)
+            .output()
+            .expect("run oij");
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}

@@ -18,8 +18,8 @@ fn workload(tuples: usize, disorder_us: i64, keys: u64, seed: u64) -> Vec<Event>
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(disorder_us),
-        payload_bytes: 0,
         seed,
+        ..Default::default()
     }
     .generate()
 }

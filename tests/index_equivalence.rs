@@ -72,8 +72,8 @@ fn workload(
         probe_fraction,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(disorder_us),
-        payload_bytes: 0,
         seed,
+        ..Default::default()
     }
     .generate()
 }

@@ -33,8 +33,8 @@ fn workload(
         probe_fraction,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(disorder_us),
-        payload_bytes: 0,
         seed,
+        ..Default::default()
     }
     .generate()
 }
@@ -263,7 +263,7 @@ fn scale_oij_survives_disorder_on_bucket_cells() {
             .enumerate()
             .map(|(seq, e)| {
                 let (side, tuple) = e.as_data().expect("data event");
-                Event::data(seq as u64, side, tuple.clone())
+                Event::data(seq as u64, side, *tuple)
             })
             .collect();
         for agg in AGGS {

@@ -50,8 +50,8 @@ fn disordered(tuples: usize, keys: u64, disorder_us: i64, seed: u64) -> Vec<Even
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(disorder_us),
-        payload_bytes: 0,
         seed,
+        ..Default::default()
     }
     .generate()
 }

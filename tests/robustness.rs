@@ -13,8 +13,8 @@ fn workload(tuples: usize, keys: u64, disorder_us: i64, seed: u64) -> Vec<Event>
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(disorder_us),
-        payload_bytes: 0,
         seed,
+        ..Default::default()
     }
     .generate()
 }
@@ -39,8 +39,8 @@ fn scale_oij_survives_aggressive_everything() {
             probe_fraction: 0.5,
             spacing: Duration::from_micros(1),
             disorder: Duration::from_micros(200),
-            payload_bytes: 8,
             seed: 0xDEAD,
+            ..Default::default()
         };
         cfg.key_dist = KeyDist::Zipf { exponent: 1.0 };
         cfg.generate()

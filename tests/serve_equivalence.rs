@@ -51,8 +51,8 @@ fn feed(tuples: usize) -> Vec<Event> {
         probe_fraction: 0.5,
         spacing: Duration::from_micros(1),
         disorder: Duration::from_micros(LATENESS_US),
-        payload_bytes: 0,
         seed: 0x5E21,
+        ..Default::default()
     }
     .generate()
 }
