@@ -13,10 +13,11 @@
 //! team*) read concurrently through cloneable [`swmr::Reader`] handles. The
 //! write path publishes new nodes with `Release` stores after preparing them
 //! with `Relaxed` stores (paper Algorithm 2); readers traverse with
-//! `Acquire` loads (Algorithm 1). Expired prefixes are unlinked by the
-//! writer and reclaimed through `crossbeam-epoch`, so readers that still
-//! hold references into an evicted prefix remain safe until the grace
-//! period ends.
+//! `Acquire` loads (Algorithm 1). The writer owns expiration: it cuts each
+//! expired prefix off in one step, and a whole expiry sweep is retired
+//! through `crossbeam-epoch` in one deferral, so readers that still hold
+//! references into an evicted prefix remain safe until the grace period
+//! ends. The writer itself never pins.
 //!
 //! The crate also provides [`rcu::RcuCell`], the epoch-based publication
 //! cell the dynamic schedule's router uses to atomically replace the

@@ -12,11 +12,27 @@
 //!   `Acquire` loads, pairing with the writer's `Release` stores so a reader
 //!   that observes a link also observes the fully initialised node behind it.
 //! - **Evict-below** (writer only): unlink the ordered prefix `key < bound`
-//!   by re-pointing the head tower at the first survivor per level, then
-//!   defer destruction of the unlinked nodes through `crossbeam-epoch`.
-//!   Readers still inside the prefix keep following valid forward pointers
-//!   (prefix links are never rewritten) and the memory outlives them by the
-//!   epoch grace period.
+//!   by re-pointing the head tower at the first survivor per level — one
+//!   prefix cut — and hand the prefix back as one `Chain` (first node +
+//!   count). Readers still inside the prefix keep following valid forward
+//!   pointers (prefix links are never rewritten) and drain out at the
+//!   first survivor.
+//!
+//! ## Reclamation
+//!
+//! The writer owns expiration, and a sweep retires as a unit. A chain is
+//! retired through `crossbeam-epoch` in **one** deferral, which counts as
+//! `len` nodes toward the collection offer
+//! (`Guard::defer_unchecked_nodes`), and `Chain::free` walks exactly
+//! `len` level-0 links once the grace period is over.
+//! [`Writer::evict_below`] retires one chain per call; the time-travel
+//! index's sweep retires every series' chain in a single deferral. No
+//! deferral is made per node, and none when nothing expired.
+//!
+//! The writer itself never pins to insert: it is the only thread that
+//! retires nodes of its list, and it holds no node pointer across its own
+//! retirement (its tail cache is rebuilt before a chain is handed out), so
+//! every node it can reach is linked and live. Readers pin per scan.
 //!
 //! ## Memory layout
 //!
@@ -141,6 +157,99 @@ impl<K, V> Node<K, V> {
             dealloc(this as *mut u8, layout);
         }
     }
+}
+
+/// Expected bytes of one `K → V` node as the list allocates it: the mean
+/// of [`Node::layout`] over the heights `Writer::random_height` draws
+/// (P(h) = ¾·¼^(h−1), the tail mass at `MAX_HEIGHT`; 1⅓ slots on
+/// average), rounded to a whole byte.
+pub(crate) fn expected_node_bytes<K, V>() -> usize {
+    let size = |height: usize| Node::<K, V>::layout(height).0.size() as f64;
+    // `tail` = P(height ≥ h).
+    let mut tail = 1.0f64;
+    let mut bytes = 0.0f64;
+    for height in 1..MAX_HEIGHT {
+        bytes += tail * 0.75 * size(height);
+        tail *= 0.25;
+    }
+    (bytes + tail * size(MAX_HEIGHT)).round() as usize
+}
+
+/// The prefix one [`Writer::unlink_below`] cut off: `len ≥ 1` nodes linked
+/// at level 0 from `first`. The last node's level-0 link still points at
+/// the first survivor, so readers inside the prefix drain out along it;
+/// [`free`](Self::free) follows exactly `len` links and never touches the
+/// survivor.
+struct Chain<K, V> {
+    first: *mut Node<K, V>,
+    len: usize,
+}
+
+impl<K, V> Chain<K, V> {
+    /// Drops and frees the chain's `len` nodes.
+    ///
+    /// # Safety
+    /// The chain must come from [`Writer::unlink_below`], no reader may
+    /// still be inside it (its epoch grace period is over), and it is freed
+    /// once.
+    unsafe fn free(self) {
+        let mut cur = self.first;
+        for _ in 0..self.len {
+            // SAFETY: `cur` is one of the chain's `len` nodes, live until
+            // destroyed here: prefix links are never rewritten after the
+            // unlink, so the level-0 walk from `first` visits exactly the
+            // nodes `unlink_below` counted, each once. No other thread
+            // can reach them once the grace period is over.
+            unsafe {
+                // ORDERING: Relaxed — the chain is exclusively owned here; its links were written before the unlink and never again.
+                let next = Node::tower(cur, 0).load(Ordering::Relaxed, epoch::unprotected());
+                Node::destroy(cur);
+                cur = next.as_raw() as *mut Node<K, V>;
+            }
+        }
+    }
+}
+
+/// One expiry sweep over `writers`: a single pin, one unlinked [`Chain`]
+/// per list that had entries below `bound`, and one deferral that retires
+/// every chain together — none when nothing expired. Returns the number of
+/// evicted entries.
+pub(crate) fn evict_all_below<'w, K, V>(
+    writers: impl ExactSizeIterator<Item = &'w mut Writer<K, V>>,
+    bound: &K,
+) -> usize
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    let count = writers.len();
+    let guard = epoch::pin();
+    let mut chains = Vec::new();
+    let mut evicted = 0usize;
+    for writer in writers {
+        if let Some(chain) = writer.unlink_below(bound, &guard) {
+            evicted += chain.len;
+            if chains.is_empty() {
+                // One allocation per sweep, sized for every list at once.
+                chains.reserve_exact(count);
+            }
+            chains.push(chain);
+        }
+    }
+    if !chains.is_empty() {
+        // SAFETY: every chain was just unlinked from its own list (no new
+        // reader can reach it) and is retired exactly once, here; `guard`
+        // is a real pin, so the frees wait for every reader that could
+        // still be inside a prefix to unpin.
+        unsafe {
+            guard.defer_unchecked_nodes(evicted, move || {
+                for chain in chains {
+                    chain.free();
+                }
+            });
+        }
+    }
+    evicted
 }
 
 struct Inner<K, V> {
@@ -362,7 +471,12 @@ where
         #[cfg(debug_assertions)]
         let _token = self.write_token();
         let height = self.random_height() as usize;
-        let guard = epoch::pin();
+        // SAFETY: the writer needs no pin to walk its own list. This writer
+        // is the only thread that retires nodes of this list (`unlink_below`
+        // hands out the only chains), and it holds no node pointer across
+        // its own retirement (`tail` is rebuilt before a chain leaves), so
+        // every node reached here is linked, hence not retired, hence live.
+        let guard = unsafe { epoch::unprotected() };
         // Predecessor tower slots per level (paper Algorithm 2's `pre`
         // array). Levels above the traversal keep the head slots.
         #[expect(
@@ -396,9 +510,9 @@ where
                 // we entered at a level ≥ `level` (so its height > level).
                 let slot = unsafe { &*tower.add(level) };
                 // ORDERING: Relaxed — single-writer reads its own prior stores; readers never write, so there is no remote store to pair with.
-                let next = slot.load(Ordering::Relaxed, &guard);
-                // SAFETY: nodes are reclaimed only after a grace period and
-                // the writer itself defers destruction, so it is valid.
+                let next = slot.load(Ordering::Relaxed, guard);
+                // SAFETY: a linked node is live: only this writer retires
+                // nodes, and only after unlinking them (see above).
                 match unsafe { next.as_ref() } {
                     Some(node) if node.key < key => {
                         // SAFETY: `next` is live.
@@ -438,7 +552,7 @@ where
             unsafe {
                 // ORDERING: Relaxed — the node is unpublished (Algorithm 2 lines 13-14); no reader can reach these slots until the Release store below.
                 Node::tower(node, i)
-                    .store((**slot).load(Ordering::Relaxed, &guard), Ordering::Relaxed);
+                    .store((**slot).load(Ordering::Relaxed, guard), Ordering::Relaxed);
             }
         }
         // Publish bottom-up with Release — Algorithm 2 lines 15–16. After
@@ -469,7 +583,7 @@ where
                 // ORDERING: Relaxed — writer-private read of the just-published node's slot;
                 // publication ordering was established by the Release store above.
                 if Node::tower(node, i)
-                    .load(Ordering::Relaxed, &guard)
+                    .load(Ordering::Relaxed, guard)
                     .is_null()
                 {
                     self.tail[i] = Node::tower(node, i) as *const _;
@@ -485,14 +599,16 @@ where
     /// Rebuilds the cached rightmost-slot path (after evictions, which may
     /// destroy nodes the tail pointed into). O(expected height · branching).
     fn rebuild_tail(&mut self) {
-        let guard = epoch::pin();
+        // SAFETY: as in `insert_traced` — the writer walks only linked nodes
+        // of its own list, and only it retires them.
+        let guard = unsafe { epoch::unprotected() };
         // ORDERING: Relaxed — single-writer reads its own prior stores;
         // readers never write, so there is no remote store to pair with.
         #[expect(
             clippy::indexing_slicing,
             reason = "from_fn index i < MAX_HEIGHT == head/tail array length"
         )]
-        if self.inner.head[0].load(Ordering::Relaxed, &guard).is_null() {
+        if self.inner.head[0].load(Ordering::Relaxed, guard).is_null() {
             self.tail = std::array::from_fn(|i| &self.inner.head[i] as *const _);
             self.max_key = None;
             return;
@@ -516,7 +632,7 @@ where
             // SAFETY: `tower` has more than `level` slots, as in `insert`.
             let slot = unsafe { &*tower.add(level) };
             // ORDERING: Relaxed — single-writer reads its own prior stores; readers never write, so there is no remote store to pair with.
-            let next = slot.load(Ordering::Relaxed, &guard);
+            let next = slot.load(Ordering::Relaxed, guard);
             // SAFETY: writer-side pointers are valid (no concurrent frees).
             match unsafe { next.as_ref() } {
                 Some(_) => {
@@ -542,22 +658,28 @@ where
     /// Returns the number of evicted entries.
     ///
     /// This is the expiration path: keys are ordered, so expired tuples form
-    /// a prefix. The head tower is re-pointed at the first survivor per
-    /// level with `Release` stores; prefix nodes keep their forward pointers
-    /// so in-flight readers drain out of the prefix safely, and the nodes
-    /// are destroyed only after the current epoch's readers unpin.
+    /// a prefix, which is cut off in one step, retired in one deferral and
+    /// freed after the current epoch's readers unpin.
     pub fn evict_below(&mut self, bound: &K) -> usize {
+        evict_all_below(std::iter::once(self), bound)
+    }
+
+    /// Unlinks every entry with `key < bound` and returns them as one
+    /// [`Chain`] (`None` when nothing expired); the caller retires it.
+    ///
+    /// The head tower is re-pointed at the first survivor per level with
+    /// `Release` stores. Prefix nodes keep their forward pointers, so
+    /// in-flight readers drain out of the prefix, and nothing rewrites them
+    /// afterwards. The tail cache is rebuilt before returning, so the
+    /// writer holds no pointer into the chain it hands out.
+    fn unlink_below(&mut self, bound: &K, guard: &Guard) -> Option<Chain<K, V>> {
         #[cfg(debug_assertions)]
         let _token = self.write_token();
-        let guard = epoch::pin();
         // ORDERING: Relaxed — single-writer reads its own prior stores; readers never write, so there is no remote store to pair with.
-        let old_first = self.inner.head[0].load(Ordering::Relaxed, &guard);
-        if old_first.is_null() {
-            return 0;
-        }
-        // SAFETY: valid under the pin, as in `insert`.
-        if unsafe { old_first.deref() }.key >= *bound {
-            return 0; // nothing expired
+        let old_first = self.inner.head[0].load(Ordering::Relaxed, guard);
+        // SAFETY: a linked node is live, as in `insert_traced`.
+        if unsafe { old_first.as_ref() }.is_none_or(|first| first.key >= *bound) {
+            return None; // empty, or nothing expired
         }
 
         // ORDERING: Relaxed — `height` is written only by this writer thread.
@@ -572,21 +694,21 @@ where
                 clippy::indexing_slicing,
                 reason = "level < list_height ≤ MAX_HEIGHT == head array length"
             )]
-            let mut n = self.inner.head[level].load(Ordering::Relaxed, &guard);
+            let mut n = self.inner.head[level].load(Ordering::Relaxed, guard);
             loop {
-                // SAFETY: valid under the pin.
+                // SAFETY: linked, hence live.
                 match unsafe { n.as_ref() } {
                     Some(node) if node.key < *bound => {
                         // SAFETY: node is live and linked at `level`, so its
                         // height exceeds `level`.
                         let slot = unsafe { Node::tower(n.as_raw(), level) };
                         // ORDERING: Relaxed — single-writer reads its own prior stores; readers never write, so there is no remote store to pair with.
-                        n = slot.load(Ordering::Relaxed, &guard);
+                        n = slot.load(Ordering::Relaxed, guard);
                     }
                     _ => break,
                 }
             }
-            // ORDERING: Release — unlinks the expired prefix; pairs with the reader-side Acquire head/tower loads so a reader entering afterwards cannot walk into the freed prefix.
+            // ORDERING: Release — unlinks the expired prefix; pairs with the reader-side Acquire head/tower loads so a reader entering afterwards cannot walk into the retired prefix.
             #[expect(
                 clippy::indexing_slicing,
                 reason = "level < list_height ≤ MAX_HEIGHT == head array length"
@@ -594,32 +716,30 @@ where
             self.inner.head[level].store(n, Ordering::Release);
         }
 
-        // The prefix is now unreachable from the head; defer destruction.
-        let mut evicted = 0usize;
+        // Count the prefix; it is unreachable from the head now, and its
+        // links stay as they are until `Chain::free`.
+        let mut len = 0usize;
         let mut n = old_first;
-        // SAFETY: valid under the pin; we stop at the first survivor.
+        // SAFETY: prefix nodes are live until the chain is retired and its
+        // grace period ends; we stop at the first survivor.
         while let Some(node) = unsafe { n.as_ref() } {
             if node.key >= *bound {
                 break;
             }
-            let raw = n.as_raw() as *mut Node<K, V>;
-            // ORDERING: Relaxed — the prefix is already unreachable from the head; writer-private walk for deferred destruction.
+            // ORDERING: Relaxed — the prefix is already unreachable from the head; writer-private walk.
             // SAFETY: node is live and has a level-0 slot.
-            let next = unsafe { Node::tower(raw, 0) }.load(Ordering::Relaxed, &guard);
-            // SAFETY: the node is unlinked from the head, so no new reader
-            // can reach it; current readers are protected by their epoch
-            // pins. `destroy` runs exactly once, after the grace period.
-            unsafe { guard.defer_unchecked(move || Node::destroy(raw)) };
-            evicted += 1;
-            n = next;
+            n = unsafe { Node::tower(n.as_raw(), 0) }.load(Ordering::Relaxed, guard);
+            len += 1;
         }
         // ORDERING: Relaxed — `len` is an approximate counter; see `insert_traced`.
-        self.inner.len.fetch_sub(evicted, Ordering::Relaxed);
-        if evicted > 0 {
-            // Eviction may have destroyed nodes the tail path ran through.
-            self.rebuild_tail();
-        }
-        evicted
+        self.inner.len.fetch_sub(len, Ordering::Relaxed);
+        // The tail path may run through the prefix; drop every pointer into
+        // it before the chain leaves.
+        self.rebuild_tail();
+        Some(Chain {
+            first: old_first.as_raw() as *mut Node<K, V>,
+            len,
+        })
     }
 
     /// A read handle sharing this list (the writer may also read through it).
@@ -685,7 +805,7 @@ where
             // SAFETY: `tower` has more than `level` slots (head array or a
             // node entered at a level ≥ `level`).
             let slot = unsafe { &*tower.add(level) };
-            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
             let next = slot.load(Ordering::Acquire, guard);
             // SAFETY: epoch-protected pointer, valid while `guard` is pinned.
             match unsafe { next.as_ref() } {
@@ -708,7 +828,7 @@ where
     pub fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
         let guard = epoch::pin();
         let tower = self.pred_tower(key, &guard);
-        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
         // SAFETY: every tower has ≥ 1 slot.
         let next = unsafe { &*tower }.load(Ordering::Acquire, &guard);
         // SAFETY: epoch-protected.
@@ -743,7 +863,7 @@ where
         }
         let guard = epoch::pin();
         let tower = self.pred_tower(lo, &guard);
-        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
         // SAFETY: ≥ 1 slot; epoch-protected loads below.
         let mut cur = unsafe { &*tower }.load(Ordering::Acquire, &guard);
         let mut visited = 0usize;
@@ -755,7 +875,7 @@ where
             f(&node.key, &node.value, cur.as_raw() as usize);
             visited += 1;
             // SAFETY: `cur` is live (just visited) and every node has a
-            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
             // level-0 slot.
             cur = unsafe { Node::tower(cur.as_raw(), 0) }.load(Ordering::Acquire, &guard);
         }
@@ -771,7 +891,7 @@ where
     /// Visits every entry in ascending key order.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) -> usize {
         let guard = epoch::pin();
-        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
         let mut cur = self.inner.head[0].load(Ordering::Acquire, &guard);
         let mut visited = 0usize;
         // SAFETY: `cur` is epoch-protected while `guard` lives.
@@ -779,7 +899,7 @@ where
             f(&node.key, &node.value);
             visited += 1;
             // SAFETY: `cur` is live (just visited) and every node has a
-            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+            // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
             // level-0 slot.
             cur = unsafe { Node::tower(cur.as_raw(), 0) }.load(Ordering::Acquire, &guard);
         }
@@ -792,7 +912,7 @@ where
         K: Clone,
     {
         let guard = epoch::pin();
-        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `evict_below`, so the node read here is fully initialised.
+        // ORDERING: Acquire — pairs with the writer's Release publication in `insert_traced` and prefix unlink in `unlink_below`, so the node read here is fully initialised.
         let first = self.inner.head[0].load(Ordering::Acquire, &guard);
         // SAFETY: epoch-protected pointer.
         unsafe { first.as_ref() }.map(|n| n.key.clone())
@@ -811,7 +931,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -934,6 +1054,107 @@ mod tests {
             epoch::pin().flush();
             std::thread::yield_now();
         }
+    }
+
+    use std::sync::atomic::{AtomicUsize as Count, Ordering as O};
+
+    /// A value whose `Drop` counts itself and scrambles a canary, so a test
+    /// sees exactly which nodes a chain freed, and a reader that meets a
+    /// reclaimed node fails [`check`](Self::check) even without a sanitizer.
+    pub(crate) struct Canary {
+        a: u64,
+        b: u64,
+        drops: Arc<Count>,
+    }
+
+    const MAGIC: u64 = 0xDEAD_BEEF_DEAD_BEEF;
+
+    impl Canary {
+        pub(crate) fn new(n: u64, drops: &Arc<Count>) -> Self {
+            Canary {
+                a: n,
+                b: n ^ MAGIC,
+                drops: Arc::clone(drops),
+            }
+        }
+
+        pub(crate) fn check(&self) {
+            assert_eq!(self.a ^ MAGIC, self.b, "reader saw a reclaimed node");
+        }
+    }
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            // SAFETY: plain writes to our own fields; volatile so the
+            // scramble is not elided before the node's memory is freed.
+            unsafe {
+                std::ptr::write_volatile(&mut self.a, u64::MAX);
+                std::ptr::write_volatile(&mut self.b, 0);
+            }
+            self.drops.fetch_add(1, O::SeqCst);
+        }
+    }
+
+    /// Flushes until `drops` reads `want` (bounded: another test's pin can
+    /// stall an epoch advance for a while), then returns what it reads.
+    pub(crate) fn drops_after_flush(drops: &Count, want: usize) -> usize {
+        for _ in 0..100_000 {
+            if drops.load(O::SeqCst) == want {
+                break;
+            }
+            epoch::pin().flush();
+            std::thread::yield_now();
+        }
+        drops.load(O::SeqCst)
+    }
+
+    /// Evicts `below` keys of a tall list (the seed of
+    /// `list_height_grows_and_search_still_finds_everything`) and checks
+    /// that the chain frees exactly the prefix, once: the drop count equals
+    /// the evicted count after the grace period, and every survivor still
+    /// scans in order.
+    fn evict_tall_prefix(n: u64, below: u64) {
+        let drops = Arc::new(Count::new(0));
+        let (mut w, r) = SwmrSkipList::with_seed::<u64, Canary>(1234);
+        for k in 0..n {
+            assert!(w.insert(k, Canary::new(k, &drops)));
+        }
+        assert!(w.current_height() > 3, "height {}", w.current_height());
+        let evicted = w.evict_below(&below);
+        assert_eq!(evicted, below.min(n) as usize);
+        assert_eq!(
+            drops_after_flush(&drops, evicted),
+            evicted,
+            "chain freed the wrong nodes"
+        );
+        let mut next = below.min(n);
+        let visited = r.for_each(|k, c| {
+            c.check();
+            assert_eq!(*k, next, "survivor missing or out of order");
+            next += 1;
+        });
+        assert_eq!(next, n);
+        assert_eq!(visited, w.len());
+        assert_eq!(r.len(), (n - below.min(n)) as usize);
+        drop(w);
+        drop(r);
+        assert_eq!(
+            drops.load(O::SeqCst),
+            n as usize,
+            "teardown freed the rest once"
+        );
+    }
+
+    #[test]
+    fn drop_chain_frees_exactly_the_prefix_of_a_tall_list() {
+        const N: u64 = if cfg!(miri) { 2_000 } else { 20_000 };
+        evict_tall_prefix(N, N / 2 + 7);
+    }
+
+    #[test]
+    fn drop_chain_frees_a_whole_list() {
+        const N: u64 = if cfg!(miri) { 2_000 } else { 20_000 };
+        evict_tall_prefix(N, u64::MAX);
     }
 
     #[test]

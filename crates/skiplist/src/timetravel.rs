@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use oij_common::{Key, Timestamp, Tuple, Window};
 
-use crate::swmr::{Reader, SwmrSkipList, Writer};
+use crate::swmr::{evict_all_below, expected_node_bytes, Reader, SwmrSkipList, Writer};
 
 /// Second-layer key: event timestamp plus a per-index dense sequence number
 /// so that tuples with identical timestamps coexist.
@@ -79,14 +79,12 @@ pub struct IndexWriter {
 }
 
 impl IndexWriter {
-    /// Approximate in-memory footprint of one second-layer node, in bytes —
+    /// Expected in-memory footprint of one second-layer node, in bytes —
     /// what a window scan actually touches per tuple (used to drive the
-    /// cache simulator with realistic access sizes).
+    /// cache simulator with realistic access sizes): the `(ts, seq)` key,
+    /// the tuple and the expected 1⅓ tower slots the list allocates.
     pub fn node_footprint() -> usize {
-        // key (ts, seq) + tuple + tower of MAX_HEIGHT atomics.
-        std::mem::size_of::<TsKey>()
-            + std::mem::size_of::<Tuple>()
-            + crate::swmr::MAX_HEIGHT * std::mem::size_of::<usize>()
+        expected_node_bytes::<TsKey, Tuple>()
     }
 
     /// Inserts a tuple, creating its key series on first sight.
@@ -127,11 +125,7 @@ impl IndexWriter {
     /// number of evicted tuples. Empty series stay registered (key churn is
     /// low in the paper's workloads; a key's series is reused on re-arrival).
     pub fn evict_below(&mut self, bound: Timestamp) -> usize {
-        let limit = (bound, 0u64);
-        let mut evicted = 0usize;
-        for series in self.series.values_mut() {
-            evicted += series.evict_below(&limit);
-        }
+        let evicted = evict_all_below(self.series.values_mut(), &(bound, 0u64));
         self.len -= evicted;
         evicted
     }
@@ -380,9 +374,121 @@ mod tests {
     #[test]
     fn node_footprint_is_plausible() {
         let f = IndexWriter::node_footprint();
-        // key (16) + Tuple + tower — sane bounds, used by the cache sim.
-        assert!(f > 32, "{f}");
-        assert!(f < 512, "{f}");
+        // The node the list allocates: key (16) + Tuple + the height byte,
+        // padded to pointer alignment, then between one and two tower
+        // slots on average (1⅓ expected), not a full MAX_HEIGHT tower.
+        let slot = std::mem::size_of::<usize>();
+        let header = (std::mem::size_of::<TsKey>() + std::mem::size_of::<Tuple>() + 1)
+            .next_multiple_of(slot);
+        assert!(f > header + slot, "{f}");
+        assert!(f < header + 2 * slot, "{f}");
+    }
+
+    use crate::swmr::tests::{drops_after_flush, Canary};
+
+    type CanaryLists = Vec<(Writer<TsKey, Canary>, Reader<TsKey, Canary>)>;
+
+    fn canary_lists(keys: u64) -> CanaryLists {
+        (0..keys)
+            .map(|k| SwmrSkipList::with_seed::<TsKey, Canary>(k.wrapping_mul(0x9E37) | 1))
+            .collect()
+    }
+
+    #[test]
+    fn drop_sweep_frees_every_series_prefix_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering as O};
+        const KEYS: u64 = 64;
+        const PER_KEY: i64 = if cfg!(miri) { 8 } else { 40 };
+        let drops = std::sync::Arc::new(AtomicUsize::new(0));
+        let mut lists = canary_lists(KEYS);
+        for (k, (w, _)) in lists.iter_mut().enumerate() {
+            for ts in 0..PER_KEY {
+                // Interleaved timestamps per key, as a shared stream has.
+                let key = (Timestamp::from_micros(ts * 100 + k as i64), 0);
+                assert!(w.insert(key, Canary::new(ts as u64, &drops)));
+            }
+        }
+        let bound = (Timestamp::from_micros(PER_KEY / 2 * 100 + 31), 0);
+        let evicted = evict_all_below(lists.iter_mut().map(|(w, _)| w), &bound);
+        // Every key loses its first PER_KEY/2 entries; keys k < 31 also
+        // lose the next one, at PER_KEY/2 * 100 + k < bound.
+        let per_key_below = |k: i64| PER_KEY / 2 + i64::from(k < 31);
+        let expected: i64 = (0..KEYS as i64).map(per_key_below).sum();
+        assert_eq!(evicted as i64, expected);
+        assert_eq!(
+            drops_after_flush(&drops, evicted),
+            evicted,
+            "sweep freed the wrong nodes"
+        );
+        for (k, (w, r)) in lists.iter().enumerate() {
+            let mut last = None;
+            let visited = r.for_each(|key, c| {
+                c.check();
+                assert!(*key >= bound, "evicted entry survived");
+                assert!(last.is_none_or(|l| *key > l), "survivors out of order");
+                last = Some(*key);
+            });
+            assert_eq!(visited as i64, PER_KEY - per_key_below(k as i64));
+            assert_eq!(w.len(), visited);
+        }
+        // Nothing expired: no chain, no deferral, nothing dropped.
+        assert_eq!(evict_all_below(lists.iter_mut().map(|(w, _)| w), &bound), 0);
+        drop(lists);
+        assert_eq!(drops.load(O::SeqCst), (KEYS as i64 * PER_KEY) as usize);
+    }
+
+    #[test]
+    fn drop_sweep_under_concurrent_scans_never_frees_early() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as O};
+        use std::sync::Arc;
+        const KEYS: u64 = 8;
+        const ROUNDS: i64 = if cfg!(miri) { 20 } else { 300 };
+        let drops = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let (mut writers, readers): (Vec<_>, Vec<_>) = canary_lists(KEYS).into_iter().unzip();
+        let scanners: Vec<_> = (0..2)
+            .map(|_| {
+                let readers = readers.clone();
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut scans = 0u64;
+                    while !stop.load(O::Relaxed) {
+                        for r in &readers {
+                            let mut last = None;
+                            r.for_each(|key, c| {
+                                c.check();
+                                assert!(last.is_none_or(|l| *key > l), "unordered scan");
+                                last = Some(*key);
+                            });
+                        }
+                        scans += 1;
+                    }
+                    scans
+                })
+            })
+            .collect();
+
+        let mut evicted = 0usize;
+        for round in 0..ROUNDS {
+            for (k, w) in writers.iter_mut().enumerate() {
+                for i in 0..4 {
+                    let key = (Timestamp::from_micros(round * 100 + i * 10 + k as i64), 0);
+                    w.insert(key, Canary::new(round as u64, &drops));
+                }
+            }
+            let bound = (Timestamp::from_micros((round - 3) * 100), 0);
+            evicted += evict_all_below(writers.iter_mut(), &bound);
+        }
+        stop.store(true, O::Relaxed);
+        for h in scanners {
+            assert!(h.join().unwrap() > 0, "reader never completed a scan");
+        }
+        assert_eq!(drops_after_flush(&drops, evicted), evicted);
+        let live: usize = writers.iter().map(|w| w.len()).sum();
+        assert_eq!(live + evicted, (KEYS as i64 * ROUNDS * 4) as usize);
+        drop(writers);
+        drop(readers);
+        assert_eq!(drops.load(O::SeqCst), (KEYS as i64 * ROUNDS * 4) as usize);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the oij-skiplist test suite under LLVM sanitizers.
+# Runs the oij-skiplist and oij-index test suites under LLVM sanitizers.
 #
 #   scripts/sanitize.sh [asan|tsan|all]      (default: all)
 #
@@ -55,14 +55,14 @@ have_rust_src() {
 }
 
 run_asan() {
-  echo "== AddressSanitizer: cargo test -p oij-skiplist -p crossbeam-epoch =="
+  echo "== AddressSanitizer: cargo test -p oij-skiplist -p crossbeam-epoch -p oij-index =="
   # ASan links its runtime into the test binary; an uninstrumented std is
   # acceptable (allocations still funnel through the instrumented global
   # allocator shims).
   RUSTFLAGS="-Zsanitizer=address" \
   RUSTDOCFLAGS="-Zsanitizer=address" \
   ASAN_OPTIONS="detect_leaks=0" \
-    cargo +nightly test -p oij-skiplist -p crossbeam-epoch \
+    cargo +nightly test -p oij-skiplist -p crossbeam-epoch -p oij-index \
     --target "$TARGET_TRIPLE" --release -q || FAILED=1
   # Leak checking is off above: epoch garbage still queued at process exit
   # is reported as leaked even though teardown is sound. Run the targeted
